@@ -228,16 +228,11 @@ def fox_derivative(w: Word, gen: int) -> GroupRingElement:
     """Free differential: d(g)/dg = 1, d(g^-1)/dg = -g^-1, product rule
     d(uv)/dg = du/dg + u dv/dg."""
     terms: dict[Word, int] = {}
-    prefix: list[tuple[int, int]] = []
-    for g, s in w:
+    for i, (g, s) in enumerate(w):
         if g == gen:
-            if s > 0:
-                key = free_reduce(Word(prefix))
-                terms[key] = terms.get(key, 0) + 1
-            else:
-                key = free_reduce(Word(prefix + [(g, -1)]))
-                terms[key] = terms.get(key, 0) - 1
-        prefix.append((g, s))
+            # the prefix before g, or the prefix through g^-1
+            key = free_reduce(Word.of(w.letters[:i] if s > 0 else w.letters[:i + 1]))
+            terms[key] = terms.get(key, 0) + s
     return GroupRingElement(terms)
 
 
@@ -251,9 +246,8 @@ def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     def minor(row: int, cols: tuple[int, ...]) -> LaurentPoly:
         if not cols:
             return LaurentPoly.one()
-        key = cols
-        if row == n - len(cols) and key in memo:
-            return memo[key]
+        if cols in memo:
+            return memo[cols]
         total = LaurentPoly.zero()
         for k, j in enumerate(cols):
             entry = matrix[row][j]
@@ -262,7 +256,7 @@ def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
             sub = minor(row + 1, cols[:k] + cols[k + 1:])
             term = entry * sub
             total = total + (term if k % 2 == 0 else -term)
-        memo[key] = total
+        memo[cols] = total
         return total
 
     return minor(0, tuple(range(n)))

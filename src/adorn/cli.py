@@ -8,7 +8,8 @@ input, 3 inconclusive under --strict, 1 corpus failures).
 
 When ``ADORN_CACHE_DIR`` is set, series runs persist each rewrite step as a
 JSON file keyed by a content hash of (presentation, limits), making long
-runs resumable.
+runs resumable.  A malformed entry, or one whose index is not the stage's
+quotient order, is treated as a miss and overwritten.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 from .abelian import abelianization
@@ -53,8 +55,16 @@ class FileStepCache:
             return None
 
     def put(self, key: str, value: dict) -> None:
-        with open(self._path(key), "w") as fh:
-            json.dump(value, fh)
+        """Write atomically: a reader sees the old entry or the new one,
+        never a partial file."""
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(value, fh)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -5,10 +5,11 @@ coincidence handling; ``commutator_coset_table`` builds the table of the
 commutator subgroup directly from a finite abelianization, without
 enumeration.
 
-Columns pair each generator with its inverse: column ``2*g`` is the action
-of generator ``g``, column ``2*g + 1`` its inverse.  Coset 0 is always the
-subgroup itself and numbering follows first definition, so tables are
-reproducible.
+Columns are the int letter codes of :class:`adorn.fpgroup.Word`: column
+``2*g`` is the action of generator ``g`` and column ``x ^ 1`` is the inverse
+of column ``x``, so a word acts by indexing ``rows[c][x]`` with its
+``letters`` directly.  Coset 0 is always the subgroup itself and numbering
+follows first definition, so tables are reproducible.
 """
 
 from __future__ import annotations
@@ -46,18 +47,6 @@ class EnumerationCaps:
 DEFAULT_ENUMERATION_CAPS = EnumerationCaps()
 
 
-def _col(gen: int, sign: int) -> int:
-    return 2 * gen + (0 if sign > 0 else 1)
-
-
-def _inv(col: int) -> int:
-    return col ^ 1
-
-
-def word_cols(w: Word) -> tuple[int, ...]:
-    return tuple(_col(g, s) for g, s in w)
-
-
 class CosetTable:
     """Permutation action of the generators on the cosets of a subgroup."""
 
@@ -73,21 +62,18 @@ class CosetTable:
             if len(r) != 2 * n_generators:
                 raise ValueError("row width does not match generator count")
 
-    def act(self, coset: int, gen: int, sign: int = 1) -> int | None:
-        return self.rows[coset][_col(gen, sign)]
-
     def word_act(self, coset: int, w: Word) -> int | None:
-        for g, s in w:
-            coset = self.rows[coset][_col(g, s)]
+        for x in w.letters:
+            coset = self.rows[coset][x]
             if coset is None:
                 return None
         return coset
 
-    def permutation(self, gen: int, sign: int = 1) -> tuple[int, ...]:
+    def permutation(self, col: int) -> tuple[int, ...]:
+        """Action of one column (letter code) on the cosets."""
         if not self.complete:
             raise IncompleteTable("permutations require a complete table")
-        c = _col(gen, sign)
-        return tuple(row[c] for row in self.rows)
+        return tuple(row[col] for row in self.rows)
 
     def verify(self, p: GroupPresentation,
                subgroup_gens: Iterable[Word] = ()) -> None:
@@ -95,8 +81,8 @@ class CosetTable:
         assert self.complete
         n = self.n_cosets
         for g in range(self.n_generators):
-            fwd = self.permutation(g, 1)
-            bwd = self.permutation(g, -1)
+            fwd = self.permutation(2 * g)
+            bwd = self.permutation(2 * g + 1)
             assert sorted(fwd) == list(range(n)), f"generator {g} is not a permutation"
             assert all(bwd[fwd[i]] == i for i in range(n)), f"generator {g} inverse mismatch"
         # transitivity
@@ -130,7 +116,7 @@ class _Enumerator:
         # scans indexed by leading column: every rotation of every relator
         self.edp: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
         for r in relators:
-            cols = word_cols(r)
+            cols = r.letters
             for i in range(len(cols)):
                 rot = cols[i:] + cols[:i]
                 self.edp[rot[0]].append(rot)
@@ -155,9 +141,9 @@ class _Enumerator:
 
     def set_edge(self, a: int, col: int, b: int) -> None:
         self.table[a][col] = b
-        self.table[b][_inv(col)] = a
+        self.table[b][col ^ 1] = a
         self.deductions.append((a, col))
-        self.deductions.append((b, _inv(col)))
+        self.deductions.append((b, col ^ 1))
 
     def merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -181,21 +167,21 @@ class _Enumerator:
                 if delta is None:
                     continue
                 # detach the mirror edge before re-rooting
-                if self.table[delta][_inv(col)] == dead:
-                    self.table[delta][_inv(col)] = None
+                if self.table[delta][col ^ 1] == dead:
+                    self.table[delta][col ^ 1] = None
                 row[col] = None
                 mu, nu = self.rep(dead), self.rep(delta)
                 target = self.table[mu][col]
-                back = self.table[nu][_inv(col)]
+                back = self.table[nu][col ^ 1]
                 if target is not None:
                     self.merge(nu, target, queue)
                 elif back is not None:
                     self.merge(mu, back, queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][_inv(col)] = mu
+                    self.table[nu][col ^ 1] = mu
                     self.deductions.append((mu, col))
-                    self.deductions.append((nu, _inv(col)))
+                    self.deductions.append((nu, col ^ 1))
 
     def scan(self, alpha: int, cols: tuple[int, ...]) -> None:
         f = alpha
@@ -212,7 +198,7 @@ class _Enumerator:
                 self.coincidence(f, b)
             return
         while j >= i:
-            d = self.table[b][_inv(cols[j])]
+            d = self.table[b][cols[j] ^ 1]
             if d is None:
                 break
             b = self.rep(d)
@@ -241,7 +227,7 @@ class _Enumerator:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                d = self.table[b][_inv(cols[j])]
+                d = self.table[b][cols[j] ^ 1]
                 if d is None:
                     break
                 b = self.rep(d)
@@ -271,7 +257,7 @@ class _Enumerator:
 
     def run(self, subgroup_gens: Sequence[Word]) -> CosetTable:
         for w in subgroup_gens:
-            self.scan_and_fill(0, word_cols(w))
+            self.scan_and_fill(0, w.letters)
             self.process_deductions()
         alpha = 0
         while alpha < len(self.table):
@@ -339,8 +325,8 @@ def commutator_coset_table(p: GroupPresentation) -> CosetTable:
             img = data.torsion_images[g]
             fwd = tuple((c + x) % m for c, x, m in zip(coords, img, moduli))
             bwd = tuple((c - x) % m for c, x, m in zip(coords, img, moduli))
-            row[_col(g, 1)] = encode(fwd)
-            row[_col(g, -1)] = encode(bwd)
+            row[2 * g] = encode(fwd)
+            row[2 * g + 1] = encode(bwd)
         rows.append(row)
     assert len(rows) == n
     return CosetTable(p.n_generators, rows, complete=True)

@@ -29,7 +29,7 @@ from .abelian import AbelianInvariants, abelianization, is_perfect
 from .cosets import (DEFAULT_ENUMERATION_CAPS, CapExceeded, CosetTable,
                      EnumerationCaps, commutator_coset_table, todd_coxeter)
 from .fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
-                      SimplificationCaps, Word, format_presentation,
+                      SimplificationCaps, Simplified, Word, format_presentation,
                       parse_presentation, tietze_simplify)
 from .rewriting import reidemeister_schreier, rewrite_presentation, subgroup_word
 
@@ -144,6 +144,21 @@ def step_cache_key(p: GroupPresentation, lim: SeriesLimits) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _cached_step(entry: object, order: int) -> Simplified | None:
+    """The next stage stored in a step-cache entry, or None (a miss) when the
+    entry is malformed or its index is not the current quotient order."""
+    if not isinstance(entry, dict):
+        return None
+    text, hit, index = entry.get("next"), entry.get("hit_caps"), entry.get("index")
+    if not (isinstance(text, str) and isinstance(hit, bool)
+            and isinstance(index, int) and index == order):
+        return None
+    try:
+        return Simplified(parse_presentation(text), hit)
+    except ValueError:  # includes PresentationSyntaxError
+        return None
+
+
 def _stage_report(depth: int, p: GroupPresentation, inv: AbelianInvariants,
                   partially: bool) -> StageReport:
     flags = set()
@@ -210,20 +225,13 @@ def derived_series(p: GroupPresentation,
                                               limits_hit=tuple(limits_hit)))
 
         key = step_cache_key(pres, lim) if step_cache is not None else None
-        cached = step_cache.get(key) if step_cache is not None else None
-        if cached is not None:
-            pres = parse_presentation(cached["next"])
-            partially = bool(cached["hit_caps"])
+        step = _cached_step(step_cache.get(key), order) if step_cache is not None else None
+        if step is not None:
+            pres, partially = step
         else:
-            try:
-                table = commutator_coset_table(pres)
-                simplified = reidemeister_schreier(pres, table, lim.simplification)
-            except CapExceeded as exc:
-                return SeriesResult(tuple(stages),
-                                    SeriesVerdict(INCONCLUSIVE, stage=depth,
-                                                  limits_hit=(str(exc),)))
-            pres, partially = simplified
-            if step_cache is not None and key is not None:
+            table = commutator_coset_table(pres)
+            pres, partially = reidemeister_schreier(pres, table, lim.simplification)
+            if step_cache is not None:
                 step_cache.put(key, {"next": format_presentation(pres),
                                      "hit_caps": partially,
                                      "index": table.n_cosets})

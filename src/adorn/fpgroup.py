@@ -1,10 +1,14 @@
 """Words and presentations of finitely presented groups.
 
 A word is a sequence of letters ``(g, s)`` where ``g`` is a generator index
-and ``s`` is +1 or -1.  Presentations store their relators freely and
-cyclically reduced, rotated to a canonical least rotation (comparing a word
-against its inverse as well), so equal relators compare equal as ``Word``
-values.
+and ``s`` is +1 or -1.  :class:`Word` stores each letter as the int code
+``2*g + (s < 0)``, the one letter encoding every layer shares: ``x ^ 1`` is
+the inverse letter and ``x`` is the letter's coset-table column.  Pairs go
+in through ``Word(pairs)`` and come out by iteration; everything else,
+here and in :mod:`adorn.cosets` and :mod:`adorn.rewriting`, works on the
+codes.  Presentations store their relators freely and cyclically reduced,
+rotated to a canonical least rotation (comparing a word against its inverse
+as well), so equal relators compare equal as ``Word`` values.
 
 The ASCII grammar accepted by :func:`parse_presentation`::
 
@@ -39,14 +43,29 @@ Letter = tuple[int, int]
 class Word:
     """Immutable word in the free group on indexed generators.
 
+    ``letters`` is a flat tuple of int codes: the letter ``(g, s)`` is stored
+    as ``2*g + (s < 0)``, so ``x ^ 1`` is the inverse of ``x`` and ``x`` is
+    also the letter's column in a coset table.  Coset enumeration, the
+    Reidemeister--Schreier rewrite and Tietze simplification all walk these
+    codes directly; construction from and iteration over ``(g, s)`` pairs is
+    the public interface and the only place where the two forms meet.  The
+    int order matches the order of the pairs ``(g, 0 if s > 0 else 1)``.
+
     Multiplication concatenates without reducing; use :func:`free_reduce`
     when a reduced representative is needed.
     """
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[Letter] = ()):
-        self.letters = tuple(letters)
+    def __init__(self, pairs: Iterable[Letter] = ()):
+        self.letters = tuple(2 * g + (s < 0) for g, s in pairs)
+
+    @staticmethod
+    def of(codes: Iterable[int]) -> "Word":
+        """Word from int letter codes (see the class docstring)."""
+        w = Word.__new__(Word)
+        w.letters = tuple(codes)
+        return w
 
     @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
@@ -55,28 +74,28 @@ class Word:
         return Word(((index, sign),))
 
     def inverse(self) -> "Word":
-        return Word((g, -s) for g, s in reversed(self.letters))
+        return Word.of(x ^ 1 for x in reversed(self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word.of(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        return Word.of(self.letters * n)
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
+        return max(self.letters, default=-1) >> 1
 
     def exponent_sum(self, gen: int) -> int:
-        return sum(s for g, s in self.letters if g == gen)
+        return self.letters.count(2 * gen) - self.letters.count(2 * gen + 1)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return ((x >> 1, -1 if x & 1 else 1) for x in self.letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -85,7 +104,7 @@ class Word:
         return hash(self.letters)
 
     def __repr__(self) -> str:
-        return f"Word({list(self.letters)!r})"
+        return f"Word({list(self)!r})"
 
 
 EMPTY_WORD = Word()
@@ -93,13 +112,13 @@ EMPTY_WORD = Word()
 
 def free_reduce(w: Word) -> Word:
     """Cancel all adjacent ``g g^-1`` pairs.  Idempotent, length-non-increasing."""
-    out: list[Letter] = []
-    for g, s in w.letters:
-        if out and out[-1][0] == g and out[-1][1] == -s:
+    out: list[int] = []
+    for x in w.letters:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append((g, s))
-    return Word(out)
+            out.append(x)
+    return Word.of(out)
 
 
 def cyclically_reduce(w: Word) -> Word:
@@ -108,26 +127,12 @@ def cyclically_reduce(w: Word) -> Word:
     The result is conjugate to the input and both freely and cyclically
     reduced.
     """
-    letters = list(free_reduce(w).letters)
+    letters = free_reduce(w).letters
     i, j = 0, len(letters)
-    while j - i >= 2:
-        g1, s1 = letters[i]
-        g2, s2 = letters[j - 1]
-        if g1 == g2 and s1 == -s2:
-            i += 1
-            j -= 1
-        else:
-            break
-    return Word(letters[i:j])
-
-
-def _letter_key(letter: Letter) -> tuple[int, int]:
-    g, s = letter
-    return (g, 0 if s > 0 else 1)
-
-
-def _word_key(letters: tuple[Letter, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(_letter_key(l) for l in letters)
+    while j - i >= 2 and letters[i] == letters[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return Word.of(letters[i:j])
 
 
 def canonical_relator(w: Word) -> Word:
@@ -137,16 +142,9 @@ def canonical_relator(w: Word) -> Word:
     canonical representative makes duplicate detection a plain equality test.
     """
     w = cyclically_reduce(w)
-    n = len(w)
-    if n == 0:
-        return w
-    best: tuple[Letter, ...] | None = None
-    for base in (w.letters, w.inverse().letters):
-        for i in range(n):
-            cand = base[i:] + base[:i]
-            if best is None or _word_key(cand) < _word_key(best):
-                best = cand
-    return Word(best)
+    a, b = w.letters, w.inverse().letters
+    return Word.of(min((base[i:] + base[:i] for base in (a, b) for i in range(len(a))),
+                       default=()))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -202,9 +200,6 @@ class GroupPresentation:
 
     def __str__(self) -> str:
         return format_presentation(self)
-
-    def with_name(self, name: str) -> "GroupPresentation":
-        return GroupPresentation(self.generator_names, self.relators, name=name)
 
     def with_relators(self, extra: Iterable[Word], name: str | None = None) -> "GroupPresentation":
         """Quotient presentation: same generators, added relators."""
@@ -332,7 +327,7 @@ class _Parser:
         return left
 
     def parse_word(self) -> Word:
-        letters: list[Letter] = []
+        letters: list[int] = []
         first = True
         while True:
             kind, val, pos = self.peek()
@@ -342,7 +337,7 @@ class _Parser:
             elif first:
                 raise PresentationSyntaxError(f"expected a word, found {val or 'end of input'!r}", pos)
             else:
-                return Word(letters)
+                return Word.of(letters)
 
     def parse_term(self) -> Word:
         kind, val, pos = self.next()
@@ -376,8 +371,8 @@ def format_word(w: Word, names: Iterable[str]) -> str:
     if not len(w):
         return "1"
     parts = []
-    run_gen, run_exp = w.letters[0][0], w.letters[0][1]
-    for g, s in w.letters[1:]:
+    (run_gen, run_exp), *rest = w
+    for g, s in rest:
         if g == run_gen and (run_exp > 0) == (s > 0):
             run_exp += s
         else:
@@ -402,15 +397,18 @@ def format_presentation(p: GroupPresentation) -> str:
 # Tietze simplification
 
 
-def _substitute(w: Word, gen: int, repl: Word) -> Word:
-    out: list[Letter] = []
-    inv = repl.inverse()
-    for g, s in w.letters:
-        if g == gen:
-            out.extend(repl.letters if s > 0 else inv.letters)
+def _substitute(w: Word, x: int, repl: Word) -> Word:
+    """Replace letter ``x`` by ``repl`` and its inverse ``x ^ 1`` by ``repl^-1``."""
+    out: list[int] = []
+    fwd, inv = repl.letters, repl.inverse().letters
+    for y in w.letters:
+        if y == x:
+            out.extend(fwd)
+        elif y == x ^ 1:
+            out.extend(inv)
         else:
-            out.append((g, s))
-    return Word(out)
+            out.append(y)
+    return Word.of(out)
 
 
 def _dedupe(rels: list[Word]) -> list[Word]:
@@ -428,13 +426,13 @@ def _elimination_candidates(rels: list[Word], n_gens: int):
     exactly once in some relator; lowest key applied first."""
     occ = [0] * n_gens
     for r in rels:
-        for g, _ in r:
-            occ[g] += 1
+        for x in r.letters:
+            occ[x >> 1] += 1
     cands = []
     for ri, r in enumerate(rels):
         counts: dict[int, int] = {}
-        for g, _ in r:
-            counts[g] = counts.get(g, 0) + 1
+        for x in r.letters:
+            counts[x >> 1] = counts.get(x >> 1, 0) + 1
         for g, c in counts.items():
             if c == 1:
                 elsewhere = occ[g] - 1
@@ -445,34 +443,32 @@ def _elimination_candidates(rels: list[Word], n_gens: int):
 
 
 def _eliminate(rels: list[Word], gen: int, ri: int) -> list[Word]:
-    r = rels[ri]
-    k = next(i for i, (g, _) in enumerate(r.letters) if g == gen)
-    rot = r.letters[k:] + r.letters[:k]
-    sign = rot[0][1]
-    rest = Word(rot[1:])
-    repl = rest.inverse() if sign > 0 else rest
+    r = rels[ri].letters
+    k = next(i for i, x in enumerate(r) if x >> 1 == gen)
+    rot = r[k:] + r[:k]
+    # rot[0] * rest = 1, so rot[0] = rest^-1
+    repl = Word.of(rot[1:]).inverse()
     out = []
     for i, s in enumerate(rels):
         if i == ri:
             continue
-        s2 = canonical_relator(_substitute(s, gen, repl))
+        s2 = canonical_relator(_substitute(s, rot[0], repl))
         if len(s2):
             out.append(s2)
     return out
 
 
-def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[Letter, ...], Word]:
+def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]:
     """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
     mapped to the inverse of their cyclic complement (a shorter equivalent)."""
-    out: dict[tuple[Letter, ...], Word] = {}
+    out: dict[tuple[int, ...], Word] = {}
     n = len(s)
     for base in (s.letters, s.inverse().letters):
         doubled = base + base
         for i in range(n):
             u = doubled[i:i + length]
-            v = doubled[i + length:i + n]
             if u not in out:
-                out[u] = Word(v).inverse()
+                out[u] = Word.of(doubled[i + length:i + n]).inverse()
     return out
 
 
@@ -480,7 +476,7 @@ def _subword_pass(rels: list[Word]) -> tuple[list[Word], bool]:
     """Replace long shared subwords (length >= 3, and more than half of the
     source relator) by the shorter complement; total length strictly drops."""
     for ri in range(len(rels)):
-        r = rels[ri]
+        r = rels[ri].letters
         for sj in range(len(rels)):
             s = rels[sj]
             if sj == ri or len(s) > len(r) or len(s) < 4:
@@ -489,11 +485,10 @@ def _subword_pass(rels: list[Word]) -> tuple[list[Word], bool]:
             for length in range(min(len(s) - 1, len(r)), low - 1, -1):
                 sources = _cyclic_subword_sources(s, length)
                 for i in range(len(r) - length + 1):
-                    u = r.letters[i:i + length]
+                    u = r[i:i + length]
                     if u in sources:
-                        repl = sources[u]
-                        new = Word(r.letters[:i] + repl.letters + r.letters[i + length:])
-                        new = canonical_relator(new)
+                        new = canonical_relator(
+                            Word.of(r[:i] + sources[u].letters + r[i + length:]))
                         out = list(rels)
                         if len(new):
                             out[ri] = new
@@ -516,8 +511,7 @@ def tietze_simplify(p: GroupPresentation,
     when it is not known to be fully simplified.
     """
     alive = list(range(p.n_generators))
-    rels = [canonical_relator(r) for r in p.relators]
-    rels = [r for r in rels if len(r)]
+    rels = list(p.relators)
     hit = False
 
     passes = 0
@@ -530,15 +524,13 @@ def tietze_simplify(p: GroupPresentation,
         changed = False
 
         before = len(rels)
-        rels = _dedupe([r for r in rels if len(r)])
+        rels = _dedupe(rels)
         if len(rels) != before:
             changed = True
 
         while True:
-            cands = _elimination_candidates(rels, p.n_generators)
-            cands = [c for c in cands if c[2] in alive]
             applied = False
-            for cost, _, g, ri in cands:
+            for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
                 new_rels = _eliminate(rels, g, ri)
                 if sum(len(r) for r in new_rels) > caps.max_total_relator_length:
                     hit = True  # a legal elimination was blocked by the cap
@@ -555,8 +547,8 @@ def tietze_simplify(p: GroupPresentation,
             changed = True
 
     remap = {g: i for i, g in enumerate(alive)}
-    final = [Word((remap[g], s) for g, s in r) for r in rels]
-    final.sort(key=lambda w: (len(w), _word_key(w.letters)))
+    final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]
+    final.sort(key=lambda w: (len(w), w.letters))
     out = GroupPresentation(tuple(p.generator_names[g] for g in alive), final,
                             name=p.name)
     if out.n_generators > caps.max_generators:

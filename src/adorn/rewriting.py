@@ -6,6 +6,11 @@ tree), and relators are obtained by rewriting every relator of the ambient
 group once per coset.  The raw presentation has exactly
 ``n_cosets * n_generators - (n_cosets - 1)`` generators; it is then passed
 through Tietze simplification.
+
+Words, coset-table columns and Schreier letters all use the int letter
+codes of :class:`adorn.fpgroup.Word` (``2*g`` for a generator, ``x ^ 1`` for
+the inverse of ``x``), so rewriting is a walk over ``w.letters`` that reads
+one table row and one label row per letter.
 """
 
 from __future__ import annotations
@@ -14,34 +19,50 @@ from typing import NamedTuple
 
 from .cosets import CosetTable, IncompleteTable
 from .fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
-                      SimplificationCaps, Simplified, Word, cyclically_reduce,
-                      free_reduce, tietze_simplify)
+                      SimplificationCaps, Simplified, Word, free_reduce,
+                      tietze_simplify)
 
 
 class _Transversal(NamedTuple):
     words: tuple[Word, ...]
-    tree: frozenset[tuple[int, int]]  # (coset, gen) edges used by the BFS tree
+    # labels[c][x]: Schreier letter read when leaving coset c by column x,
+    # None on a tree edge
+    labels: list[list[int | None]]
+    n_schreier: int
 
 
 def _bfs_transversal(t: CosetTable) -> _Transversal:
+    """BFS transversal plus the Schreier generator numbering: generator k is
+    the k-th non-tree edge (coset a, column 2g) in (a, g) order, and crossing
+    it backwards reads its inverse."""
     if not t.complete:
         raise IncompleteTable("transversal requires a complete coset table")
+    rows = t.rows
+    ncols = 2 * t.n_generators
     reps: list[Word | None] = [None] * t.n_cosets
     reps[0] = Word()
-    tree: set[tuple[int, int]] = set()
+    tree: set[tuple[int, int]] = set()  # (coset, column), both directions
     queue = [0]
     qi = 0
     while qi < len(queue):
         a = queue[qi]
         qi += 1
-        for g in range(t.n_generators):
-            for s in (1, -1):
-                b = t.act(a, g, s)
-                if reps[b] is None:
-                    reps[b] = reps[a] * Word.gen(g, s)
-                    tree.add((a, g) if s > 0 else (b, g))
-                    queue.append(b)
-    return _Transversal(tuple(reps), frozenset(tree))
+        for x in range(ncols):
+            b = rows[a][x]
+            if reps[b] is None:
+                reps[b] = reps[a] * Word.of((x,))
+                tree.add((a, x))
+                tree.add((b, x ^ 1))
+                queue.append(b)
+    labels: list[list[int | None]] = [[None] * ncols for _ in range(t.n_cosets)]
+    k = 0
+    for a in range(t.n_cosets):
+        for x in range(0, ncols, 2):
+            if (a, x) not in tree:
+                labels[a][x] = 2 * k
+                labels[rows[a][x]][x ^ 1] = 2 * k + 1
+                k += 1
+    return _Transversal(tuple(reps), labels, k)
 
 
 def schreier_transversal(t: CosetTable) -> tuple[Word, ...]:
@@ -50,59 +71,37 @@ def schreier_transversal(t: CosetTable) -> tuple[Word, ...]:
     return _bfs_transversal(t).words
 
 
-def _rewrite(t: CosetTable, tree: frozenset[tuple[int, int]],
-             gen_index: dict[tuple[int, int], int], w: Word, start: int) -> Word:
+def _rewrite(t: CosetTable, labels: list[list[int | None]], w: Word,
+             start: int) -> Word:
     """Rewrite (transversal[start]) w (transversal[end])^-1 over Schreier
     generators; tree edges contribute nothing."""
+    rows = t.rows
     c = start
     out = []
-    for g, s in w:
-        if s > 0:
-            if (c, g) not in tree:
-                out.append((gen_index[(c, g)], 1))
-            c = t.act(c, g, 1)
-        else:
-            c2 = t.act(c, g, -1)
-            if (c2, g) not in tree:
-                out.append((gen_index[(c2, g)], -1))
-            c = c2
-    return Word(out)
+    for x in w.letters:
+        y = labels[c][x]
+        if y is not None:
+            out.append(y)
+        c = rows[c][x]
+    return Word.of(out)
 
 
 def rewrite_presentation(p: GroupPresentation, t: CosetTable) -> GroupPresentation:
     """Raw subgroup presentation on Schreier generators, before simplification."""
-    words, tree = _bfs_transversal(t)
-    gen_index: dict[tuple[int, int], int] = {}
-    names = []
-    for a in range(t.n_cosets):
-        for g in range(p.n_generators):
-            if (a, g) not in tree:
-                gen_index[(a, g)] = len(names)
-                names.append(f"x{len(names)}")
-    relators = []
-    for r in p.relators:
-        for a in range(t.n_cosets):
-            w = cyclically_reduce(_rewrite(t, tree, gen_index, r, a))
-            if len(w):
-                relators.append(w)
-    return GroupPresentation(tuple(names), relators,
+    _, labels, n_schreier = _bfs_transversal(t)
+    relators = [_rewrite(t, labels, r, a)
+                for r in p.relators for a in range(t.n_cosets)]
+    return GroupPresentation(tuple(f"x{i}" for i in range(n_schreier)), relators,
                              name=f"[{p.name or 'G'} : index {t.n_cosets}]")
 
 
 def subgroup_word(p: GroupPresentation, t: CosetTable, w: Word) -> Word:
     """Express a word lying in the subgroup in terms of its Schreier
     generators (matching :func:`rewrite_presentation` numbering)."""
-    words, tree = _bfs_transversal(t)
+    labels = _bfs_transversal(t).labels
     if t.word_act(0, w) != 0:
         raise ValueError("word does not lie in the subgroup of coset 0")
-    gen_index: dict[tuple[int, int], int] = {}
-    k = 0
-    for a in range(t.n_cosets):
-        for g in range(p.n_generators):
-            if (a, g) not in tree:
-                gen_index[(a, g)] = k
-                k += 1
-    return free_reduce(_rewrite(t, tree, gen_index, w, 0))
+    return free_reduce(_rewrite(t, labels, w, 0))
 
 
 def reidemeister_schreier(p: GroupPresentation, t: CosetTable,

@@ -288,7 +288,7 @@ def _sphere_orbifold_cones(p: GroupPresentation) -> tuple[int, ...] | None:
         m = len(other)
         if m >= 4 and m % 2 == 0:
             expected = tuple((0, 1) if i % 2 == 0 else (1, 1) for i in range(m))
-            if other.letters == expected:
+            if tuple(other) == expected:
                 return (powers[0], powers[1], m // 2)
     return None
 

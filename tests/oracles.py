@@ -209,6 +209,38 @@ def perm_doa(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
+# relator canonical form on (g, s) letter pairs
+
+
+def canonical_relator_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    """Least rotation of the cyclic reduction of a word or its inverse,
+    comparing letters by the key ``(g, 0 if s > 0 else 1)``.  This is the
+    pair-based form the library's int letter codes must reproduce."""
+    out: list[tuple[int, int]] = []
+    for g, s in pairs:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    while len(out) >= 2 and out[0] == (out[-1][0], -out[-1][1]):
+        out = out[1:-1]
+    if not out:
+        return ()
+
+    def key(letters):
+        return tuple((g, 0 if s > 0 else 1) for g, s in letters)
+
+    inverse = [(g, -s) for g, s in reversed(out)]
+    best = None
+    for base in (out, inverse):
+        for i in range(len(out)):
+            cand = tuple(base[i:] + base[:i])
+            if best is None or key(cand) < key(best):
+                best = cand
+    return best
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form oracle
 
 

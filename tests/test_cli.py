@@ -173,6 +173,24 @@ def test_cache_dir(tmp_path, capsys, monkeypatch):
     assert r1["verdict"] == r2["verdict"]
 
 
+def test_cache_dir_malformed_entry_is_recomputed(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ADORN_CACHE_DIR", str(cache))
+    code, out1, _ = run(capsys, ["series", "--zoo", "sl2z", "--json"])
+    assert code == 0
+    (entry,) = cache.glob("*.json")
+    good = json.loads(entry.read_text())
+    entry.write_text(json.dumps({"hit_caps": False}))
+    code, out2, err = run(capsys, ["series", "--zoo", "sl2z", "--json"])
+    assert code == 0
+    assert err == ""
+    r1, r2 = json.loads(out1), json.loads(out2)
+    assert r2["verdict"]["kind"] == "NonAdorableCertified"
+    assert (r1["stages"], r1["verdict"]) == (r2["stages"], r2["verdict"])
+    assert json.loads(entry.read_text()) == good
+    assert [p.name for p in cache.iterdir()] == [entry.name]  # no temp files left
+
+
 def test_seed_never_affects_results(capsys):
     # determinism: repeated runs emit identical stage/verdict payloads
     outs = []

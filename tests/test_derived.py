@@ -234,3 +234,40 @@ def test_step_cache_roundtrip():
     second = derived_series(S3, step_cache=cache)
     assert [s.invariants for s in second.stages] == [s.invariants for s in first.stages]
     assert second.verdict == first.verdict
+
+
+class DictCache:
+    def __init__(self):
+        self.data = {}
+
+    def get(self, key):
+        return self.data.get(key)
+
+    def put(self, key, value):
+        self.data[key] = value
+
+
+@pytest.mark.parametrize("entry", [
+    {"hit_caps": False},
+    {"next": "< x | >", "hit_caps": False},
+    {"next": "< x, y | >", "hit_caps": "no", "index": 12},
+    {"next": 7, "hit_caps": False, "index": 12},
+    {"next": "< x, y | x^ >", "hit_caps": False, "index": 12},
+    {"next": "< x | >", "hit_caps": False, "index": "12"},
+    ["< x | >"],
+    # well-formed, but the index is not the order of the quotient Z/12
+    {"next": "< x | >", "hit_caps": False, "index": 11},
+])
+def test_step_cache_bad_entry_is_a_miss(entry):
+    sl2z = make("sl2z")
+    cold = derived_series(sl2z)
+    assert cold.verdict.kind == NON_ADORABLE
+    cache = DictCache()
+    derived_series(sl2z, step_cache=cache)
+    (key, good), = cache.data.items()
+    assert good["index"] == 12
+    cache.data[key] = entry
+    warm = derived_series(sl2z, step_cache=cache)
+    assert warm == cold
+    assert cache.data[key] == good  # recomputed and overwritten
+

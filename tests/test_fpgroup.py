@@ -1,11 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adorn.abelian import abelianization
+from adorn.cosets import CapExceeded, EnumerationCaps, todd_coxeter
 from adorn.fpgroup import (GroupPresentation, PresentationSyntaxError,
-                           SimplificationCaps, Word, canonical_relator,
+                           SimplificationCaps, Word, _elimination_candidates,
+                           _subword_pass, canonical_relator,
                            cyclically_reduce, format_presentation, free_reduce,
                            parse_presentation, tietze_simplify)
+
+from oracles import canonical_relator_pairs
 
 
 def W(*letters):
@@ -106,8 +113,8 @@ def test_reduction_idempotent_and_monotone():
         assert cyclically_reduce(cr) == cr
         assert len(cr) <= len(fr)
         if len(cr) >= 2:
-            g1, s1 = cr.letters[0]
-            g2, s2 = cr.letters[-1]
+            g1, s1 = list(cr)[0]
+            g2, s2 = list(cr)[-1]
             assert not (g1 == g2 and s1 == -s2)
 
 
@@ -118,7 +125,7 @@ def test_canonical_relator_identifies_rotations_and_inverses():
         if not len(w):
             continue
         k = rng.randrange(len(w))
-        rotated = Word(w.letters[k:] + w.letters[:k])
+        rotated = Word(list(w)[k:] + list(w)[:k])
         assert canonical_relator(rotated) == canonical_relator(w)
         assert canonical_relator(w.inverse()) == canonical_relator(w)
 
@@ -194,3 +201,65 @@ def test_word_str_collapses_runs():
     assert p.word_str(p.relators[0]) in ("a^3 b^-2 a", "a^4 b^-2")
     # canonical rotation may rotate the run together; reparse must agree
     assert parse_presentation(str(p)) == p
+
+
+def pair_words(n_gens=4, min_size=0, max_size=12):
+    return st.lists(st.tuples(st.integers(0, n_gens - 1), st.sampled_from((1, -1))),
+                    min_size=min_size, max_size=max_size)
+
+
+@given(pair_words())
+def test_word_pairs_roundtrip(pairs):
+    assert list(Word(pairs)) == pairs
+
+
+@given(pair_words())
+def test_canonical_relator_matches_pair_reference(pairs):
+    # the int letter order must be the (g, 0|1) pair order, or canonical
+    # relators (and so every stage shape) would change
+    assert tuple(canonical_relator(Word(pairs))) == canonical_relator_pairs(pairs)
+
+
+@given(pair_words(min_size=1), st.integers(min_value=0))
+def test_canonical_relator_invariant_under_rotation_and_inversion(pairs, k):
+    k %= len(pairs)
+    w = Word(pairs)
+    assert canonical_relator(Word(pairs[k:] + pairs[:k])) == canonical_relator(w)
+    assert canonical_relator(w.inverse()) == canonical_relator(w)
+
+
+def test_subword_pass_replaces_shared_subword():
+    # every generator occurs at least twice in each relator, so no
+    # elimination applies; "a b a" is 3 > 4/2 letters of a b a b^-1, and
+    # equals b there, so a b a b^2 becomes b^3
+    p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
+    assert not _elimination_candidates(list(p.relators), p.n_generators)
+    rels, fired = _subword_pass(list(p.relators))
+    assert fired
+    assert sum(len(r) for r in rels) < p.total_relator_length
+    out, hit = tietze_simplify(p)
+    assert not hit
+    assert out.total_relator_length < p.total_relator_length
+    assert abelianization(out) == abelianization(p)
+    assert todd_coxeter(out).n_cosets == todd_coxeter(p).n_cosets == 6
+
+
+@st.composite
+def small_presentations(draw):
+    n = draw(st.integers(1, 3))
+    rels = draw(st.lists(pair_words(n, 1, 8), max_size=3))
+    return GroupPresentation("abc"[:n], [Word(r) for r in rels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_presentations())
+def test_tietze_preserves_h1_and_order(p):
+    out, _ = tietze_simplify(p)
+    assert abelianization(out) == abelianization(p)
+    caps = EnumerationCaps(max_cosets=300)
+    try:
+        order = todd_coxeter(p, (), caps).n_cosets
+        simplified_order = todd_coxeter(out, (), caps).n_cosets
+    except CapExceeded:
+        return
+    assert simplified_order == order

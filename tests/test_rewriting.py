@@ -39,7 +39,7 @@ def test_transversal_prefix_closed():
     reps = set(words)
     for w in words:
         for k in range(len(w)):
-            assert Word(w.letters[:k]) in reps
+            assert Word(list(w)[:k]) in reps
 
 
 def test_transversal_requires_complete():
