@@ -8,8 +8,7 @@ Seifert base-orbifold classification.
 """
 
 from .abelian import (AbelianInvariants, IntMatrix, abelianization,
-                      abelianization_data, exterior_square_rank, is_perfect,
-                      smith_normal_form)
+                      abelianization_data, is_perfect, smith_normal_form)
 from .alexander import (AlexanderError, DeficiencyMismatch, GroupRingElement,
                         LaurentPoly, NotKnotLike, alexander_polynomial,
                         fox_derivative, knot_adorability_report, laurent_gcd)

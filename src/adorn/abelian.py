@@ -7,7 +7,8 @@ past machine precision even for small presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .fpgroup import GroupPresentation
 
@@ -30,12 +31,7 @@ class IntMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(x for row in rows for x in row))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0
-                                     for i in range(n) for j in range(n)))
+        return IntMatrix(r, c, tuple(chain.from_iterable(rows)))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -47,45 +43,9 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j)
-                               for j in range(self.cols) for i in range(self.rows)))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows,
+                         tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -138,13 +98,29 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize ``m`` over Z: returns (d, u, v) with d = u * m * v.
 
     u and v are unimodular; d is diagonal with non-negative entries forming
-    a divisor chain.  Pivots are chosen by minimal non-zero absolute value,
-    ties broken by lowest row then lowest column, for reproducibility.
+    a divisor chain.
+
+    Pivot rule: at step t the pivot is the first entry of least non-zero
+    absolute value in row-major order over the submatrix a[t:, t:].  It is
+    moved to (t, t) and made positive; the rest of its column and row are
+    reduced by floor division.  If a remainder is left, the pivot is chosen
+    again.  Otherwise, if the pivot does not divide some entry of a[t+1:,
+    t+1:], the first row holding such an entry is added to row t and the
+    pivot is chosen again; else t advances.
+
+    ``u`` is part of the contract, not just ``d``: the commutator coset table
+    numbers its cosets by rows of ``u``, so the output must depend on the
+    pivot rule alone.  The early exits below skip only work whose result is
+    fixed in advance: the pivot search stops at the first entry of absolute
+    value 1, which no later entry can beat under the strict comparison; a
+    pivot of 1 divides everything, so its divisor-chain scan is skipped; and
+    a row or column operation skips source entries equal to 0.  Pivots,
+    operations and (d, u, v) are those of the full computation.
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
 
     def swap_rows(i, j):
         if i != j:
@@ -160,18 +136,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def add_row(src, dst, k):
         # row[dst] += k * row[src]
-        arow, asrc = a[dst], a[src]
-        for j in range(nc):
-            arow[j] += k * asrc[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(nr):
-            urow[j] += k * usrc[j]
+        for dst_row, src_row in ((a[dst], a[src]), (u[dst], u[src])):
+            for j, x in enumerate(src_row):
+                if x:
+                    dst_row[j] += k * x
 
     def add_col(src, dst, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
+        for rows in (a, v):
+            for row in rows:
+                x = row[src]
+                if x:
+                    row[dst] += k * x
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -179,11 +154,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def find_pivot(t):
         best = None
+        best_abs = 0
         for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+            for j, x in enumerate(a[i][t:], t):
+                if x:
+                    ax = abs(x)
+                    if ax == 1:
+                        return i, j
+                    if best is None or ax < best_abs:
+                        best, best_abs = (i, j), ax
         return best
 
     t = 0
@@ -211,14 +190,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue  # smaller remainders appeared; re-pick the pivot
 
         # enforce the divisor chain: pivot must divide the whole submatrix
+        p = a[t][t]
         stray = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
+        if p != 1:
+            for i in range(t + 1, nr):
+                if any(x % p for x in a[i][t + 1:]):
                     stray = i
                     break
-            if stray is not None:
-                break
         if stray is not None:
             add_row(stray, t, 1)
             continue
@@ -228,6 +206,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return (d,
             IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
             IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def relator_matrix(p: GroupPresentation) -> IntMatrix:
@@ -266,10 +251,15 @@ def abelianization_data(p: GroupPresentation) -> AbelianizationData:
     torsion_rows = [i for i in range(n) if diag[i] >= 2]
     invariants = AbelianInvariants(len(free_rows),
                                    tuple(diag[i] for i in torsion_rows))
-    free_images = tuple(tuple(u.at(i, j) for i in free_rows) for j in range(n))
-    torsion_images = tuple(tuple(u.at(i, j) % diag[i] for i in torsion_rows)
-                           for j in range(n))
+    free_images = _columns([u.row(i) for i in free_rows], n)
+    torsion_images = _columns([[x % diag[i] for x in u.row(i)]
+                               for i in torsion_rows], n)
     return AbelianizationData(invariants, free_images, torsion_images)
+
+
+def _columns(rows: list[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The n columns of ``rows`` (each of length n) as tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * n
 
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:
@@ -281,22 +271,3 @@ def is_perfect(p: GroupPresentation) -> bool:
     """True when the abelianization is trivial (the group equals its
     commutator subgroup)."""
     return abelianization(p).is_trivial()
-
-
-def exterior_square_rank(r: int) -> int:
-    """Rank of the exterior square of a free abelian group of rank r."""
-    return r * (r - 1) // 2
-
-
-def word_exponent_images(p: GroupPresentation, data: AbelianizationData,
-                         word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Image of a word in the abelianization, as (free coords, torsion coords)."""
-    free = [0] * data.invariants.rank
-    tors = [0] * len(data.invariants.torsion)
-    for g, s in word:
-        for k, x in enumerate(data.free_images[g]):
-            free[k] += s * x
-        for k, x in enumerate(data.torsion_images[g]):
-            tors[k] += s * x
-    moduli = data.invariants.torsion
-    return tuple(free), tuple(t % m for t, m in zip(tors, moduli))

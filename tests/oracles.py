@@ -2,7 +2,10 @@
 
 Nothing here imports the library's linear algebra or series engine: the
 permutation-group machinery is raw closure computation, and the Smith
-normal form oracle is the gcd-of-minors characterization.
+normal form oracle is the gcd-of-minors characterization.  The reference
+Smith normal form below is the library's elimination as it was before its
+early exits, kept on plain lists of rows so that the fast one can be
+compared with it entry for entry.
 """
 
 from __future__ import annotations
@@ -275,6 +278,161 @@ def minor_gcd_diagonal(rows: list[list[int]]) -> list[int]:
     while len(diag) < min(r, c):
         diag.append(0)
     return diag
+
+
+def mat_mul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    """Product of matrices given as lists of rows (x is r x k, y is k x c)."""
+    c = len(y[0]) if y else 0
+    return [[sum(xi[k] * y[k][j] for k in range(len(y))) for j in range(c)]
+            for xi in x]
+
+
+def det(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def smith_normal_form_reference(m):
+    """(d, u, v) as lists of rows, with d = u * m * v, for a matrix with
+    ``rows``, ``cols`` and ``to_rows()``.
+
+    The full elimination: every pivot search scans the whole submatrix,
+    every divisor-chain check runs, and row and column operations touch
+    every entry.  Pivots are chosen by minimal non-zero absolute value,
+    ties broken by lowest row then lowest column.
+    """
+    a = m.to_rows()
+    nr, nc = m.rows, m.cols
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, k):
+        # row[dst] += k * row[src]
+        arow, asrc = a[dst], a[src]
+        for j in range(nc):
+            arow[j] += k * asrc[j]
+        urow, usrc = u[dst], u[src]
+        for j in range(nr):
+            urow[j] += k * usrc[j]
+
+    def add_col(src, dst, k):
+        for row in a:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nr, nc):
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        if a[t][t] < 0:
+            negate_row(t)
+
+        clean = True
+        for i in range(t + 1, nr):
+            if a[i][t]:
+                add_row(t, i, -(a[i][t] // a[t][t]))
+                if a[i][t]:
+                    clean = False
+        for j in range(t + 1, nc):
+            if a[t][j]:
+                add_col(t, j, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    clean = False
+        if not clean:
+            continue  # smaller remainders appeared; re-pick the pivot
+
+        # enforce the divisor chain: pivot must divide the whole submatrix
+        stray = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t]:
+                    stray = i
+                    break
+            if stray is not None:
+                break
+        if stray is not None:
+            add_row(stray, t, 1)
+            continue
+        t += 1
+
+    return a, u, v
+
+
+# ---------------------------------------------------------------------------
+# abelianization helpers
+
+
+def exterior_square_rank(r: int) -> int:
+    """Rank of the exterior square of a free abelian group of rank r."""
+    return r * (r - 1) // 2
+
+
+def word_exponent_images(p, data, word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image of a word in the abelianization, as (free coords, torsion coords)."""
+    free = [0] * data.invariants.rank
+    tors = [0] * len(data.invariants.torsion)
+    for g, s in word:
+        for k, x in enumerate(data.free_images[g]):
+            free[k] += s * x
+        for k, x in enumerate(data.torsion_images[g]):
+            tors[k] += s * x
+    moduli = data.invariants.torsion
+    return tuple(free), tuple(t % m for t, m in zip(tors, moduli))
+
+
+# ---------------------------------------------------------------------------
+# groups
 
 
 def quaternion_model() -> tuple[list[Perm], "object"]:

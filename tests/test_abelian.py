@@ -1,22 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adorn.abelian import (AbelianInvariants, IntMatrix, abelianization,
-                           abelianization_data, exterior_square_rank,
-                           is_perfect, relator_matrix, smith_normal_form)
+                           abelianization_data, is_perfect, relator_matrix,
+                           smith_normal_form)
+from adorn.cosets import commutator_coset_table
 from adorn.fpgroup import parse_presentation
+from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
-from oracles import minor_gcd_diagonal
+from oracles import (det, exterior_square_rank, mat_mul, minor_gcd_diagonal,
+                     smith_normal_form_reference, word_exponent_images)
 
 
 def snf_checked(rows):
     m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
     d, u, v = smith_normal_form(m)
-    assert u.mul(m).mul(v) == d
-    assert u.det() in (1, -1)
-    assert v.det() in (1, -1)
+    assert mat_mul(mat_mul(u.to_rows(), m.to_rows()), v.to_rows()) == d.to_rows()
+    assert det(u.to_rows()) in (1, -1)
+    assert det(v.to_rows()) in (1, -1)
     diag = list(d.diagonal())
     for i in range(d.rows):
         for j in range(d.cols):
@@ -39,7 +44,7 @@ def test_snf_zero_rows():
     m = IntMatrix(0, 3, ())
     d, u, v = smith_normal_form(m)
     assert d.rows == 0 and d.cols == 3
-    assert v.det() in (1, -1)
+    assert det(v.to_rows()) in (1, -1)
 
 
 def test_snf_single_entry():
@@ -48,6 +53,63 @@ def test_snf_single_entry():
 
 def test_snf_negative_entries():
     assert snf_checked([[4, 0], [2, -3]]) == [1, 12]
+
+
+@pytest.mark.parametrize("rows, diag", [
+    ([[2, 0], [0, 3]], [1, 6]),  # the stray-row fix-up must fire
+    ([[2, 4], [6, 8]], [2, 4]),  # no unit entry: the full pivot search runs
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, 30]),
+    ([[6, 10], [10, 15], [15, 6]], [1, 1]),
+    ([[4, 6], [6, 4]], [2, 10]),
+])
+def test_snf_non_unit_pivots(rows, diag):
+    assert snf_checked(rows) == diag == minor_gcd_diagonal(rows)
+    m = IntMatrix.from_rows(rows)
+    assert _snf_rows(m) == _reference_rows(m)
+
+
+def _snf_rows(m):
+    return [(x.rows, x.cols, x.to_rows()) for x in smith_normal_form(m)]
+
+
+def _reference_rows(m):
+    d, u, v = smith_normal_form_reference(m)
+    return [(m.rows, m.cols, d), (m.rows, m.rows, u), (m.cols, m.cols, v)]
+
+
+@st.composite
+def small_matrices(draw):
+    r = draw(st.integers(0, 6))
+    c = draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-6, 6), min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_snf_equals_reference(m):
+    # the early exits must not change a single pivot or operation
+    assert _snf_rows(m) == _reference_rows(m)
+
+
+def _raw_rewrite(p):
+    return rewrite_presentation(p, commutator_coset_table(p))
+
+
+def test_snf_equals_reference_on_raw_rewrite():
+    p = make("free_product", (make("cyclic", (6,)), make("cyclic", (8,))))
+    m = relator_matrix(_raw_rewrite(p)).transpose()
+    assert (m.rows, m.cols) == (49, 96)
+    assert _snf_rows(m) == _reference_rows(m)
+
+
+def test_raw_rewrite_h1_of_genus_zero_orbifold():
+    # the commutator subgroup K of fuchsian(0, [4, 4, 4, 4]) has index 64
+    # and is a closed surface group: chi(K) = 64 * (2 - 4 * 3/4) = -64, so
+    # K has genus 33 and H1(K) = Z^66 (Riemann-Hurwitz)
+    raw = _raw_rewrite(make("fuchsian", (0, (4, 4, 4, 4))))
+    assert (raw.n_generators, len(raw.relators)) == (193, 320)
+    assert abelianization(raw) == AbelianInvariants(66, ())
 
 
 def test_snf_matches_minor_gcd_oracle_random():
@@ -115,7 +177,6 @@ def test_generator_images_kill_relators():
     for p in (make("sl2z"), make("trefoil"), make("triangle", (2, 4, 6)),
               parse_presentation("< a, b | a^2 b^4 >")):
         data = abelianization_data(p)
-        from adorn.abelian import word_exponent_images
         for r in p.relators:
             free, tors = word_exponent_images(p, data, r)
             assert all(x == 0 for x in free)
