@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .abelian import abelianization_data
 from .fpgroup import GroupPresentation, Word
@@ -68,40 +68,6 @@ class CosetTable:
             if coset is None:
                 return None
         return coset
-
-    def permutation(self, col: int) -> tuple[int, ...]:
-        """Action of one column (letter code) on the cosets."""
-        if not self.complete:
-            raise IncompleteTable("permutations require a complete table")
-        return tuple(row[col] for row in self.rows)
-
-    def verify(self, p: GroupPresentation,
-               subgroup_gens: Iterable[Word] = ()) -> None:
-        """Assert the structural invariants of a complete table (test aid)."""
-        assert self.complete
-        n = self.n_cosets
-        for g in range(self.n_generators):
-            fwd = self.permutation(2 * g)
-            bwd = self.permutation(2 * g + 1)
-            assert sorted(fwd) == list(range(n)), f"generator {g} is not a permutation"
-            assert all(bwd[fwd[i]] == i for i in range(n)), f"generator {g} inverse mismatch"
-        # transitivity
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for x in self.rows[c]:
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        assert len(seen) == n, "action is not transitive"
-        for r in p.relators:
-            for c in range(n):
-                assert self.word_act(c, r) == c, "relator does not act trivially"
-        for w in subgroup_gens:
-            assert self.word_act(0, w) == 0, "subgroup generator moves coset 0"
 
 
 class _Enumerator:

@@ -140,11 +140,16 @@ def canonical_relator(w: Word) -> Word:
 
     Relators are only defined up to cyclic rotation and inversion, so this
     canonical representative makes duplicate detection a plain equality test.
+    The least rotation begins with the least letter code of ``w`` and
+    ``w^-1``, so only the rotations starting there are compared.
     """
-    w = cyclically_reduce(w)
-    a, b = w.letters, w.inverse().letters
-    return Word.of(min((base[i:] + base[:i] for base in (a, b) for i in range(len(a))),
-                       default=()))
+    a = cyclically_reduce(w).letters
+    if not a:
+        return EMPTY_WORD
+    b = tuple(x ^ 1 for x in reversed(a))
+    m = min(min(a), min(b))
+    return Word.of(min(base[i:] + base[:i] for base in (a, b)
+                       for i, x in enumerate(base) if x == m))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -421,41 +426,112 @@ def _dedupe(rels: list[Word]) -> list[Word]:
     return out
 
 
-def _elimination_candidates(rels: list[Word], n_gens: int):
-    """All (cost, relator-length, gen, relator-index) for generators occurring
-    exactly once in some relator; lowest key applied first."""
+def _eliminate_generators(rels: list[Word], n_gens: int,
+                          cap: int) -> tuple[list[Word], list[int], bool]:
+    """Eliminate generators occurring exactly once in some relator, one at a
+    time, until none is left or every one left would push the total relator
+    length over ``cap``.
+
+    ``rels`` must be canonical, non-empty and pairwise distinct.  The
+    candidate ``(cost, len, gen, id)`` with the least key is applied first,
+    where ``cost = (occurrences elsewhere) * (len - 2) - len`` and ``id`` is
+    the relator's list position.  An occurrence index keeps, per relator,
+    its letter counts, and per generator, its total count, the relators it
+    occurs in and its best candidate key; an elimination rewrites and
+    re-keys only what contains the eliminated generator.  Relators keep
+    their ids, and a rewritten relator equal to another keeps the lower id,
+    as :func:`_dedupe` would.  Returns the relators left, the eliminated
+    generators in order, and whether the cap blocked an elimination.
+    """
+    rels: list[Word | None] = list(rels)
+    size = [0] * len(rels)
+    counts: list[dict[int, int] | None] = [None] * len(rels)
     occ = [0] * n_gens
-    for r in rels:
-        for x in r.letters:
-            occ[x >> 1] += 1
-    cands = []
-    for ri, r in enumerate(rels):
-        counts: dict[int, int] = {}
-        for x in r.letters:
-            counts[x >> 1] = counts.get(x >> 1, 0) + 1
-        for g, c in counts.items():
-            if c == 1:
-                elsewhere = occ[g] - 1
-                cost = elsewhere * (len(r) - 2) - len(r)
-                cands.append((cost, len(r), g, ri))
-    cands.sort()
-    return cands
+    where: list[set[int]] = [set() for _ in range(n_gens)]
+    ids: dict[Word, int] = {}
+    total = 0
 
+    def add(i: int, r: Word) -> None:
+        nonlocal total
+        c: dict[int, int] = {}
+        for x in r.letters:
+            c[x >> 1] = c.get(x >> 1, 0) + 1
+        for g, k in c.items():
+            occ[g] += k
+            where[g].add(i)
+        rels[i], size[i], counts[i], ids[r] = r, len(r), c, i
+        total += size[i]
 
-def _eliminate(rels: list[Word], gen: int, ri: int) -> list[Word]:
-    r = rels[ri].letters
-    k = next(i for i, x in enumerate(r) if x >> 1 == gen)
-    rot = r[k:] + r[:k]
-    # rot[0] * rest = 1, so rot[0] = rest^-1
-    repl = Word.of(rot[1:]).inverse()
-    out = []
-    for i, s in enumerate(rels):
-        if i == ri:
-            continue
-        s2 = canonical_relator(_substitute(s, rot[0], repl))
-        if len(s2):
-            out.append(s2)
-    return out
+    def drop(i: int) -> dict[int, int]:
+        nonlocal total
+        c = counts[i]
+        for g, k in c.items():
+            occ[g] -= k
+            where[g].discard(i)
+        del ids[rels[i]]
+        total -= size[i]
+        rels[i] = counts[i] = None
+        return c
+
+    def keys(g: int) -> list[tuple[int, int, int, int]]:
+        elsewhere = occ[g] - 1
+        return [(elsewhere * (size[i] - 2) - size[i], size[i], g, i)
+                for i in where[g] if counts[i][g] == 1]
+
+    def rekey(gens: Iterable[int]) -> None:
+        for g in gens:
+            k = min(keys(g), default=None)
+            if k is None:
+                best.pop(g, None)
+            else:
+                best[g] = k
+
+    def rewrite(g: int, ri: int) -> tuple[dict[int, Word], int]:
+        """Relators other than ``ri`` that contain ``g``, with ``g`` solved
+        from relator ``ri`` and substituted; and the total length after."""
+        r = rels[ri].letters
+        k = next(i for i, x in enumerate(r) if x >> 1 == g)
+        # r[k] * rest = 1, so r[k] = rest^-1
+        repl = Word.of(r[k + 1:] + r[:k]).inverse()
+        new = {i: canonical_relator(_substitute(rels[i], r[k], repl))
+               for i in sorted(where[g]) if i != ri}
+        return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
+
+    for i, r in enumerate(rels):
+        add(i, r)
+    best: dict[int, tuple[int, int, int, int]] = {}
+    rekey(range(n_gens))
+
+    removed: list[int] = []
+    blocked = False
+    while best:
+        _, _, g, ri = min(best.values())
+        new, length = rewrite(g, ri)
+        if length > cap:
+            # rare: try the other candidates in key order, as a full rescan would
+            blocked = True
+            for _, _, g, ri in sorted(k for h in best for k in keys(h))[1:]:
+                new, length = rewrite(g, ri)
+                if length <= cap:
+                    break
+            else:
+                break
+        touched = set(drop(ri))
+        for i in new:
+            touched.update(drop(i))
+        for i, s in new.items():  # ascending ids: the first occurrence wins
+            if not len(s):
+                continue
+            j = ids.get(s)
+            if j is not None:
+                if j < i:
+                    continue
+                touched.update(drop(j))
+            add(i, s)
+            touched.update(counts[i])
+        rekey(touched)
+        removed.append(g)
+    return [r for r in rels if r is not None], removed, blocked
 
 
 def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]:
@@ -509,6 +585,15 @@ def tietze_simplify(p: GroupPresentation,
     shared subwords of length >= 3 by shorter complements.  Passes repeat to
     a fixed point or until a cap is hit; the result is flagged ``hit_caps``
     when it is not known to be fully simplified.
+
+    Eliminations are applied in the order of the key ``(cost, relator
+    length, generator, relator index)``, recomputed after each one, so the
+    output depends only on the input.  :func:`_eliminate_generators` keeps
+    that order with an occurrence index instead of a rescan.  Relators keep
+    their list positions as ids, and nothing reorders them, so ids compare
+    like relator indices.  A key depends only on its relator's length and
+    its generator's total count, which change only for the generators of
+    the relators an elimination rewrites, so only those are re-keyed.
     """
     alive = list(range(p.n_generators))
     rels = list(p.relators)
@@ -528,19 +613,12 @@ def tietze_simplify(p: GroupPresentation,
         if len(rels) != before:
             changed = True
 
-        while True:
-            applied = False
-            for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
-                new_rels = _eliminate(rels, g, ri)
-                if sum(len(r) for r in new_rels) > caps.max_total_relator_length:
-                    hit = True  # a legal elimination was blocked by the cap
-                    continue
-                rels = _dedupe(new_rels)
-                alive.remove(g)
-                applied = changed = True
-                break
-            if not applied:
-                break
+        rels, removed, blocked = _eliminate_generators(
+            rels, p.n_generators, caps.max_total_relator_length)
+        for g in removed:
+            alive.remove(g)
+        changed = changed or bool(removed)
+        hit = hit or blocked  # a legal elimination was blocked by the cap
 
         rels, subbed = _subword_pass(rels)
         if subbed:

@@ -5,13 +5,20 @@ permutation-group machinery is raw closure computation, and the Smith
 normal form oracle is the gcd-of-minors characterization.  The reference
 Smith normal form below is the library's elimination as it was before its
 early exits, kept on plain lists of rows so that the fast one can be
-compared with it entry for entry.
+compared with it entry for entry.  Likewise the reference Tietze
+simplification is the library's elimination loop as it was before the
+occurrence index: it recounts every relator before each elimination and
+re-canonicalises every relator after it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+from adorn.fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
+                           Simplified, Word, _dedupe, _subword_pass,
+                           _substitute, cyclically_reduce)
 
 Perm = tuple[int, ...]
 
@@ -211,6 +218,35 @@ def perm_doa(gens) -> int:
     return len(derived_series_quotients(gens)) - 1
 
 
+def verify_table(table, p, subgroup_gens=()) -> None:
+    """Assert the structural invariants of a complete coset table: each
+    generator permutes the cosets, the action is transitive, every relator
+    fixes every coset and every subgroup generator fixes coset 0."""
+    assert table.complete
+    n = table.n_cosets
+    for g in range(table.n_generators):
+        fwd = tuple(row[2 * g] for row in table.rows)
+        bwd = tuple(row[2 * g + 1] for row in table.rows)
+        assert sorted(fwd) == list(range(n)), f"generator {g} is not a permutation"
+        assert all(bwd[fwd[i]] == i for i in range(n)), f"generator {g} inverse mismatch"
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for x in table.rows[c]:
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    assert len(seen) == n, "action is not transitive"
+    for r in p.relators:
+        for c in range(n):
+            assert table.word_act(c, r) == c, "relator does not act trivially"
+    for w in subgroup_gens:
+        assert table.word_act(0, w) == 0, "subgroup generator moves coset 0"
+
+
 # ---------------------------------------------------------------------------
 # relator canonical form on (g, s) letter pairs
 
@@ -241,6 +277,107 @@ def canonical_relator_pairs(pairs) -> tuple[tuple[int, int], ...]:
             if best is None or key(cand) < key(best):
                 best = cand
     return best
+
+
+# ---------------------------------------------------------------------------
+# Tietze simplification by full rescans
+
+
+def canonical_relator_all_rotations(w):
+    """Least of all rotations of the cyclic reduction of ``w`` and ``w^-1``,
+    on int letter codes."""
+    a = cyclically_reduce(w).letters
+    b = tuple(x ^ 1 for x in reversed(a))
+    return Word.of(min((base[i:] + base[:i] for base in (a, b) for i in range(len(a))),
+                       default=()))
+
+
+def _elimination_candidates(rels, n_gens: int):
+    """All (cost, relator-length, gen, relator-index) for generators occurring
+    exactly once in some relator; lowest key applied first."""
+    occ = [0] * n_gens
+    for r in rels:
+        for x in r.letters:
+            occ[x >> 1] += 1
+    cands = []
+    for ri, r in enumerate(rels):
+        counts: dict[int, int] = {}
+        for x in r.letters:
+            counts[x >> 1] = counts.get(x >> 1, 0) + 1
+        for g, c in counts.items():
+            if c == 1:
+                elsewhere = occ[g] - 1
+                cost = elsewhere * (len(r) - 2) - len(r)
+                cands.append((cost, len(r), g, ri))
+    cands.sort()
+    return cands
+
+
+def _eliminate(rels, gen: int, ri: int):
+    r = rels[ri].letters
+    k = next(i for i, x in enumerate(r) if x >> 1 == gen)
+    rot = r[k:] + r[:k]
+    # rot[0] * rest = 1, so rot[0] = rest^-1
+    repl = Word.of(rot[1:]).inverse()
+    out = []
+    for i, s in enumerate(rels):
+        if i == ri:
+            continue
+        s2 = canonical_relator_all_rotations(_substitute(s, rot[0], repl))
+        if len(s2):
+            out.append(s2)
+    return out
+
+
+def tietze_simplify_reference(p, caps=DEFAULT_SIMPLIFICATION_CAPS):
+    """``tietze_simplify`` as a loop that recomputes every elimination
+    candidate and re-canonicalises every relator after each elimination."""
+    alive = list(range(p.n_generators))
+    rels = list(p.relators)
+    hit = False
+
+    passes = 0
+    changed = True
+    while changed:
+        if passes >= caps.max_passes:
+            hit = True
+            break
+        passes += 1
+        changed = False
+
+        before = len(rels)
+        rels = _dedupe(rels)
+        if len(rels) != before:
+            changed = True
+
+        while True:
+            applied = False
+            for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
+                new_rels = _eliminate(rels, g, ri)
+                if sum(len(r) for r in new_rels) > caps.max_total_relator_length:
+                    hit = True  # a legal elimination was blocked by the cap
+                    continue
+                rels = _dedupe(new_rels)
+                alive.remove(g)
+                applied = changed = True
+                break
+            if not applied:
+                break
+
+        rels, subbed = _subword_pass(rels)
+        if subbed:
+            changed = True
+
+    remap = {g: i for i, g in enumerate(alive)}
+    final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]
+    final.sort(key=lambda w: (len(w), w.letters))
+    out = GroupPresentation(tuple(p.generator_names[g] for g in alive), final,
+                            name=p.name)
+    if out.n_generators > caps.max_generators:
+        hit = True
+    if out.total_relator_length > caps.max_total_relator_length:
+        hit = True
+    return Simplified(out, hit)
 
 
 # ---------------------------------------------------------------------------

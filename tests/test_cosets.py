@@ -7,7 +7,7 @@ from adorn.fpgroup import Word, parse_presentation
 from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
-from oracles import check_model, closure, quaternion_model
+from oracles import check_model, closure, quaternion_model, verify_table
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -22,20 +22,20 @@ def test_dinf_over_ab():
     p = make("dihedral_inf")
     t = todd_coxeter(p, [A * B])
     assert t.n_cosets == 2
-    t.verify(p, [A * B])
+    verify_table(t, p, [A * B])
 
 
 def test_s3_over_a():
     t = todd_coxeter(S3, [A])
     assert t.n_cosets == 3
-    t.verify(S3, [A])
+    verify_table(t, S3, [A])
 
 
 def test_z3_regular():
     p = parse_presentation("< a | a^3 >")
     t = todd_coxeter(p, [])
     assert t.n_cosets == 3
-    t.verify(p)
+    verify_table(t, p)
 
 
 @pytest.mark.parametrize("pres,model_gens,order", [
@@ -48,7 +48,7 @@ def test_z3_regular():
 def test_finite_orders_match_permutation_models(pres, model_gens, order):
     t = todd_coxeter(pres, [])
     assert t.n_cosets == order
-    t.verify(pres)
+    verify_table(t, pres)
     if model_gens is not None:
         check_model(pres, list(model_gens))
         assert len(closure(model_gens)) == order
@@ -77,7 +77,7 @@ def test_cap_exceeded_infinite_index():
 def test_commutator_table_q8():
     t = commutator_coset_table(Q8)
     assert t.n_cosets == 4
-    t.verify(Q8)
+    verify_table(t, Q8)
 
 
 def test_commutator_table_triangle_235():

@@ -54,6 +54,16 @@ def test_trefoil_halts():
     assert verdict.stage == 0 and verdict.rank == 1
 
 
+def test_genus_zero_orbifold_descends_to_large_stage():
+    # the commutator subgroup has index 6^3 and H1 = Z^290 (Riemann-Hurwitz);
+    # Tietze brings its 649-generator raw rewrite down to one relator
+    stages, verdict = derived_series(make("fuchsian", (0, (6, 6, 6, 6))))
+    assert [(s.n_generators, s.n_relators, s.total_length) for s in stages] \
+        == [(4, 5, 28), (290, 1, 580)]
+    assert str(verdict) == "HaltedInfiniteAbelianization(depth=1, rank=290)"
+    assert verdict.kind == HALTED and verdict.stage == 1 and verdict.rank == 290
+
+
 def test_stage_depths_consecutive():
     for p in (S3, Q8, make("sl2z")):
         stages, _ = derived_series(p)

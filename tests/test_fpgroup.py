@@ -1,18 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
-from adorn.cosets import CapExceeded, EnumerationCaps, todd_coxeter
-from adorn.fpgroup import (GroupPresentation, PresentationSyntaxError,
-                           SimplificationCaps, Word, _elimination_candidates,
-                           _subword_pass, canonical_relator,
-                           cyclically_reduce, format_presentation, free_reduce,
+from adorn.cosets import (CapExceeded, EnumerationCaps, commutator_coset_table,
+                          todd_coxeter)
+from adorn.fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
+                           PresentationSyntaxError, SimplificationCaps, Word,
+                           _eliminate_generators, _subword_pass,
+                           canonical_relator, cyclically_reduce,
+                           format_presentation, free_reduce,
                            parse_presentation, tietze_simplify)
+from adorn.rewriting import rewrite_presentation
+from adorn.zoo import make
 
-from oracles import canonical_relator_pairs
+from oracles import canonical_relator_pairs, tietze_simplify_reference
 
 
 def W(*letters):
@@ -233,7 +237,9 @@ def test_subword_pass_replaces_shared_subword():
     # elimination applies; "a b a" is 3 > 4/2 letters of a b a b^-1, and
     # equals b there, so a b a b^2 becomes b^3
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
-    assert not _elimination_candidates(list(p.relators), p.n_generators)
+    _, removed, _ = _eliminate_generators(list(p.relators), p.n_generators,
+                                          DEFAULT_SIMPLIFICATION_CAPS.max_total_relator_length)
+    assert not removed
     rels, fired = _subword_pass(list(p.relators))
     assert fired
     assert sum(len(r) for r in rels) < p.total_relator_length
@@ -263,3 +269,46 @@ def test_tietze_preserves_h1_and_order(p):
     except CapExceeded:
         return
     assert simplified_order == order
+
+
+def _simplified_bytes(result):
+    out, hit = result
+    return out.generator_names, [r.letters for r in out.relators], hit
+
+
+# the tight caps block eliminations (12) and stop after two passes (2)
+TIETZE_CAPS = (DEFAULT_SIMPLIFICATION_CAPS, SimplificationCaps(64, 12, 32),
+               SimplificationCaps(64, 25, 2))
+
+
+@st.composite
+def tietze_presentations(draw):
+    n = draw(st.integers(1, 5))
+    rels = draw(st.lists(pair_words(n, 1, 10), max_size=6))
+    return GroupPresentation([f"g{i}" for i in range(n)], [Word(r) for r in rels])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tietze_presentations())
+# a rewritten relator equals a later one, which must be the one dropped
+@example(parse_presentation("< a, b, c | b c^2, a c^-1 a c^-1 b^2 c^-1 b, a c^-2,"
+                            " a c^2 a^-1 b, c^2, a b^-1 >"))
+# the cap blocks a generator's best candidate but not its next one
+@example(parse_presentation("< a, b | a b, a^2 b a^-1 b^-1 a b^-1, a b^2 a^-1 b,"
+                            " a^2 b^-1 a b^-1, a b^-1 >"))
+def test_tietze_matches_full_rescan_reference(p):
+    for caps in TIETZE_CAPS:
+        assert (_simplified_bytes(tietze_simplify(p, caps))
+                == _simplified_bytes(tietze_simplify_reference(p, caps)))
+
+
+@pytest.mark.parametrize("group", [
+    make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))),
+    make("fuchsian", (0, (4, 4, 4, 4))),
+])
+@pytest.mark.parametrize("caps", [DEFAULT_SIMPLIFICATION_CAPS,
+                                  SimplificationCaps(max_total_relator_length=400)])
+def test_tietze_matches_reference_on_raw_rewrite(group, caps):
+    raw = rewrite_presentation(group, commutator_coset_table(group))
+    assert (_simplified_bytes(tietze_simplify(raw, caps))
+            == _simplified_bytes(tietze_simplify_reference(raw, caps)))

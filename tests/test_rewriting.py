@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
 from adorn.cosets import CosetTable, IncompleteTable, commutator_coset_table, todd_coxeter
-from adorn.fpgroup import Word, parse_presentation
+from adorn.fpgroup import GroupPresentation, Word, parse_presentation
 from adorn.rewriting import (reidemeister_schreier, rewrite_presentation,
                              schreier_transversal, subgroup_word)
 from adorn.zoo import make
@@ -121,6 +123,33 @@ def test_nielsen_schreier_rank_formula():
         assert not hit
         assert out.relators == ()
         assert out.n_generators == index * (n - 1) + 1
+
+
+def coxeter_symmetric(n):
+    """S_n on the adjacent transpositions s_1 .. s_{n-1}."""
+    s = [Word.gen(i) for i in range(n - 1)]
+    rels = [x ** 2 for x in s]
+    rels += [(s[i] * s[i + 1]) ** 3 for i in range(n - 2)]
+    rels += [(s[i] * s[j]) ** 2 for i in range(n - 1) for j in range(i + 2, n - 1)]
+    return GroupPresentation([f"s{i + 1}" for i in range(n - 1)], rels)
+
+
+@st.composite
+def symmetric_group_subgroups(draw):
+    n = draw(st.integers(3, 4))
+    letters = st.tuples(st.integers(0, n - 2), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=6), max_size=3))
+    return coxeter_symmetric(n), [Word(w) for w in words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_group_subgroups())
+def test_schreier_counts_on_enumerated_tables(case):
+    p, sub = case
+    t = todd_coxeter(p, sub)
+    raw = rewrite_presentation(p, t)
+    assert raw.n_generators == t.n_cosets * (p.n_generators - 1) + 1
+    assert raw.n_relators <= t.n_cosets * p.n_relators
 
 
 S3_ROT = parse_presentation("< a, b | a^2, b^3, (a b)^2 >")
