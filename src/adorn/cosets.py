@@ -1,9 +1,10 @@
 """Coset tables for finite-index subgroups.
 
 ``todd_coxeter`` is a deduction-stack (Felsch-style) enumerator with full
-coincidence handling; ``commutator_coset_table`` builds the table of the
-commutator subgroup directly from a finite abelianization, without
-enumeration.
+coincidence handling; a deduction scans each distinct relator rotation that
+starts with its column once (``(s t)^3`` has two, a repeated relator adds
+none).  ``commutator_coset_table`` builds the table of the commutator
+subgroup directly from a finite abelianization, without enumeration.
 
 Columns are the int letter codes of :class:`adorn.fpgroup.Word`: column
 ``2*g`` is the action of generator ``g`` and column ``x ^ 1`` is the inverse
@@ -79,13 +80,13 @@ class _Enumerator:
         self.defined = 1
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
-        # scans indexed by leading column: every rotation of every relator
-        self.edp: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
-        for r in relators:
-            cols = r.letters
-            for i in range(len(cols)):
-                rot = cols[i:] + cols[:i]
-                self.edp[rot[0]].append(rot)
+        # scans indexed by leading column: (rotation, last index), each
+        # distinct rotation of the relators once, in first-occurrence order
+        self.edp: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
+        rots = dict.fromkeys(r.letters[i:] + r.letters[:i]
+                             for r in relators for i in range(len(r)))
+        for rot in rots:
+            self.edp[rot[0]].append((rot, len(rot) - 1))
 
     def rep(self, c: int) -> int:
         p = self.p
@@ -149,32 +150,6 @@ class _Enumerator:
                     self.deductions.append((mu, col))
                     self.deductions.append((nu, col ^ 1))
 
-    def scan(self, alpha: int, cols: tuple[int, ...]) -> None:
-        f = alpha
-        i, j = 0, len(cols) - 1
-        b = alpha
-        while i <= j:
-            d = self.table[f][cols[i]]
-            if d is None:
-                break
-            f = self.rep(d)
-            i += 1
-        if i > j:
-            if f != b:
-                self.coincidence(f, b)
-            return
-        while j >= i:
-            d = self.table[b][cols[j] ^ 1]
-            if d is None:
-                break
-            b = self.rep(d)
-            j -= 1
-        if j < i:
-            self.coincidence(f, b)
-        elif j == i:
-            self.set_edge(f, cols[i], b)
-        # gap of length >= 2: no information
-
     def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
         if not cols:
             return
@@ -207,18 +182,46 @@ class _Enumerator:
             self.define(f, cols[i])
 
     def process_deductions(self) -> None:
-        while self.deductions:
+        table, p, edp, deductions = self.table, self.p, self.edp, self.deductions
+        rep, coincidence, set_edge = self.rep, self.coincidence, self.set_edge
+        max_deductions = self.caps.max_deductions
+        while deductions:
             self.deductions_done += 1
-            if self.deductions_done > self.caps.max_deductions:
-                raise CapExceeded(f"deduction limit {self.caps.max_deductions} reached")
-            a, col = self.deductions.pop()
-            a = self.rep(a)
-            if self.table[a][col] is None:
+            if self.deductions_done > max_deductions:
+                raise CapExceeded(f"deduction limit {max_deductions} reached")
+            a, col = deductions.pop()
+            if p[a] != a:
+                a = rep(a)
+            if table[a][col] is None:
                 continue  # edge removed by a coincidence
-            for rot in self.edp[col]:
-                self.scan(a, rot)
-                a = self.rep(a)
-                if self.table[a][col] is None:
+            for cols, last in edp[col]:
+                # scan cols at a: forward from the left, back from the right
+                f = b = a
+                i, j = 0, last
+                while i <= j:
+                    d = table[f][cols[i]]
+                    if d is None:
+                        break
+                    f = d if p[d] == d else rep(d)
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                else:
+                    while j >= i:
+                        d = table[b][cols[j] ^ 1]
+                        if d is None:
+                            break
+                        b = d if p[d] == d else rep(d)
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                    elif j == i:
+                        set_edge(f, cols[i], b)
+                    # gap of length >= 2: no information
+                if p[a] != a:
+                    a = rep(a)
+                if table[a][col] is None:
                     break
 
     def run(self, subgroup_gens: Sequence[Word]) -> CosetTable:
@@ -240,8 +243,8 @@ class _Enumerator:
         rows = []
         for c in live:
             row = self.table[c]
-            assert all(x is not None for x in row)
-            rows.append([index[self.rep(x)] for x in row])
+            assert None not in row
+            rows.append(tuple([index[self.rep(x)] for x in row]))
         return CosetTable(self.ncols // 2, rows, complete=True)
 
 
@@ -249,8 +252,15 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
                  caps: EnumerationCaps = DEFAULT_ENUMERATION_CAPS) -> CosetTable:
     """Enumerate the cosets of the subgroup generated by the given words.
 
+    After each definition the deduction stack is drained, which leaves the
+    deduction closure of the definitions made so far.  Repeating a scan of
+    the same rotation adds nothing to that closure, so scanning each
+    distinct rotation once makes the same definitions, numbering and rows.
+
     Raises :class:`CapExceeded` when the enumeration does not close within
-    caps (infinite index, or caps too small).
+    caps (infinite index, or caps too small).  ``max_deductions`` bounds the
+    processed deductions; after a coincidence that count can differ, either
+    way, from an enumeration that scans every rotation of every relator.
     """
     for w in subgroup_gens:
         if w.max_generator() >= p.n_generators:

@@ -8,14 +8,18 @@ early exits, kept on plain lists of rows so that the fast one can be
 compared with it entry for entry.  Likewise the reference Tietze
 simplification is the library's elimination loop as it was before the
 occurrence index: it recounts every relator before each elimination and
-re-canonicalises every relator after it.
+re-canonicalises every relator after it.  The reference Todd–Coxeter
+enumerator is the library's as it was before it dropped repeated relator
+rotations: every rotation of every relator is scanned after each deduction.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
+from adorn.cosets import CapExceeded, EnumerationCaps
 from adorn.fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
                            Simplified, Word, _dedupe, _subword_pass,
                            _substitute, cyclically_reduce)
@@ -245,6 +249,195 @@ def verify_table(table, p, subgroup_gens=()) -> None:
             assert table.word_act(c, r) == c, "relator does not act trivially"
     for w in subgroup_gens:
         assert table.word_act(0, w) == 0, "subgroup generator moves coset 0"
+
+
+# ---------------------------------------------------------------------------
+# Todd-Coxeter scanning every rotation of every relator
+
+
+class _ReferenceEnumerator:
+    def __init__(self, n_gens: int, relators: Sequence[Word], caps: EnumerationCaps):
+        self.ncols = 2 * n_gens
+        self.caps = caps
+        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.p = [0]  # union-find over cosets; rep is the least member
+        self.defined = 1
+        self.deductions: list[tuple[int, int]] = []
+        self.deductions_done = 0
+        # scans indexed by leading column: every rotation of every relator
+        self.edp: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        for r in relators:
+            cols = r.letters
+            for i in range(len(cols)):
+                rot = cols[i:] + cols[:i]
+                self.edp[rot[0]].append(rot)
+
+    def rep(self, c: int) -> int:
+        p = self.p
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
+        return root
+
+    def define(self, alpha: int, col: int) -> None:
+        if self.defined >= self.caps.max_cosets:
+            raise CapExceeded(f"coset limit {self.caps.max_cosets} reached")
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(beta)
+        self.defined += 1
+        self.set_edge(alpha, col, beta)
+
+    def set_edge(self, a: int, col: int, b: int) -> None:
+        self.table[a][col] = b
+        self.table[b][col ^ 1] = a
+        self.deductions.append((a, col))
+        self.deductions.append((b, col ^ 1))
+
+    def merge(self, a: int, b: int, queue: list[int]) -> None:
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.p[b] = a
+        queue.append(b)
+
+    def coincidence(self, a: int, b: int) -> None:
+        queue: list[int] = []
+        self.merge(a, b, queue)
+        qi = 0
+        while qi < len(queue):
+            dead = queue[qi]
+            qi += 1
+            row = self.table[dead]
+            for col in range(self.ncols):
+                delta = row[col]
+                if delta is None:
+                    continue
+                # detach the mirror edge before re-rooting
+                if self.table[delta][col ^ 1] == dead:
+                    self.table[delta][col ^ 1] = None
+                row[col] = None
+                mu, nu = self.rep(dead), self.rep(delta)
+                target = self.table[mu][col]
+                back = self.table[nu][col ^ 1]
+                if target is not None:
+                    self.merge(nu, target, queue)
+                elif back is not None:
+                    self.merge(mu, back, queue)
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][col ^ 1] = mu
+                    self.deductions.append((mu, col))
+                    self.deductions.append((nu, col ^ 1))
+
+    def scan(self, alpha: int, cols: tuple[int, ...]) -> None:
+        f = alpha
+        i, j = 0, len(cols) - 1
+        b = alpha
+        while i <= j:
+            d = self.table[f][cols[i]]
+            if d is None:
+                break
+            f = self.rep(d)
+            i += 1
+        if i > j:
+            if f != b:
+                self.coincidence(f, b)
+            return
+        while j >= i:
+            d = self.table[b][cols[j] ^ 1]
+            if d is None:
+                break
+            b = self.rep(d)
+            j -= 1
+        if j < i:
+            self.coincidence(f, b)
+        elif j == i:
+            self.set_edge(f, cols[i], b)
+        # gap of length >= 2: no information
+
+    def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
+        if not cols:
+            return
+        f = alpha
+        i, j = 0, len(cols) - 1
+        b = alpha
+        while True:
+            while i <= j:
+                d = self.table[f][cols[i]]
+                if d is None:
+                    break
+                f = self.rep(d)
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i:
+                d = self.table[b][cols[j] ^ 1]
+                if d is None:
+                    break
+                b = self.rep(d)
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.set_edge(f, cols[i], b)
+                return
+            self.define(f, cols[i])
+
+    def process_deductions(self) -> None:
+        while self.deductions:
+            self.deductions_done += 1
+            if self.deductions_done > self.caps.max_deductions:
+                raise CapExceeded(f"deduction limit {self.caps.max_deductions} reached")
+            a, col = self.deductions.pop()
+            a = self.rep(a)
+            if self.table[a][col] is None:
+                continue  # edge removed by a coincidence
+            for rot in self.edp[col]:
+                self.scan(a, rot)
+                a = self.rep(a)
+                if self.table[a][col] is None:
+                    break
+
+    def run(self, subgroup_gens: Sequence[Word]) -> tuple[tuple[int, ...], ...]:
+        for w in subgroup_gens:
+            self.scan_and_fill(0, w.letters)
+            self.process_deductions()
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] == alpha:
+                col = 0
+                while col < self.ncols and self.p[alpha] == alpha:
+                    if self.table[alpha][col] is None:
+                        self.define(alpha, col)
+                        self.process_deductions()
+                    col += 1
+            alpha += 1
+        live = [c for c in range(len(self.table)) if self.p[c] == c]
+        index = {c: i for i, c in enumerate(live)}
+        rows = []
+        for c in live:
+            row = self.table[c]
+            assert all(x is not None for x in row)
+            rows.append([index[self.rep(x)] for x in row])
+        return tuple(tuple(r) for r in rows)
+
+
+def todd_coxeter_reference(p, subgroup_gens, caps):
+    """``(rows, deductions_done)`` of the Felsch enumeration that scans every
+    rotation of every relator after each deduction, a periodic relator's
+    repeated rotations and a repeated relator's included.  Raises
+    :class:`CapExceeded` like ``todd_coxeter``."""
+    e = _ReferenceEnumerator(p.n_generators, p.relators, caps)
+    rows = e.run(tuple(subgroup_gens))
+    return rows, e.deductions_done
 
 
 # ---------------------------------------------------------------------------

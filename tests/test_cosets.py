@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
 from adorn.cosets import (CapExceeded, CosetTable, EnumerationCaps,
-                          InfiniteIndex, commutator_coset_table, todd_coxeter)
-from adorn.fpgroup import Word, parse_presentation
+                          InfiniteIndex, _Enumerator, commutator_coset_table,
+                          todd_coxeter)
+from adorn.fpgroup import GroupPresentation, Word, parse_presentation
 from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
-from oracles import check_model, closure, quaternion_model, verify_table
+from oracles import (check_model, closure, quaternion_model,
+                     todd_coxeter_reference, verify_table)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -138,3 +142,95 @@ def test_incomplete_table_construction():
     t = CosetTable(1, [[None, None]], complete=False)
     assert not t.complete
     assert t.word_act(0, A) is None
+
+
+def _enumeration(p, sub, caps=EnumerationCaps()):
+    try:
+        return todd_coxeter(p, sub, caps).rows
+    except CapExceeded as e:
+        return str(e)
+
+
+def _reference_enumeration(p, sub, caps=EnumerationCaps()):
+    try:
+        return todd_coxeter_reference(p, sub, caps)[0]
+    except CapExceeded as e:
+        return str(e)
+
+
+def _words(n_gens, max_size):
+    letters = st.tuples(st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+    return st.lists(letters, max_size=max_size).map(Word)
+
+
+@st.composite
+def enumeration_inputs(draw):
+    n = draw(st.integers(1, 4))
+    rels = []
+    for w in draw(st.lists(_words(n, 8), max_size=5)):
+        # a power w^k has k times repeated rotations; a repeated relator
+        # repeats all of its rotations
+        shape = draw(st.sampled_from(("plain", "plain", "power", "repeat")))
+        if shape == "power":
+            w = w ** draw(st.integers(2, 4))
+        rels.append(w)
+        if shape == "repeat":
+            rels.append(w)
+    sub = draw(st.lists(_words(n, 6), max_size=2))
+    return GroupPresentation([f"x{i}" for i in range(n)], rels), sub
+
+
+REPEATED_RELATOR = (parse_presentation("< x0, x1 | x0 x1^-2, x1, x0 x1^-2 >"),
+                    [Word([(0, 1), (0, 1)]), Word([(0, 1), (0, -1), (0, -1)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumeration_inputs())
+# a coincidence with a repeated relator: fewer deductions, same rows
+@example(REPEATED_RELATOR)
+def test_todd_coxeter_matches_reference(case):
+    p, sub = case
+    for caps in (EnumerationCaps(300, 10**6), EnumerationCaps(40, 10**6)):
+        assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
+
+
+@pytest.mark.parametrize("case,done,reference_done", [
+    (REPEATED_RELATOR, 12, 14),
+    ((parse_presentation("< x0, x1 | x0^3 x1 x0^-1 x1^-1, x0^3 x1 x0^-1 x1^-1,"
+                         " x0^2 x1^-1 x0 x1^-1, x0^2 x1^-1 x0 x1^-1 >"), []), 38, 36),
+])
+def test_deduction_count_after_coincidence(case, done, reference_done):
+    # repeated rotations move the point where a coincidence is found, so
+    # the count of processed deductions can change either way; rows cannot
+    p, sub = case
+    e = _Enumerator(p.n_generators, p.relators, EnumerationCaps())
+    rows = e.run(sub).rows
+    assert e.deductions_done == done
+    assert todd_coxeter_reference(p, sub, EnumerationCaps()) == (rows, reference_done)
+
+
+def coxeter_symmetric(n, perm=None, signs=None):
+    """S_n on adjacent transpositions, with s_i written as generator perm[i]
+    to the power signs[i]."""
+    perm = perm or list(range(n - 1))
+    signs = signs or [1] * (n - 1)
+    s = [Word.gen(perm[i], signs[i]) for i in range(n - 1)]
+    rels = [x ** 2 for x in s]
+    rels += [(s[i] * s[i + 1]) ** 3 for i in range(n - 2)]
+    rels += [(s[i] * s[j]) ** 2 for i in range(n - 1) for j in range(i + 2, n - 1)]
+    return GroupPresentation([f"s{i + 1}" for i in range(n - 1)], rels), s
+
+
+@pytest.mark.parametrize("n,perm,signs,sub_indices,index", [
+    (6, None, None, [], 720),
+    (6, None, None, [0, 2], 180),  # Young subgroup of type (2, 2, 1, 1)
+    (5, [2, 0, 3, 1], [1, -1, -1, 1], [], 120),
+    (5, [2, 0, 3, 1], [1, -1, -1, 1], [1, 2], 20),  # type (1, 3, 1)
+])
+def test_todd_coxeter_matches_reference_on_symmetric_groups(n, perm, signs, sub_indices,
+                                                            index):
+    p, s = coxeter_symmetric(n, perm, signs)
+    sub = [s[i] for i in sub_indices]
+    rows = _enumeration(p, sub)
+    assert rows == _reference_enumeration(p, sub)
+    assert len(rows) == index
