@@ -12,17 +12,17 @@ from .abelian import (AbelianInvariants, IntMatrix, abelianization,
 from .alexander import (AlexanderError, DeficiencyMismatch, GroupRingElement,
                         LaurentPoly, NotKnotLike, alexander_polynomial,
                         fox_derivative, knot_adorability_report, laurent_gcd)
-from .cosets import (CapExceeded, CosetTable, EnumerationCaps, IncompleteTable,
-                     InfiniteIndex, commutator_coset_table, todd_coxeter)
+from .cosets import (CapExceeded, CosetTable, IncompleteTable, InfiniteIndex,
+                     commutator_coset_table, todd_coxeter)
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                       AdorabilityWitness, ChainNotNested, FiltrationError,
-                      NormalityFails, QuotientNotAbelian, SeriesLimits,
-                      SeriesVerdict, StageReport, TerminalNotPerfect,
-                      derived_series, doa, verify_filtration)
-from .fpgroup import (GroupPresentation, PresentationSyntaxError,
-                      SimplificationCaps, Word, cyclically_reduce, free_reduce,
-                      format_presentation, format_word, parse_presentation,
-                      tietze_simplify)
+                      NormalityFails, QuotientNotAbelian, SeriesVerdict,
+                      StageReport, TerminalNotPerfect, derived_series, doa,
+                      verify_filtration)
+from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
+                      PresentationSyntaxError, Word, cyclically_reduce,
+                      free_reduce, format_presentation, format_word,
+                      parse_presentation, tietze_simplify)
 from .rewriting import (reidemeister_schreier, rewrite_presentation,
                         schreier_transversal, subgroup_word)
 from .zoo import (FAMILIES, CannotCertifyFactorTriviality, SeifertData,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .fpgroup import GroupPresentation
+from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ class AbelianInvariants:
 TRIVIAL_INVARIANTS = AbelianInvariants(0, ())
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
+                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize ``m`` over Z: returns (d, u, v) with d = u * m * v.
 
     u and v are unimodular; d is diagonal with non-negative entries forming
@@ -115,7 +116,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     value 1, which no later entry can beat under the strict comparison; a
     pivot of 1 divides everything, so its divisor-chain scan is skipped; and
     a row or column operation skips source entries equal to 0.  Pivots,
-    operations and (d, u, v) are those of the full computation.
+    operations and (d, u, v) are those of the full computation.  The
+    budget's clock is checked once per pivot step.
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
@@ -167,6 +169,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     t = 0
     while t < min(nr, nc):
+        budget.check("smith_normal_form")
         pos = find_pivot(t)
         if pos is None:
             break
@@ -242,10 +245,11 @@ class AbelianizationData:
     torsion_images: tuple[tuple[int, ...], ...]
 
 
-def abelianization_data(p: GroupPresentation) -> AbelianizationData:
+def abelianization_data(p: GroupPresentation,
+                        budget: Budget = DEFAULT_BUDGET) -> AbelianizationData:
     n = p.n_generators
     mat = relator_matrix(p).transpose()  # generators x relators
-    d, u, _v = smith_normal_form(mat)
+    d, u, _v = smith_normal_form(mat, budget)
     diag = list(d.diagonal()) + [0] * (n - min(mat.rows, mat.cols))
     free_rows = [i for i in range(n) if diag[i] == 0]
     torsion_rows = [i for i in range(n) if diag[i] >= 2]
@@ -262,9 +266,10 @@ def _columns(rows: list[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows)) if rows else ((),) * n
 
 
-def abelianization(p: GroupPresentation) -> AbelianInvariants:
+def abelianization(p: GroupPresentation,
+                   budget: Budget = DEFAULT_BUDGET) -> AbelianInvariants:
     """Invariants of the cokernel of the relator exponent matrix."""
-    return abelianization_data(p).invariants
+    return abelianization_data(p, budget).invariants
 
 
 def is_perfect(p: GroupPresentation) -> bool:

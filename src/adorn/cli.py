@@ -7,9 +7,12 @@ timings_ms}; exit codes are the only pass/fail channel (0 success, 2 bad
 input, 3 inconclusive under --strict, 1 corpus failures).
 
 When ``ADORN_CACHE_DIR`` is set, series runs persist each rewrite step as a
-JSON file keyed by a content hash of (presentation, limits), making long
-runs resumable.  A malformed entry, or one whose index is not the stage's
-quotient order, is treated as a miss and overwritten.
+JSON file, making long runs resumable.  The key hashes a schema tag, the
+presentation and the Tietze caps (``--max-gens``, ``--max-length`` and the
+pass cap), the only limits that shape a step: runs that differ only in
+``--max-depth``, ``--max-cosets`` or ``--timeout`` share entries.  A
+malformed entry, or one whose index is not the stage's quotient order, is
+treated as a miss and overwritten.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ import time
 
 from .abelian import abelianization
 from .alexander import AlexanderError, knot_adorability_report
-from .cosets import EnumerationCaps
-from .derived import INCONCLUSIVE, SeriesLimits, derived_series
-from .fpgroup import (GroupPresentation, PresentationSyntaxError,
-                      SimplificationCaps, format_presentation,
-                      parse_presentation)
+from .derived import INCONCLUSIVE, derived_series
+from .fpgroup import (Budget, GroupPresentation, PresentationSyntaxError,
+                      format_presentation, parse_presentation)
 from .zoo import FAMILIES, SeifertData, classify_seifert, make
 
 
@@ -84,36 +85,48 @@ def _split_top_level(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _zoo_expr(text: str) -> GroupPresentation:
-    text = text.strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise CliError(f"malformed zoo expression {text!r}")
-        return _make_from_strings(name.strip(), _split_top_level(rest[:-1]))
-    return _make_from_strings(text, [])
+def _zoo_cli(family: str, csv: str) -> GroupPresentation:
+    """Zoo group from ``--params``, where fuchsian's cones follow its genus."""
+    params: list = _split_top_level(csv)
+    if family == "fuchsian" and params:
+        params = [params[0], params[1:]]
+    return _zoo_group(family, params)
 
 
-def _make_from_strings(family: str, params: list[str]) -> GroupPresentation:
+def _zoo_group(family: str, params: list) -> GroupPresentation:
+    """Zoo group from parameters shaped as in a corpus file: two factors for
+    a product, ``[genus, [cones]]`` for fuchsian, else integers or their text."""
     try:
         if family in ("free_product", "direct_product"):
             if len(params) != 2:
                 raise CliError(f"{family} needs exactly two factor expressions")
-            return make(family, tuple(_zoo_expr(p) for p in params))
+            return make(family, tuple(_zoo_factor(x) for x in params))
         if family == "fuchsian":
-            if not params:
+            if len(params) != 2 or not isinstance(params[1], list):
                 raise CliError("fuchsian needs genus followed by cone indices")
-            return make(family, (int(params[0]), tuple(int(x) for x in params[1:])))
+            return make(family, (int(params[0]), tuple(int(x) for x in params[1])))
         return make(family, tuple(int(x) for x in params))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+
+
+def _zoo_factor(x) -> GroupPresentation:
+    """A corpus ``{"zoo": ..}`` object, or ``name`` or ``name(csv)`` text."""
+    if isinstance(x, dict) and "zoo" in x:
+        return _zoo_group(x["zoo"], x.get("params", []))
+    if not isinstance(x, str):
+        raise CliError(f"bad zoo input {x!r}")
+    name, paren, rest = x.strip().partition("(")
+    if paren and not rest.endswith(")"):
+        raise CliError(f"malformed zoo expression {x.strip()!r}")
+    return _zoo_cli(name.strip(), rest[:-1])
 
 
 def _resolve_input(args) -> GroupPresentation:
     if getattr(args, "zoo", None):
         if getattr(args, "input", None):
             raise CliError("give either an inline presentation or --zoo, not both")
-        return _make_from_strings(args.zoo, _split_top_level(args.params or ""))
+        return _zoo_cli(args.zoo, args.params or "")
     if getattr(args, "input", None):
         try:
             return parse_presentation(args.input)
@@ -124,15 +137,12 @@ def _resolve_input(args) -> GroupPresentation:
     raise CliError("no input: pass a presentation string or --zoo NAME")
 
 
-def _limits(args) -> SeriesLimits:
+def _budget(args) -> Budget:
     try:
-        return SeriesLimits(
-            max_depth=args.max_depth,
-            enumeration=EnumerationCaps(max_cosets=args.max_cosets),
-            simplification=SimplificationCaps(
-                max_generators=args.max_gens,
-                max_total_relator_length=args.max_length),
-            wall_clock_seconds=args.timeout)
+        return Budget(max_depth=args.max_depth, max_cosets=args.max_cosets,
+                      max_generators=args.max_gens,
+                      max_total_relator_length=args.max_length,
+                      wall_clock_seconds=args.timeout)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -156,13 +166,13 @@ def _emit(args, report: dict, human: str) -> None:
         print(human)
 
 
-def _limits_dict(lim: SeriesLimits) -> dict:
+def _limits_dict(budget: Budget) -> dict:
     return {
-        "max_depth": lim.max_depth,
-        "max_cosets": lim.enumeration.max_cosets,
-        "max_generators": lim.simplification.max_generators,
-        "max_total_relator_length": lim.simplification.max_total_relator_length,
-        "timeout_seconds": lim.wall_clock_seconds,
+        "max_depth": budget.max_depth,
+        "max_cosets": budget.max_cosets,
+        "max_generators": budget.max_generators,
+        "max_total_relator_length": budget.max_total_relator_length,
+        "timeout_seconds": budget.wall_clock_seconds,
     }
 
 
@@ -182,12 +192,12 @@ def cmd_abelianize(args) -> int:
 def cmd_series(args) -> int:
     started = time.monotonic()
     p = _resolve_input(args)
-    lim = _limits(args)
+    budget = _budget(args)
     cache_dir = os.environ.get("ADORN_CACHE_DIR")
     cache = FileStepCache(cache_dir) if cache_dir else None
-    stages, verdict = derived_series(p, lim, step_cache=cache)
+    stages, verdict = derived_series(p, budget, step_cache=cache)
     report = _report("series", p.name or format_presentation(p),
-                     _limits_dict(lim), [s.to_dict() for s in stages],
+                     _limits_dict(budget), [s.to_dict() for s in stages],
                      verdict.to_dict(), started)
     lines = []
     for s in stages:
@@ -243,7 +253,7 @@ def cmd_zoo(args) -> int:
                          started)
         _emit(args, report, listing)
         return 0
-    p = _make_from_strings(args.family, _split_top_level(args.params or ""))
+    p = _zoo_cli(args.family, args.params or "")
     report = _report("zoo", p.name, None, [],
                      {"kind": "Presentation",
                       "detail": {"presentation": format_presentation(p)}},
@@ -263,12 +273,7 @@ def _corpus_input(entry: dict):
     if isinstance(src, str):
         return parse_presentation(src)
     if isinstance(src, dict) and "zoo" in src:
-        params = []
-        for x in src.get("params", []):
-            params.append(_corpus_input({"input": x}) if isinstance(x, dict) else x)
-        if src["zoo"] == "fuchsian":
-            return make("fuchsian", (params[0], tuple(params[1])))
-        return make(src["zoo"], tuple(params))
+        return _zoo_factor(src)
     if isinstance(src, dict) and "seifert" in src:
         d = src["seifert"]
         return SeifertData(base_genus=d.get("genus", 0),
@@ -277,47 +282,36 @@ def _corpus_input(entry: dict):
     raise CliError(f"corpus entry {entry.get('name')!r}: bad input field")
 
 
-def _check_entry(entry: dict, lim: SeriesLimits) -> list[tuple[str, str, str, bool]]:
+def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]]:
     expect = entry.get("expect", {})
     unknown = set(expect) - _EXPECT_KEYS
     if unknown:
         raise CliError(f"corpus entry {entry.get('name')!r}: unknown expectation "
                        f"keys {sorted(unknown)}")
     subject = _corpus_input(entry)
-    rows = []
     presentation_keys = {"abelianization", "verdict", "doa", "alexander"} & set(expect)
     if isinstance(subject, SeifertData) and presentation_keys:
         raise CliError(f"corpus entry {entry.get('name')!r}: "
                        f"{sorted(presentation_keys)} need a presentation input")
+    got: dict = {}  # in the order the rows are printed
     if "seifert_branch" in expect:
         if not isinstance(subject, SeifertData):
             raise CliError(f"corpus entry {entry.get('name')!r}: seifert_branch "
                            f"needs a seifert input")
-        got = classify_seifert(subject).branch
-        want = expect["seifert_branch"]
-        rows.append(("seifert_branch", str(want), got, got == want))
+        got["seifert_branch"] = classify_seifert(subject).branch
     if "abelianization" in expect:
-        got = str(abelianization(subject))
-        want = expect["abelianization"]
-        rows.append(("abelianization", str(want), got, got == want))
+        got["abelianization"] = str(abelianization(subject))
     if "verdict" in expect or "doa" in expect:
-        _, verdict = derived_series(subject, lim)
-        if "verdict" in expect:
-            want = expect["verdict"]
-            rows.append(("verdict", str(want), verdict.kind, verdict.kind == want))
-        if "doa" in expect:
-            want = expect["doa"]
-            got = verdict.doa
-            rows.append(("doa", str(want), str(got), got == want))
+        _, verdict = derived_series(subject, budget)
+        got["verdict"], got["doa"] = verdict.kind, verdict.doa
     if "alexander" in expect:
-        got = str(knot_adorability_report(subject).polynomial)
-        want = expect["alexander"]
-        rows.append(("alexander", str(want), got, got == want))
-    return rows
+        got["alexander"] = str(knot_adorability_report(subject).polynomial)
+    return [(key, str(expect[key]), str(value), value == expect[key])
+            for key, value in got.items() if key in expect]
 
 
 def cmd_verify_corpus(args) -> int:
-    lim = _limits(args)
+    budget = _budget(args)
     ok = True
     for path in args.paths:
         try:
@@ -330,7 +324,7 @@ def cmd_verify_corpus(args) -> int:
         for entry in entries:
             name = entry.get("name", "<unnamed>")
             try:
-                rows = _check_entry(entry, lim)
+                rows = _check_entry(entry, budget)
             except CliError:
                 raise
             except Exception as exc:  # computation failed outright

@@ -15,16 +15,11 @@ follows first definition, so tables are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from .abelian import abelianization_data
-from .fpgroup import GroupPresentation, Word
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration did not close within caps; the index may be infinite."""
+from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
 
 
 class InfiniteIndex(ValueError):
@@ -35,17 +30,7 @@ class IncompleteTable(ValueError):
     """Operation requires a complete coset table."""
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    max_cosets: int = 20000
-    max_deductions: int = 2_000_000
-
-    def __post_init__(self):
-        if self.max_cosets <= 0 or self.max_deductions <= 0:
-            raise ValueError("enumeration caps must be strictly positive")
-
-
-DEFAULT_ENUMERATION_CAPS = EnumerationCaps()
+CHECK_EVERY = 4096  # deductions between two reads of the budget's clock
 
 
 class CosetTable:
@@ -72,14 +57,15 @@ class CosetTable:
 
 
 class _Enumerator:
-    def __init__(self, n_gens: int, relators: Sequence[Word], caps: EnumerationCaps):
+    def __init__(self, n_gens: int, relators: Sequence[Word], budget: Budget):
         self.ncols = 2 * n_gens
-        self.caps = caps
+        self.budget = budget
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p = [0]  # union-find over cosets; rep is the least member
         self.defined = 1
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
+        self.check_at = min(CHECK_EVERY, budget.max_deductions)
         # scans indexed by leading column: (rotation, last index), each
         # distinct rotation of the relators once, in first-occurrence order
         self.edp: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
@@ -98,8 +84,9 @@ class _Enumerator:
         return root
 
     def define(self, alpha: int, col: int) -> None:
-        if self.defined >= self.caps.max_cosets:
-            raise CapExceeded(f"coset limit {self.caps.max_cosets} reached")
+        if self.defined >= self.budget.max_cosets:
+            raise CapExceeded(f"coset limit {self.budget.max_cosets} reached",
+                              "todd_coxeter")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
@@ -184,25 +171,32 @@ class _Enumerator:
     def process_deductions(self) -> None:
         table, p, edp, deductions = self.table, self.p, self.edp, self.deductions
         rep, coincidence, set_edge = self.rep, self.coincidence, self.set_edge
-        max_deductions = self.caps.max_deductions
+        max_deductions = self.budget.max_deductions
+        check_at = self.check_at  # one compare covers the cap and the clock
         while deductions:
             self.deductions_done += 1
-            if self.deductions_done > max_deductions:
-                raise CapExceeded(f"deduction limit {max_deductions} reached")
+            if self.deductions_done > check_at:
+                if self.deductions_done > max_deductions:
+                    raise CapExceeded(f"deduction limit {max_deductions} reached",
+                                      "todd_coxeter")
+                self.budget.check("todd_coxeter")
+                check_at = self.check_at = min(check_at + CHECK_EVERY, max_deductions)
             a, col = deductions.pop()
             if p[a] != a:
                 a = rep(a)
             if table[a][col] is None:
                 continue  # edge removed by a coincidence
             for cols, last in edp[col]:
-                # scan cols at a: forward from the left, back from the right
+                # scan cols at a: forward from the left, back from the right.
+                # Table entries are live cosets: every edge is stored with its
+                # mirror and coincidence() clears both for a dead coset.
                 f = b = a
                 i, j = 0, last
                 while i <= j:
                     d = table[f][cols[i]]
                     if d is None:
                         break
-                    f = d if p[d] == d else rep(d)
+                    f = d
                     i += 1
                 if i > j:
                     if f != b:
@@ -212,7 +206,7 @@ class _Enumerator:
                         d = table[b][cols[j] ^ 1]
                         if d is None:
                             break
-                        b = d if p[d] == d else rep(d)
+                        b = d
                         j -= 1
                     if j < i:
                         coincidence(f, b)
@@ -244,12 +238,12 @@ class _Enumerator:
         for c in live:
             row = self.table[c]
             assert None not in row
-            rows.append(tuple([index[self.rep(x)] for x in row]))
+            rows.append(tuple([index[x] for x in row]))  # entries are live
         return CosetTable(self.ncols // 2, rows, complete=True)
 
 
 def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
-                 caps: EnumerationCaps = DEFAULT_ENUMERATION_CAPS) -> CosetTable:
+                 budget: Budget = DEFAULT_BUDGET) -> CosetTable:
     """Enumerate the cosets of the subgroup generated by the given words.
 
     After each definition the deduction stack is drained, which leaves the
@@ -258,24 +252,27 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     distinct rotation once makes the same definitions, numbering and rows.
 
     Raises :class:`CapExceeded` when the enumeration does not close within
-    caps (infinite index, or caps too small).  ``max_deductions`` bounds the
-    processed deductions; after a coincidence that count can differ, either
-    way, from an enumeration that scans every rotation of every relator.
+    the budget's caps (infinite index, or caps too small), or when its clock,
+    checked every ``CHECK_EVERY`` deductions, runs out.  ``max_deductions``
+    bounds the processed deductions; after a coincidence that count can
+    differ, either way, from an enumeration that scans every rotation of
+    every relator.
     """
     for w in subgroup_gens:
         if w.max_generator() >= p.n_generators:
             raise ValueError("subgroup generator uses an unknown generator")
-    return _Enumerator(p.n_generators, p.relators, caps).run(tuple(subgroup_gens))
+    return _Enumerator(p.n_generators, p.relators, budget).run(tuple(subgroup_gens))
 
 
-def commutator_coset_table(p: GroupPresentation) -> CosetTable:
+def commutator_coset_table(p: GroupPresentation,
+                           budget: Budget = DEFAULT_BUDGET) -> CosetTable:
     """Coset table of the commutator subgroup, built from G/[G,G].
 
     Requires the abelianization to be finite (rank 0).  Cosets are the
     elements of the abelian quotient, enumerated in mixed-radix order over
     the torsion coordinates; each generator acts by adding its image.
     """
-    data = abelianization_data(p)
+    data = abelianization_data(p, budget)
     inv = data.invariants
     if inv.rank > 0:
         raise InfiniteIndex(

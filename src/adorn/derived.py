@@ -12,7 +12,9 @@ producing one report per stage and a verdict:
 * ``HaltedInfiniteAbelianization`` — a stage has positive first-Betti rank,
   so its commutator subgroup has infinite index and the iteration cannot
   continue by coset enumeration.
-* ``Inconclusive`` — a resource limit was hit first.
+* ``Inconclusive`` — a resource limit was hit first; for ``wall_clock``,
+  ``reason`` names the layer that stopped (``smith_normal_form``,
+  ``rewrite_presentation``, ``tietze_simplify``).
 
 Soundness rule: "manifestly free" and "manifestly trivial" mean zero
 relators / zero generators, which are cap-independent facts, so capped
@@ -21,16 +23,14 @@ relators / zero generators, which are cap-independent facts, so capped
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol, Sequence
 
-from .abelian import AbelianInvariants, abelianization, is_perfect
-from .cosets import (DEFAULT_ENUMERATION_CAPS, CapExceeded, CosetTable,
-                     EnumerationCaps, commutator_coset_table, todd_coxeter)
-from .fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
-                      SimplificationCaps, Simplified, Word, format_presentation,
-                      parse_presentation, tietze_simplify)
+from .abelian import AbelianInvariants, abelianization
+from .cosets import CosetTable, commutator_coset_table, todd_coxeter
+from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
+                      Simplified, Word, format_presentation, parse_presentation,
+                      tietze_simplify)
 from .rewriting import reidemeister_schreier, rewrite_presentation, subgroup_word
 
 ADORABLE = "AdorableCertified"
@@ -41,21 +41,6 @@ INCONCLUSIVE = "Inconclusive"
 FLAG_PARTIAL = "PartiallySimplified"
 FLAG_FREE = "CertifiedFree"
 FLAG_TRIVIAL = "CertifiedTrivial"
-
-
-@dataclass(frozen=True)
-class SeriesLimits:
-    max_depth: int = 6
-    enumeration: EnumerationCaps = DEFAULT_ENUMERATION_CAPS
-    simplification: SimplificationCaps = DEFAULT_SIMPLIFICATION_CAPS
-    wall_clock_seconds: float = 60.0
-
-    def __post_init__(self):
-        if self.max_depth <= 0 or self.wall_clock_seconds <= 0:
-            raise ValueError("limits must be strictly positive")
-
-
-DEFAULT_LIMITS = SeriesLimits()
 
 
 @dataclass(frozen=True)
@@ -97,15 +82,9 @@ class SeriesVerdict:
     limits_hit: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        detail: dict = {}
-        if self.doa is not None:
-            detail["doa"] = self.doa
-        if self.reason is not None:
-            detail["reason"] = self.reason
-        if self.stage is not None:
-            detail["stage"] = self.stage
-        if self.rank is not None:
-            detail["rank"] = self.rank
+        detail = {key: value for key, value in (
+            ("doa", self.doa), ("reason", self.reason), ("stage", self.stage),
+            ("rank", self.rank)) if value is not None}
         if self.limits_hit:
             detail["limits_hit"] = list(self.limits_hit)
         return {"kind": self.kind, "detail": detail}
@@ -117,7 +96,8 @@ class SeriesVerdict:
             return f"{self.kind}({self.reason}, stage={self.stage})"
         if self.kind == HALTED:
             return f"{self.kind}(depth={self.stage}, rank={self.rank})"
-        return f"{self.kind}(depth={self.stage}, limits={','.join(self.limits_hit)})"
+        layer = f"@{self.reason}" if self.reason else ""
+        return f"{self.kind}(depth={self.stage}, limits={','.join(self.limits_hit)}{layer})"
 
 
 class SeriesResult(NamedTuple):
@@ -133,14 +113,13 @@ class StepCache(Protocol):
     def put(self, key: str, value: dict) -> None: ...
 
 
-def step_cache_key(p: GroupPresentation, lim: SeriesLimits) -> str:
+def step_cache_key(p: GroupPresentation, budget: Budget) -> str:
+    """A step (coset table, rewrite, Tietze) never enumerates, so of the
+    budget only the Tietze caps shape it."""
     import hashlib
 
-    text = "|".join([
-        format_presentation(p),
-        repr(lim.enumeration),
-        repr(lim.simplification),
-    ])
+    text = "|".join(["step-v2", format_presentation(p), repr((
+        budget.max_generators, budget.max_total_relator_length, budget.max_passes))])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -175,73 +154,66 @@ def _stage_report(depth: int, p: GroupPresentation, inv: AbelianInvariants,
                        free_rank, p)
 
 
+def _stage_verdict(report: StageReport, budget: Budget) -> SeriesVerdict | None:
+    """The verdict a stage settles, or None when the series descends from it."""
+    depth, inv = report.depth, report.invariants
+    if inv.is_trivial():
+        return SeriesVerdict(ADORABLE, doa=depth)
+    if report.free_rank == 1:  # Z: one further step kills everything
+        return SeriesVerdict(ADORABLE, doa=depth + 1)
+    if report.free_rank is not None:
+        return SeriesVerdict(NON_ADORABLE, reason="FreeRankAtLeast2", stage=depth,
+                             rank=report.free_rank)
+    if inv.rank > 0:
+        return SeriesVerdict(HALTED, stage=depth, rank=inv.rank)
+    # finite non-trivial quotient: descend one stage, if the budget allows
+    limits_hit = tuple(name for name, over in (
+        ("max_depth", depth + 1 > budget.max_depth),
+        ("max_cosets", inv.order() > budget.max_cosets)) if over)
+    return (SeriesVerdict(INCONCLUSIVE, stage=depth, limits_hit=limits_hit)
+            if limits_hit else None)
+
+
 def derived_series(p: GroupPresentation,
-                   lim: SeriesLimits = DEFAULT_LIMITS,
+                   budget: Budget = DEFAULT_BUDGET,
                    step_cache: StepCache | None = None) -> SeriesResult:
     """Iterate the derived series of a finitely presented group.
 
     Stage 0 is the input presentation itself; stage i+1 is built only when
-    stage i's abelianization is finite and non-trivial.
+    stage i's abelianization is finite and non-trivial.  The budget's clock
+    starts here; a layer that finds it expired ends the run Inconclusive.
     """
-    deadline = time.monotonic() + lim.wall_clock_seconds
+    budget = budget.start()
     stages: list[StageReport] = []
-    pres = p
-    partially = False
-    depth = 0
-    while True:
-        inv = abelianization(pres)
-        report = _stage_report(depth, pres, inv, partially)
-        stages.append(report)
-
-        if inv.is_trivial():
-            return SeriesResult(tuple(stages), SeriesVerdict(ADORABLE, doa=depth))
-        if report.free_rank is not None:
-            if report.free_rank == 1:
-                # Z: one further step kills everything
-                return SeriesResult(tuple(stages),
-                                    SeriesVerdict(ADORABLE, doa=depth + 1))
-            return SeriesResult(tuple(stages),
-                                SeriesVerdict(NON_ADORABLE,
-                                              reason="FreeRankAtLeast2",
-                                              stage=depth,
-                                              rank=report.free_rank))
-        if inv.rank > 0:
-            return SeriesResult(tuple(stages),
-                                SeriesVerdict(HALTED, stage=depth, rank=inv.rank))
-
-        # finite non-trivial quotient: descend one stage
-        limits_hit = []
-        if depth + 1 > lim.max_depth:
-            limits_hit.append("max_depth")
-        order = inv.order()
-        assert order is not None
-        if order > lim.enumeration.max_cosets:
-            limits_hit.append("max_cosets")
-        if time.monotonic() > deadline:
-            limits_hit.append("wall_clock")
-        if limits_hit:
-            return SeriesResult(tuple(stages),
-                                SeriesVerdict(INCONCLUSIVE, stage=depth,
-                                              limits_hit=tuple(limits_hit)))
-
-        key = step_cache_key(pres, lim) if step_cache is not None else None
-        step = _cached_step(step_cache.get(key), order) if step_cache is not None else None
-        if step is not None:
-            pres, partially = step
-        else:
-            table = commutator_coset_table(pres)
-            pres, partially = reidemeister_schreier(pres, table, lim.simplification)
-            if step_cache is not None:
-                step_cache.put(key, {"next": format_presentation(pres),
-                                     "hit_caps": partially,
-                                     "index": table.n_cosets})
-        depth += 1
+    pres, partially, depth = p, False, 0
+    try:
+        while True:
+            stages.append(_stage_report(depth, pres, abelianization(pres, budget), partially))
+            verdict = _stage_verdict(stages[-1], budget)
+            if verdict is not None:
+                return SeriesResult(tuple(stages), verdict)
+            key = step_cache_key(pres, budget) if step_cache is not None else None
+            order = stages[-1].invariants.order()
+            step = _cached_step(step_cache.get(key), order) if step_cache is not None else None
+            if step is not None:
+                pres, partially = step
+            else:
+                table = commutator_coset_table(pres, budget)
+                pres, partially = reidemeister_schreier(pres, table, budget)
+                if step_cache is not None:
+                    step_cache.put(key, {"next": format_presentation(pres),
+                                         "hit_caps": partially,
+                                         "index": table.n_cosets})
+            depth += 1
+    except CapExceeded as exc:
+        return SeriesResult(tuple(stages), SeriesVerdict(
+            INCONCLUSIVE, stage=depth, reason=exc.layer, limits_hit=("wall_clock",)))
 
 
-def doa(p: GroupPresentation, lim: SeriesLimits = DEFAULT_LIMITS) -> int | None:
+def doa(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> int | None:
     """Degree of adorability, or None when the verdict is not a
     certification of adorability."""
-    verdict = derived_series(p, lim).verdict
+    verdict = derived_series(p, budget).verdict
     return verdict.doa if verdict.kind == ADORABLE else None
 
 
@@ -289,24 +261,25 @@ class AdorabilityWitness:
     terminal_trivial: bool
 
 
-def _certify_abelian(pres: GroupPresentation, lim: SeriesLimits) -> bool:
-    simplified, hit = tietze_simplify(pres, lim.simplification)
+def _certify_abelian(pres: GroupPresentation, budget: Budget) -> bool:
+    simplified, hit = tietze_simplify(pres, budget)
     if simplified.n_generators <= 1:
         return True  # cyclic
-    inv = abelianization(simplified)
+    inv = abelianization(simplified, budget)
     order = inv.order()
     if order is None:
         return False
     try:
-        table = todd_coxeter(simplified, (), lim.enumeration)
+        table = todd_coxeter(simplified, (), budget)
     except CapExceeded:
+        budget.check("todd_coxeter")  # out of time is no answer either way
         return False
     return table.n_cosets == order
 
 
 def verify_filtration(p: GroupPresentation,
                       chain: Sequence[Sequence[Word]],
-                      lim: SeriesLimits = DEFAULT_LIMITS) -> AdorabilityWitness:
+                      budget: Budget = DEFAULT_BUDGET) -> AdorabilityWitness:
     """Check an abelian-quotient filtration ending in a perfect subgroup.
 
     ``chain[k]`` lists generator words (over the full group's generators)
@@ -315,8 +288,10 @@ def verify_filtration(p: GroupPresentation,
     the penultimate level to be certified abelian.
 
     Raises ChainNotNested / NormalityFails / QuotientNotAbelian /
-    TerminalNotPerfect / CapExceeded when the witness fails.
+    TerminalNotPerfect / CapExceeded when the witness fails; the budget's
+    clock starts here.
     """
+    budget = budget.start()
     levels: list[LevelCertificate] = []
     prev_pres = p  # raw presentation of the previous level
     prev_table: CosetTable | None = None
@@ -330,17 +305,17 @@ def verify_filtration(p: GroupPresentation,
                 raise FiltrationError(
                     "empty generator list (trivial subgroup) is only supported "
                     "as the terminal level", level=k)
-            if not _certify_abelian(prev_pres, lim):
+            if not _certify_abelian(prev_pres, budget):
                 raise QuotientNotAbelian(
                     f"cannot certify that level {k - 1} is abelian over the "
                     f"trivial terminal subgroup", level=k)
-            levels.append(LevelCertificate(k, 0, 0, abelianization(prev_pres)))
+            levels.append(LevelCertificate(k, 0, 0, abelianization(prev_pres, budget)))
             return AdorabilityWitness(tuple(levels), terminal_trivial=True)
 
         for w in words:
             if w.max_generator() >= p.n_generators:
                 raise ValueError("chain word uses an unknown generator")
-        table = todd_coxeter(p, words, lim.enumeration)
+        table = todd_coxeter(p, words, budget)
 
         if prev_table is not None:
             for w in words:
@@ -368,19 +343,19 @@ def verify_filtration(p: GroupPresentation,
         else:
             rewritten = [subgroup_word(p, prev_table, w) for w in words]
         quotient = prev_pres.with_relators(rewritten)
-        inv = abelianization(quotient)
+        inv = abelianization(quotient, budget)
         if inv.order() != ratio:
             raise QuotientNotAbelian(
                 f"level {k - 1} / level {k} is not abelian of order {ratio} "
                 f"(abelianization {inv})", level=k)
         levels.append(LevelCertificate(k, table.n_cosets, ratio, inv))
 
-        prev_pres = rewrite_presentation(p, table)
+        prev_pres = rewrite_presentation(p, table, budget)
         prev_table = table
         prev_index = table.n_cosets
         prev_gens = words
 
-    if not is_perfect(prev_pres):
-        raise TerminalNotPerfect(
-            f"terminal subgroup has abelianization {abelianization(prev_pres)}")
+    terminal = abelianization(prev_pres, budget)
+    if not terminal.is_trivial():
+        raise TerminalNotPerfect(f"terminal subgroup has abelianization {terminal}")
     return AdorabilityWitness(tuple(levels), terminal_trivial=False)

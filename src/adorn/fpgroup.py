@@ -24,8 +24,10 @@ Whitespace is insignificant; integers may be negative.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -87,9 +89,6 @@ class Word:
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max(self.letters, default=-1) >> 1
-
-    def exponent_sum(self, gen: int) -> int:
-        return self.letters.count(2 * gen) - self.letters.count(2 * gen + 1)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -213,20 +212,50 @@ class GroupPresentation:
                                  name=self.name if name is None else name)
 
 
-@dataclass(frozen=True)
-class SimplificationCaps:
-    """Resource bounds for Tietze simplification; all strictly positive."""
+class CapExceeded(RuntimeError):
+    """A :class:`Budget` limit was reached; ``layer`` names where."""
 
+    def __init__(self, message: str, layer: str | None = None):
+        super().__init__(message)
+        self.layer = layer
+
+
+clock = time.monotonic  # every deadline is read from this clock
+
+
+@dataclass(frozen=True, kw_only=True)
+class Budget:
+    """Every resource limit of a run, each strictly positive.  ``deadline``
+    is infinite until :meth:`start` returns a copy that expires
+    ``wall_clock_seconds`` from now; every layer calls :meth:`check` at
+    its own steps."""
+
+    max_depth: int = 6
+    max_cosets: int = 20000
+    max_deductions: int = 2_000_000
     max_generators: int = 64
     max_total_relator_length: int = 65536
     max_passes: int = 32
+    wall_clock_seconds: float = 60.0
+    deadline: float = field(default=math.inf, init=False, compare=False)
 
     def __post_init__(self):
-        if min(self.max_generators, self.max_total_relator_length, self.max_passes) <= 0:
-            raise ValueError("simplification caps must be strictly positive")
+        for f in fields(self):
+            if f.init and not getattr(self, f.name) > 0:  # rejects NaN too
+                raise ValueError(f"{f.name} must be strictly positive")
+
+    def start(self) -> "Budget":
+        started = replace(self)
+        object.__setattr__(started, "deadline", clock() + self.wall_clock_seconds)
+        return started
+
+    def check(self, layer: str) -> None:
+        if clock() > self.deadline:
+            raise CapExceeded(
+                f"wall clock limit {self.wall_clock_seconds}s reached", layer)
 
 
-DEFAULT_SIMPLIFICATION_CAPS = SimplificationCaps()
+DEFAULT_BUDGET = Budget()
 
 
 class Simplified(NamedTuple):
@@ -427,10 +456,11 @@ def _dedupe(rels: list[Word]) -> list[Word]:
 
 
 def _eliminate_generators(rels: list[Word], n_gens: int,
-                          cap: int) -> tuple[list[Word], list[int], bool]:
+                          budget: Budget) -> tuple[list[Word], list[int], bool]:
     """Eliminate generators occurring exactly once in some relator, one at a
     time, until none is left or every one left would push the total relator
-    length over ``cap``.
+    length over ``budget.max_total_relator_length``; the budget is checked
+    before each elimination.
 
     ``rels`` must be canonical, non-empty and pairwise distinct.  The
     candidate ``(cost, len, gen, id)`` with the least key is applied first,
@@ -502,9 +532,11 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
     best: dict[int, tuple[int, int, int, int]] = {}
     rekey(range(n_gens))
 
+    cap = budget.max_total_relator_length
     removed: list[int] = []
     blocked = False
     while best:
+        budget.check("tietze_simplify")
         _, _, g, ri = min(best.values())
         new, length = rewrite(g, ri)
         if length > cap:
@@ -575,8 +607,8 @@ def _subword_pass(rels: list[Word]) -> tuple[list[Word], bool]:
 
 
 def tietze_simplify(p: GroupPresentation,
-                    caps: SimplificationCaps = DEFAULT_SIMPLIFICATION_CAPS) -> Simplified:
-    """Deterministic presentation simplification within resource caps.
+                    budget: Budget = DEFAULT_BUDGET) -> Simplified:
+    """Deterministic presentation simplification within a budget.
 
     Each pass runs, in order: trivial-relator deletion, duplicate deletion
     (up to rotation and inversion), elimination of generators occurring
@@ -584,7 +616,8 @@ def tietze_simplify(p: GroupPresentation,
     would push the total relator length over the cap), and replacement of
     shared subwords of length >= 3 by shorter complements.  Passes repeat to
     a fixed point or until a cap is hit; the result is flagged ``hit_caps``
-    when it is not known to be fully simplified.
+    when it is not known to be fully simplified.  The budget's clock is
+    checked once per pass and once per elimination.
 
     Eliminations are applied in the order of the key ``(cost, relator
     length, generator, relator index)``, recomputed after each one, so the
@@ -602,9 +635,10 @@ def tietze_simplify(p: GroupPresentation,
     passes = 0
     changed = True
     while changed:
-        if passes >= caps.max_passes:
+        if passes >= budget.max_passes:
             hit = True
             break
+        budget.check("tietze_simplify")
         passes += 1
         changed = False
 
@@ -614,7 +648,7 @@ def tietze_simplify(p: GroupPresentation,
             changed = True
 
         rels, removed, blocked = _eliminate_generators(
-            rels, p.n_generators, caps.max_total_relator_length)
+            rels, p.n_generators, budget)
         for g in removed:
             alive.remove(g)
         changed = changed or bool(removed)
@@ -629,8 +663,8 @@ def tietze_simplify(p: GroupPresentation,
     final.sort(key=lambda w: (len(w), w.letters))
     out = GroupPresentation(tuple(p.generator_names[g] for g in alive), final,
                             name=p.name)
-    if out.n_generators > caps.max_generators:
+    if out.n_generators > budget.max_generators:
         hit = True
-    if out.total_relator_length > caps.max_total_relator_length:
+    if out.total_relator_length > budget.max_total_relator_length:
         hit = True
     return Simplified(out, hit)

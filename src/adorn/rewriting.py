@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cosets import CosetTable, IncompleteTable
-from .fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
-                      SimplificationCaps, Simplified, Word, free_reduce,
-                      tietze_simplify)
+from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation, Simplified,
+                      Word, free_reduce, tietze_simplify)
 
 
 class _Transversal(NamedTuple):
@@ -86,11 +85,15 @@ def _rewrite(t: CosetTable, labels: list[list[int | None]], w: Word,
     return Word.of(out)
 
 
-def rewrite_presentation(p: GroupPresentation, t: CosetTable) -> GroupPresentation:
-    """Raw subgroup presentation on Schreier generators, before simplification."""
+def rewrite_presentation(p: GroupPresentation, t: CosetTable,
+                         budget: Budget = DEFAULT_BUDGET) -> GroupPresentation:
+    """Raw subgroup presentation on Schreier generators, before
+    simplification; the budget is checked once per ambient relator."""
     _, labels, n_schreier = _bfs_transversal(t)
-    relators = [_rewrite(t, labels, r, a)
-                for r in p.relators for a in range(t.n_cosets)]
+    relators = []
+    for r in p.relators:
+        budget.check("rewrite_presentation")
+        relators.extend(_rewrite(t, labels, r, a) for a in range(t.n_cosets))
     return GroupPresentation(tuple(f"x{i}" for i in range(n_schreier)), relators,
                              name=f"[{p.name or 'G'} : index {t.n_cosets}]")
 
@@ -105,10 +108,9 @@ def subgroup_word(p: GroupPresentation, t: CosetTable, w: Word) -> Word:
 
 
 def reidemeister_schreier(p: GroupPresentation, t: CosetTable,
-                          caps: SimplificationCaps = DEFAULT_SIMPLIFICATION_CAPS,
-                          ) -> Simplified:
+                          budget: Budget = DEFAULT_BUDGET) -> Simplified:
     """Subgroup presentation from a complete coset table, simplified.
 
     The ``hit_caps`` flag marks a partially simplified result.
     """
-    return tietze_simplify(rewrite_presentation(p, t), caps)
+    return tietze_simplify(rewrite_presentation(p, t, budget), budget)

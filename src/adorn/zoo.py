@@ -10,10 +10,9 @@ from math import gcd
 from typing import Sequence
 
 from .abelian import abelianization, is_perfect
-from .cosets import (DEFAULT_ENUMERATION_CAPS, CapExceeded, EnumerationCaps,
-                     todd_coxeter)
+from .cosets import todd_coxeter
 from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
-from .fpgroup import GroupPresentation, Word
+from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
 
 
 class UnsupportedOrbifold(ValueError):
@@ -294,7 +293,7 @@ def _sphere_orbifold_cones(p: GroupPresentation) -> tuple[int, ...] | None:
 
 
 def certify_nontrivial(p: GroupPresentation,
-                       caps: EnumerationCaps = DEFAULT_ENUMERATION_CAPS) -> bool:
+                       budget: Budget = DEFAULT_BUDGET) -> bool:
     """True/False when (non-)triviality is certified; raises
     CannotCertifyFactorTriviality when no route works within caps."""
     if not abelianization(p).is_trivial():
@@ -305,18 +304,18 @@ def certify_nontrivial(p: GroupPresentation,
     if cones is not None and len(cones) >= 3:
         return True  # sphere orbifold group with >= 3 cone points has order >= 3
     try:
-        return todd_coxeter(p, (), caps).n_cosets >= 2
+        return todd_coxeter(p, (), budget).n_cosets >= 2
     except CapExceeded as exc:
         raise CannotCertifyFactorTriviality(
             f"cannot certify (non-)triviality of {p.name or p}: {exc}") from exc
 
 
-def _certified_order_two(p: GroupPresentation, caps: EnumerationCaps) -> bool:
+def _certified_order_two(p: GroupPresentation, budget: Budget) -> bool:
     inv = abelianization(p)
     if inv.rank != 0 or inv.torsion != (2,):
         return False
     try:
-        return todd_coxeter(p, (), caps).n_cosets == 2
+        return todd_coxeter(p, (), budget).n_cosets == 2
     except CapExceeded as exc:
         raise CannotCertifyFactorTriviality(
             f"cannot certify order of {p.name or p}: {exc}") from exc
@@ -337,20 +336,19 @@ class FreeProductVerdict:
 
 
 def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
-                         caps: EnumerationCaps = DEFAULT_ENUMERATION_CAPS,
-                         ) -> FreeProductVerdict:
+                         budget: Budget = DEFAULT_BUDGET) -> FreeProductVerdict:
     """Adorability of A * B for non-trivial factors: perfect when both
     factors are perfect; the infinite dihedral group when both factors are
     Z2; otherwise not adorable."""
     for q in (pa, pb):
-        if not certify_nontrivial(q, caps):
+        if not certify_nontrivial(q, budget):
             raise ValueError(f"free product factor {q.name or q} is trivial")
     if is_perfect(pa) and is_perfect(pb):
         return FreeProductVerdict(
             "PerfectProduct", 0,
             "free product of perfect groups is perfect (doa 0)",
             SeriesVerdict(ADORABLE, doa=0))
-    if _certified_order_two(pa, caps) and _certified_order_two(pb, caps):
+    if _certified_order_two(pa, budget) and _certified_order_two(pb, budget):
         return FreeProductVerdict(
             "Dinfty", 2,
             "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",
@@ -514,14 +512,9 @@ def classify_seifert(s: SeifertData) -> SeifertClassification:
             (f"hyperbolic triple {cones}, not pairwise coprime: infinite, "
              f"not perfect, and with no Z^2 subgroup, hence not adorable",))
 
-    # n >= 4 cone points on the sphere
-    perfect = is_perfect(_fuchsian(0, cones))
-    if perfect:
-        if n == 5:
-            return SeifertClassification(
-                "ReaderCase",
-                (f"5 cone points {cones} with no pair of gcd >= 3: "
-                 f"deliberately left undecided",))
+    # n >= 4 cone points on the sphere: H1 has order prod(p_i) / lcm(p_i), so
+    # the orbifold group is perfect exactly for pairwise coprime cones
+    if n != 5 and _pairwise_coprime(cones):
         return SeifertClassification(
             "Perfect", (f"{n} cone points {cones}, pairwise coprime: perfect "
                         f"orbifold group",))

@@ -19,8 +19,8 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from adorn.cosets import CapExceeded, EnumerationCaps
-from adorn.fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
+from adorn.cosets import CapExceeded
+from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            Simplified, Word, _dedupe, _subword_pass,
                            _substitute, cyclically_reduce)
 
@@ -256,7 +256,7 @@ def verify_table(table, p, subgroup_gens=()) -> None:
 
 
 class _ReferenceEnumerator:
-    def __init__(self, n_gens: int, relators: Sequence[Word], caps: EnumerationCaps):
+    def __init__(self, n_gens: int, relators: Sequence[Word], caps: Budget):
         self.ncols = 2 * n_gens
         self.caps = caps
         self.table: list[list[int | None]] = [[None] * self.ncols]
@@ -522,7 +522,7 @@ def _eliminate(rels, gen: int, ri: int):
     return out
 
 
-def tietze_simplify_reference(p, caps=DEFAULT_SIMPLIFICATION_CAPS):
+def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
     """``tietze_simplify`` as a loop that recomputes every elimination
     candidate and re-canonicalises every relator after each elimination."""
     alive = list(range(p.n_generators))

@@ -201,3 +201,50 @@ def test_seed_never_affects_results(capsys):
         report.pop("timings_ms")
         outs.append(report)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [["series", "< a | a^12 >"],
+                                     ["verify-corpus", CORPUS]])
+def test_nan_timeout_is_bad_input(capsys, command):
+    # a NaN deadline would never expire
+    code, _, err = run(capsys, command + ["--timeout", "nan"])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", [{"zoo": "fuchsian", "params": [0]},
+                                   {"zoo": "cyclic", "params": ["x"]},
+                                   {"zoo": "cyclic", "params": [[2]]}])
+def test_verify_corpus_rejects_malformed_zoo_entry(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"name": "bad", "input": entry,
+                                "expect": {"abelianization": "Z"}}]))
+    code, out, err = run(capsys, ["verify-corpus", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_zoo_params_decode_alike_on_cli_and_corpus(tmp_path, capsys):
+    code, out, _ = run(capsys, ["abelianize", "--zoo", "fuchsian", "--params", "0,2,4,4"])
+    assert (code, out.strip()) == (0, "Z/2 ⊕ Z/4")
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps([
+        {"name": "f", "input": {"zoo": "fuchsian", "params": [0, [2, 4, 4]]},
+         "expect": {"abelianization": "Z/2 ⊕ Z/4"}}]))
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus)])
+    assert (code, out.count("pass")) == (0, 1)
+
+
+def test_cache_entry_shared_across_enumeration_and_clock_limits(tmp_path, capsys,
+                                                               monkeypatch):
+    # a step never enumerates and its result does not depend on the clock
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ADORN_CACHE_DIR", str(cache))
+    for extra in ([], ["--max-cosets", "10000"], ["--timeout", "30"], ["--max-depth", "3"]):
+        code, _, _ = run(capsys, ["series", "--zoo", "sl2z"] + extra)
+        assert code == 0
+        assert len(list(cache.glob("*.json"))) == 1
+    code, _, _ = run(capsys, ["series", "--zoo", "sl2z", "--max-length", "1000"])
+    assert code == 0
+    assert len(list(cache.glob("*.json"))) == 2

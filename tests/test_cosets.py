@@ -3,10 +3,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
-from adorn.cosets import (CapExceeded, CosetTable, EnumerationCaps,
-                          InfiniteIndex, _Enumerator, commutator_coset_table,
-                          todd_coxeter)
-from adorn.fpgroup import GroupPresentation, Word, parse_presentation
+from adorn.cosets import (CapExceeded, CosetTable, InfiniteIndex, _Enumerator,
+                          commutator_coset_table, todd_coxeter)
+from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
@@ -75,7 +74,7 @@ def test_index_multiplicativity(pres, sub, sub_order):
 def test_cap_exceeded_infinite_index():
     free2 = parse_presentation("< a, b | >")
     with pytest.raises(CapExceeded):
-        todd_coxeter(free2, [], EnumerationCaps(max_cosets=50))
+        todd_coxeter(free2, [], Budget(max_cosets=50))
 
 
 def test_commutator_table_q8():
@@ -135,7 +134,7 @@ def test_deterministic_numbering():
 
 def test_deduction_cap():
     with pytest.raises(CapExceeded):
-        todd_coxeter(Q8, [], EnumerationCaps(max_cosets=20000, max_deductions=5))
+        todd_coxeter(Q8, [], Budget(max_cosets=20000, max_deductions=5))
 
 
 def test_incomplete_table_construction():
@@ -144,14 +143,14 @@ def test_incomplete_table_construction():
     assert t.word_act(0, A) is None
 
 
-def _enumeration(p, sub, caps=EnumerationCaps()):
+def _enumeration(p, sub, caps=Budget()):
     try:
         return todd_coxeter(p, sub, caps).rows
     except CapExceeded as e:
         return str(e)
 
 
-def _reference_enumeration(p, sub, caps=EnumerationCaps()):
+def _reference_enumeration(p, sub, caps=Budget()):
     try:
         return todd_coxeter_reference(p, sub, caps)[0]
     except CapExceeded as e:
@@ -190,7 +189,8 @@ REPEATED_RELATOR = (parse_presentation("< x0, x1 | x0 x1^-2, x1, x0 x1^-2 >"),
 @example(REPEATED_RELATOR)
 def test_todd_coxeter_matches_reference(case):
     p, sub = case
-    for caps in (EnumerationCaps(300, 10**6), EnumerationCaps(40, 10**6)):
+    for caps in (Budget(max_cosets=300, max_deductions=10**6),
+                 Budget(max_cosets=40, max_deductions=10**6)):
         assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
 
 
@@ -203,10 +203,10 @@ def test_deduction_count_after_coincidence(case, done, reference_done):
     # repeated rotations move the point where a coincidence is found, so
     # the count of processed deductions can change either way; rows cannot
     p, sub = case
-    e = _Enumerator(p.n_generators, p.relators, EnumerationCaps())
+    e = _Enumerator(p.n_generators, p.relators, Budget())
     rows = e.run(sub).rows
     assert e.deductions_done == done
-    assert todd_coxeter_reference(p, sub, EnumerationCaps()) == (rows, reference_done)
+    assert todd_coxeter_reference(p, sub, Budget()) == (rows, reference_done)
 
 
 def coxeter_symmetric(n, perm=None, signs=None):

@@ -1,12 +1,11 @@
 import pytest
 
-from adorn.cosets import EnumerationCaps
 from adorn.derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                            ChainNotNested, FLAG_FREE, FLAG_PARTIAL,
                            FLAG_TRIVIAL, NormalityFails, QuotientNotAbelian,
-                           SeriesLimits, TerminalNotPerfect, derived_series,
+                           TerminalNotPerfect, derived_series,
                            doa, verify_filtration)
-from adorn.fpgroup import SimplificationCaps, Word, parse_presentation
+from adorn.fpgroup import Budget, Word, parse_presentation
 from adorn.zoo import make
 
 from oracles import derived_series_quotients, perm_doa, quaternion_model
@@ -109,7 +108,7 @@ def test_stage_invariants_match_permutation_oracle(pres, model):
 
 
 def test_inconclusive_max_depth():
-    lim = SeriesLimits(max_depth=1)
+    lim = Budget(max_depth=1)
     stages, verdict = derived_series(Q8, lim)
     assert verdict.kind == INCONCLUSIVE
     assert "max_depth" in verdict.limits_hit
@@ -117,18 +116,18 @@ def test_inconclusive_max_depth():
 
 def test_inconclusive_max_cosets():
     # a quotient bigger than the coset budget is reported on the spot
-    lim = SeriesLimits(enumeration=EnumerationCaps(max_cosets=11))
+    lim = Budget(max_cosets=11)
     _, verdict = derived_series(parse_presentation("< a | a^12 >"), lim)
     assert verdict.kind == INCONCLUSIVE
     assert "max_cosets" in verdict.limits_hit
     # small caps leave small quotients unaffected (no enumeration involved)
-    lim = SeriesLimits(enumeration=EnumerationCaps(max_cosets=5))
+    lim = Budget(max_cosets=5)
     _, verdict = derived_series(S3, lim)
     assert verdict.kind == ADORABLE and verdict.doa == 2
 
 
 def test_inconclusive_wall_clock():
-    lim = SeriesLimits(wall_clock_seconds=1e-9)
+    lim = Budget(wall_clock_seconds=1e-9)
     _, verdict = derived_series(S3, lim)
     assert verdict.kind == INCONCLUSIVE
     assert "wall_clock" in verdict.limits_hit
@@ -137,7 +136,7 @@ def test_inconclusive_wall_clock():
 def test_verdicts_sound_under_partial_simplification():
     # with crippling simplification caps the engine may stop, but it must
     # never certify freeness from a partially simplified stage
-    lim = SeriesLimits(simplification=SimplificationCaps(1, 4, 1))
+    lim = Budget(max_generators=1, max_total_relator_length=4, max_passes=1)
     for p in (make("sl2z"), S3, Q8):
         stages, verdict = derived_series(p, lim)
         for s in stages:

@@ -5,10 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
-from adorn.cosets import (CapExceeded, EnumerationCaps, commutator_coset_table,
-                          todd_coxeter)
-from adorn.fpgroup import (DEFAULT_SIMPLIFICATION_CAPS, GroupPresentation,
-                           PresentationSyntaxError, SimplificationCaps, Word,
+from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
+from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
+                           PresentationSyntaxError, Word,
                            _eliminate_generators, _subword_pass,
                            canonical_relator, cyclically_reduce,
                            format_presentation, free_reduce,
@@ -180,13 +179,14 @@ def test_tietze_single_occurrence_elimination_always_runs():
     # a generator occurring once in exactly one relator disappears even
     # under tight caps (the move shrinks the presentation)
     p = parse_presentation("< a, b, c | c a^2 b^3, a^7 >")
-    out, _ = tietze_simplify(p, SimplificationCaps(64, 12, 32))
+    out, _ = tietze_simplify(p, Budget(max_generators=64,
+                                       max_total_relator_length=12, max_passes=32))
     assert "c" not in out.generator_names
 
 
 def test_tietze_caps_flag():
-    caps = SimplificationCaps(max_generators=1, max_total_relator_length=65536,
-                              max_passes=32)
+    caps = Budget(max_generators=1, max_total_relator_length=65536,
+                  max_passes=32)
     p = parse_presentation("< a, b | a^2 b^2 a^2 b^-2 >")
     out, hit = tietze_simplify(p, caps)
     assert hit  # cannot get below two generators
@@ -238,7 +238,7 @@ def test_subword_pass_replaces_shared_subword():
     # equals b there, so a b a b^2 becomes b^3
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
     _, removed, _ = _eliminate_generators(list(p.relators), p.n_generators,
-                                          DEFAULT_SIMPLIFICATION_CAPS.max_total_relator_length)
+                                          DEFAULT_BUDGET)
     assert not removed
     rels, fired = _subword_pass(list(p.relators))
     assert fired
@@ -262,7 +262,7 @@ def small_presentations(draw):
 def test_tietze_preserves_h1_and_order(p):
     out, _ = tietze_simplify(p)
     assert abelianization(out) == abelianization(p)
-    caps = EnumerationCaps(max_cosets=300)
+    caps = Budget(max_cosets=300)
     try:
         order = todd_coxeter(p, (), caps).n_cosets
         simplified_order = todd_coxeter(out, (), caps).n_cosets
@@ -277,8 +277,9 @@ def _simplified_bytes(result):
 
 
 # the tight caps block eliminations (12) and stop after two passes (2)
-TIETZE_CAPS = (DEFAULT_SIMPLIFICATION_CAPS, SimplificationCaps(64, 12, 32),
-               SimplificationCaps(64, 25, 2))
+TIETZE_CAPS = (DEFAULT_BUDGET,
+               Budget(max_generators=64, max_total_relator_length=12, max_passes=32),
+               Budget(max_generators=64, max_total_relator_length=25, max_passes=2))
 
 
 @st.composite
@@ -306,8 +307,8 @@ def test_tietze_matches_full_rescan_reference(p):
     make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))),
     make("fuchsian", (0, (4, 4, 4, 4))),
 ])
-@pytest.mark.parametrize("caps", [DEFAULT_SIMPLIFICATION_CAPS,
-                                  SimplificationCaps(max_total_relator_length=400)])
+@pytest.mark.parametrize("caps", [DEFAULT_BUDGET,
+                                  Budget(max_total_relator_length=400)])
 def test_tietze_matches_reference_on_raw_rewrite(group, caps):
     raw = rewrite_presentation(group, commutator_coset_table(group))
     assert (_simplified_bytes(tietze_simplify(raw, caps))

@@ -1,14 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adorn.abelian import AbelianInvariants, abelianization, is_perfect
-from adorn.cosets import CapExceeded, EnumerationCaps, todd_coxeter
+from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
-from adorn.fpgroup import parse_presentation
+from adorn.fpgroup import Budget, parse_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
                        SplittingDecl, UnknownSolvabilityStep,
                        UnsupportedOrbifold, certify_nontrivial,
-                       classify_seifert, free_product_verdict, make,
-                       splitting_verdict)
+                       _pairwise_coprime, classify_seifert,
+                       free_product_verdict, make, splitting_verdict)
 
 from oracles import minor_gcd_diagonal
 
@@ -120,7 +122,7 @@ def test_free_product_cannot_certify():
     # tiny caps leave non-triviality uncertified
     with pytest.raises(CannotCertifyFactorTriviality):
         free_product_verdict(make("sl3z"), make("cyclic", (2,)),
-                             caps=EnumerationCaps(max_cosets=30))
+                             budget=Budget(max_cosets=30))
 
 
 def test_certify_nontrivial_routes():
@@ -174,6 +176,7 @@ SEIFERT_TABLE = [
     (SeifertData(0, (2, 3), has_boundary=True), "NonAdorable"),
     (SeifertData(1, (), has_boundary=True), "NonAdorable"),
     (SeifertData(0, (2, 2, 3, 5, 7)), "ReaderCase"),
+    (SeifertData(0, (2, 3, 5, 7, 11, 13)), "Perfect"),
 ]
 
 
@@ -198,6 +201,14 @@ def test_seifert_more_branches():
     assert classify_seifert(SeifertData(0, (2, 3, 5, 7, 11))).branch == "ReaderCase"
     assert classify_seifert(SeifertData(1, (2,))).branch == "NonAdorable"
     assert classify_seifert(SeifertData(3, (2, 2))).branch == "NonAdorable"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 30), max_size=7))
+def test_genus_zero_orbifold_perfect_iff_pairwise_coprime(cones):
+    # H1 of the genus-0 orbifold group has order prod(p_i) / lcm(p_i), which
+    # is what lets classify_seifert decide perfectness without an SNF
+    assert _pairwise_coprime(cones) == is_perfect(make("fuchsian", (0, cones)))
 
 
 def test_seifert_rejects_nonorientable():
@@ -227,7 +238,7 @@ def test_remark_small_sphere_orbifold_groups_have_order_at_least_3():
     # indices <= 8 where enumeration completes: the 3-cone sphere orbifold
     # group is never smaller than Z/3 or S3-like groups of order >= 3
     import itertools
-    caps = EnumerationCaps(max_cosets=1500)
+    caps = Budget(max_cosets=1500)
     completed = 0
     for cones in itertools.combinations_with_replacement(range(2, 9), 3):
         p = make("fuchsian", (0, cones))
