@@ -9,9 +9,9 @@ Seifert base-orbifold classification.
 
 from .abelian import (AbelianInvariants, IntMatrix, abelianization,
                       abelianization_data, is_perfect, smith_normal_form)
-from .alexander import (AlexanderError, DeficiencyMismatch, GroupRingElement,
-                        LaurentPoly, NotKnotLike, alexander_polynomial,
-                        fox_derivative, knot_adorability_report, laurent_gcd)
+from .alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
+                        NotKnotLike, alexander_polynomial, fox_derivative,
+                        knot_adorability_report, laurent_gcd)
 from .cosets import (CapExceeded, CosetTable, IncompleteTable, InfiniteIndex,
                      commutator_coset_table, todd_coxeter)
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,

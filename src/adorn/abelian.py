@@ -15,7 +15,8 @@ from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, entries row-major."""
+    """Dense integer matrix, entries row-major: the argument of
+    :func:`smith_normal_form`."""
 
     rows: int
     cols: int
@@ -33,22 +34,14 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return IntMatrix(r, c, tuple(chain.from_iterable(rows)))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols
         return IntMatrix(c, self.rows,
                          tuple(chain.from_iterable(e[j::c] for j in range(c))))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,13 @@ TRIVIAL_INVARIANTS = AbelianInvariants(0, ())
 
 
 def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
-                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize ``m`` over Z: returns (d, u, v) with d = u * m * v.
+                      ) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Diagonalize ``m`` over Z: returns (d, u) where u * m * v is diagonal
+    for some unimodular v, which is not computed.
 
-    u and v are unimodular; d is diagonal with non-negative entries forming
-    a divisor chain.
+    ``d`` holds the min(rows, cols) diagonal entries, non-negative and
+    forming a divisor chain; ``u`` is the unimodular row transform, as a
+    list of its rows.
 
     Pivot rule: at step t the pivot is the first entry of least non-zero
     absolute value in row-major order over the submatrix a[t:, t:].  It is
@@ -116,13 +111,14 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
     value 1, which no later entry can beat under the strict comparison; a
     pivot of 1 divides everything, so its divisor-chain scan is skipped; and
     a row or column operation skips source entries equal to 0.  Pivots,
-    operations and (d, u, v) are those of the full computation.  The
-    budget's clock is checked once per pivot step.
+    operations and (d, u) are those of the full computation.  The budget's
+    clock is checked once per pivot step.
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
+    u = [[0] * nr for _ in range(nr)]
+    for i, row in enumerate(u):
+        row[i] = 1
 
     def swap_rows(i, j):
         if i != j:
@@ -133,8 +129,6 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
         # row[dst] += k * row[src]
@@ -144,11 +138,10 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
                     dst_row[j] += k * x
 
     def add_col(src, dst, k):
-        for rows in (a, v):
-            for row in rows:
-                x = row[src]
-                if x:
-                    row[dst] += k * x
+        for row in a:
+            x = row[src]
+            if x:
+                row[dst] += k * x
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -205,17 +198,7 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
             continue
         t += 1
 
-    d = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-    return (d,
-            IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()))
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+    return tuple(a[i][i] for i in range(min(nr, nc))), u
 
 
 def relator_matrix(p: GroupPresentation) -> IntMatrix:
@@ -249,14 +232,14 @@ def abelianization_data(p: GroupPresentation,
                         budget: Budget = DEFAULT_BUDGET) -> AbelianizationData:
     n = p.n_generators
     mat = relator_matrix(p).transpose()  # generators x relators
-    d, u, _v = smith_normal_form(mat, budget)
-    diag = list(d.diagonal()) + [0] * (n - min(mat.rows, mat.cols))
+    d, u = smith_normal_form(mat, budget)
+    diag = list(d) + [0] * (n - len(d))
     free_rows = [i for i in range(n) if diag[i] == 0]
     torsion_rows = [i for i in range(n) if diag[i] >= 2]
     invariants = AbelianInvariants(len(free_rows),
                                    tuple(diag[i] for i in torsion_rows))
-    free_images = _columns([u.row(i) for i in free_rows], n)
-    torsion_images = _columns([[x % diag[i] for x in u.row(i)]
+    free_images = _columns([u[i] for i in free_rows], n)
+    torsion_images = _columns([[x % diag[i] for x in u[i]]
                                for i in torsion_rows], n)
     return AbelianizationData(invariants, free_images, torsion_images)
 

@@ -3,9 +3,11 @@
 A presentation qualifies when its abelianization is infinite cyclic and it
 has deficiency one (n generators, n-1 relators).  The Alexander matrix is
 the matrix of Fox derivatives of the relators, pushed through the
-abelianization map g -> t^e(g).  When some generator maps to t^{+-1} its
-column is deleted and the determinant of the rest is the polynomial;
-otherwise the gcd of all maximal minors is taken (first elementary ideal).
+abelianization map g -> t^e(g); :func:`fox_derivative` computes each
+entry in Z[t, 1/t] directly, never in the free group ring.  When some
+generator maps to t^{+-1} its column is deleted and the determinant of the
+rest is the polynomial; otherwise the gcd of all maximal minors is taken
+(first elementary ideal).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abelian import abelianization_data
-from .fpgroup import GroupPresentation, Word, free_reduce
+from .fpgroup import GroupPresentation, Word
 
 
 class AlexanderError(ValueError):
@@ -183,57 +185,25 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return (f * LaurentPoly.term(content, 0)).normalized()
 
 
-class GroupRingElement:
-    """Finite Z-linear combination of freely reduced words."""
+def fox_derivative(w: Word, gen: int, images: tuple[int, ...]) -> LaurentPoly:
+    """Free differential d(w)/d(gen), pushed through the abelianization map
+    g -> t^images[g].
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            if not c:
-                continue
-            w = free_reduce(w)
-            self.terms[w] = self.terms.get(w, 0) + c
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"GroupRingElement({self.terms!r})"
-
-    def to_laurent(self, exponent_images: tuple[int, ...]) -> LaurentPoly:
-        """Push through the abelianization map g -> t^e(g)."""
-        out: dict[int, int] = {}
-        for w, c in self.terms.items():
-            e = sum(s * exponent_images[g] for g, s in w)
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElement:
-    """Free differential: d(g)/dg = 1, d(g^-1)/dg = -g^-1, product rule
-    d(uv)/dg = du/dg + u dv/dg."""
-    terms: dict[Word, int] = {}
-    for i, (g, s) in enumerate(w):
+    Over Z[F]: d(g)/dg = 1, d(g^-1)/dg = -g^-1, and d(uv)/dg = du/dg +
+    u dv/dg.  So a letter gen^s of w contributes s times the image of the
+    prefix before it (s = 1) or through it (s = -1).  A prefix maps to t
+    to its running exponent sum, so no word or Z[F] element is built.
+    """
+    out: dict[int, int] = {}
+    e = 0
+    for g, s in w:
+        if s < 0:
+            e -= images[g]
         if g == gen:
-            # the prefix before g, or the prefix through g^-1
-            key = free_reduce(Word.of(w.letters[:i] if s > 0 else w.letters[:i + 1]))
-            terms[key] = terms.get(key, 0) + s
-    return GroupRingElement(terms)
+            out[e] = out.get(e, 0) + s
+        if s > 0:
+            e += images[g]
+    return LaurentPoly(out)
 
 
 def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -282,7 +252,7 @@ def _alexander(p: GroupPresentation) -> AlexanderData:
     if all(e <= 0 for e in images):
         images = tuple(-e for e in images)
 
-    matrix = [[fox_derivative(r, g).to_laurent(images)
+    matrix = [[fox_derivative(r, g, images)
                for g in range(p.n_generators)]
               for r in p.relators]
 

@@ -226,17 +226,28 @@ def cmd_alexander(args) -> int:
     return 0
 
 
-def cmd_classify_seifert(args) -> int:
-    started = time.monotonic()
-    cones = tuple(int(x) for x in _split_top_level(args.cones or ""))
+def _seifert_data(genus, cones, boundary) -> SeifertData:
+    """Seifert input from ``--genus``/``--cones``, where the cones are CSV
+    text, or from a corpus ``{"seifert": ..}`` object, where they are a list."""
     try:
-        data = SeifertData(base_genus=args.genus, cone_indices=cones,
-                           has_boundary=args.boundary)
-        result = classify_seifert(data)
+        if isinstance(cones, str):
+            cones = [int(x) for x in _split_top_level(cones)]
+        if not (isinstance(cones, list) and isinstance(boundary, bool)
+                and all(type(x) is int for x in (genus, *cones))):
+            raise ValueError(f"seifert genus and cones must be integers, got "
+                             f"genus {genus!r} and cones {cones!r}")
+        return SeifertData(base_genus=genus, cone_indices=tuple(cones),
+                           has_boundary=boundary)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    desc = (f"seifert(genus={args.genus}, cones={list(cones)}, "
-            f"boundary={args.boundary})")
+
+
+def cmd_classify_seifert(args) -> int:
+    started = time.monotonic()
+    data = _seifert_data(args.genus, args.cones, args.boundary)
+    result = classify_seifert(data)
+    desc = (f"seifert(genus={data.base_genus}, cones={list(data.cone_indices)}, "
+            f"boundary={data.has_boundary})")
     report = _report("classify-seifert", desc, None, [],
                      {"kind": result.branch, "detail": {"trace": list(result.trace)}},
                      started)
@@ -274,11 +285,10 @@ def _corpus_input(entry: dict):
         return parse_presentation(src)
     if isinstance(src, dict) and "zoo" in src:
         return _zoo_factor(src)
-    if isinstance(src, dict) and "seifert" in src:
+    if isinstance(src, dict) and isinstance(src.get("seifert"), dict):
         d = src["seifert"]
-        return SeifertData(base_genus=d.get("genus", 0),
-                           cone_indices=tuple(d.get("cones", [])),
-                           has_boundary=d.get("boundary", False))
+        return _seifert_data(d.get("genus", 0), d.get("cones", []),
+                             d.get("boundary", False))
     raise CliError(f"corpus entry {entry.get('name')!r}: bad input field")
 
 

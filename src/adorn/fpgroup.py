@@ -227,8 +227,9 @@ clock = time.monotonic  # every deadline is read from this clock
 class Budget:
     """Every resource limit of a run, each strictly positive.  ``deadline``
     is infinite until :meth:`start` returns a copy that expires
-    ``wall_clock_seconds`` from now; every layer calls :meth:`check` at
-    its own steps."""
+    ``wall_clock_seconds`` from now; starting a started budget returns it
+    unchanged, so a deadline is never extended.  Every layer calls
+    :meth:`check` at its own steps."""
 
     max_depth: int = 6
     max_cosets: int = 20000
@@ -245,6 +246,8 @@ class Budget:
                 raise ValueError(f"{f.name} must be strictly positive")
 
     def start(self) -> "Budget":
+        if self.deadline < math.inf:
+            return self
         started = replace(self)
         object.__setattr__(started, "deadline", clock() + self.wall_clock_seconds)
         return started

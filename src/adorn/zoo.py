@@ -295,7 +295,9 @@ def _sphere_orbifold_cones(p: GroupPresentation) -> tuple[int, ...] | None:
 def certify_nontrivial(p: GroupPresentation,
                        budget: Budget = DEFAULT_BUDGET) -> bool:
     """True/False when (non-)triviality is certified; raises
-    CannotCertifyFactorTriviality when no route works within caps."""
+    CannotCertifyFactorTriviality when no route works within caps.  The
+    budget's clock starts here unless it has started already."""
+    budget = budget.start()
     if not abelianization(p).is_trivial():
         return True
     if p.n_generators == 0:
@@ -339,7 +341,8 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
                          budget: Budget = DEFAULT_BUDGET) -> FreeProductVerdict:
     """Adorability of A * B for non-trivial factors: perfect when both
     factors are perfect; the infinite dihedral group when both factors are
-    Z2; otherwise not adorable."""
+    Z2; otherwise not adorable.  The budget's clock starts here."""
+    budget = budget.start()
     for q in (pa, pb):
         if not certify_nontrivial(q, budget):
             raise ValueError(f"free product factor {q.name or q} is trivial")

@@ -11,6 +11,9 @@ occurrence index: it recounts every relator before each elimination and
 re-canonicalises every relator after it.  The reference Todd–Coxeter
 enumerator is the library's as it was before it dropped repeated relator
 rotations: every rotation of every relator is scanned after each deduction.
+The reference Fox derivative is the library's as it was before it went
+straight to Z[t, 1/t]: an element of the free group ring Z[F], keyed by
+freely reduced prefix words, that ``to_laurent`` pushes through g -> t^e(g).
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
+from adorn.alexander import LaurentPoly
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            Simplified, Word, _dedupe, _subword_pass,
-                           _substitute, cyclically_reduce)
+                           _substitute, cyclically_reduce, free_reduce)
 
 Perm = tuple[int, ...]
 
@@ -737,6 +741,63 @@ def smith_normal_form_reference(m):
         t += 1
 
     return a, u, v
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus over the free group ring
+
+
+class GroupRingElement:
+    """Finite Z-linear combination of freely reduced words."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Word, int] | None = None):
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            if not c:
+                continue
+            w = free_reduce(w)
+            self.terms[w] = self.terms.get(w, 0) + c
+        self.terms = {w: c for w, c in self.terms.items() if c}
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupRingElement(out)
+
+    def __neg__(self) -> "GroupRingElement":
+        return GroupRingElement({w: -c for w, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupRingElement) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        return f"GroupRingElement({self.terms!r})"
+
+    def to_laurent(self, exponent_images: tuple[int, ...]) -> LaurentPoly:
+        """Push through the abelianization map g -> t^e(g)."""
+        out: dict[int, int] = {}
+        for w, c in self.terms.items():
+            e = sum(s * exponent_images[g] for g, s in w)
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)
+
+
+def fox_derivative_reference(w: Word, gen: int) -> GroupRingElement:
+    """Free differential: d(g)/dg = 1, d(g^-1)/dg = -g^-1, product rule
+    d(uv)/dg = du/dg + u dv/dg."""
+    terms: dict[Word, int] = {}
+    for i, (g, s) in enumerate(w):
+        if g == gen:
+            # the prefix before g, or the prefix through g^-1
+            key = free_reduce(Word.of(w.letters[:i] if s > 0 else w.letters[:i + 1]))
+            terms[key] = terms.get(key, 0) + s
+    return GroupRingElement(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adorn.alexander import (DeficiencyMismatch, GroupRingElement, LaurentPoly,
-                             NotKnotLike, alexander_polynomial, fox_derivative,
+from adorn.alexander import (DeficiencyMismatch, LaurentPoly, NotKnotLike,
+                             alexander_polynomial, fox_derivative,
                              knot_adorability_report, laurent_gcd)
 from adorn.fpgroup import Word, free_reduce, parse_presentation, tietze_simplify
 from adorn.zoo import make
+
+from oracles import GroupRingElement, fox_derivative_reference
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -21,9 +25,10 @@ def left_mul(w: Word, elem: GroupRingElement) -> GroupRingElement:
 
 
 def test_fox_axioms():
-    assert fox_derivative(A, 0) == GroupRingElement({Word(): 1})
-    assert fox_derivative(B, 0) == GroupRingElement({})
-    assert fox_derivative(A.inverse(), 0) == GroupRingElement({A.inverse(): -1})
+    assert fox_derivative_reference(A, 0) == GroupRingElement({Word(): 1})
+    assert fox_derivative_reference(B, 0) == GroupRingElement({})
+    assert fox_derivative_reference(A.inverse(), 0) == \
+        GroupRingElement({A.inverse(): -1})
 
 
 def test_fox_product_rule_random():
@@ -34,19 +39,41 @@ def test_fox_product_rule_random():
         v = Word((rng.randrange(3), rng.choice((1, -1)))
                  for _ in range(rng.randrange(0, 7)))
         g = rng.randrange(3)
-        assert fox_derivative(u * v, g) == \
-            fox_derivative(u, g) + left_mul(u, fox_derivative(v, g))
+        assert fox_derivative_reference(u * v, g) == \
+            fox_derivative_reference(u, g) + \
+            left_mul(u, fox_derivative_reference(v, g))
 
 
 def test_fox_trefoil_example():
     w = make("trefoil").relators[0]  # a b a b^-1 a^-1 b^-1
-    d = fox_derivative(w, 0)
+    d = fox_derivative_reference(w, 0)
     expected = GroupRingElement({
         Word(): 1,
         A * B: 1,
         A * B * A * B.inverse() * A.inverse(): -1,
     })
     assert d == expected
+
+
+words = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
+                 max_size=12).map(Word)
+images = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, st.integers(0, 2), images)
+def test_fox_derivative_equals_group_ring_reference(w, g, e):
+    assert fox_derivative(w, g, e) == fox_derivative_reference(w, g).to_laurent(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, images)
+def test_fox_fundamental_formula(w, e):
+    # sum_g dw/dg (g - 1) = w - 1 in Z[F], pushed through g -> t^e(g)
+    total = LaurentPoly.zero()
+    for g in range(3):
+        total = total + fox_derivative(w, g, e) * (poly({e[g]: 1}) - LaurentPoly.one())
+    assert total == poly({sum(s * e[g] for g, s in w): 1}) - LaurentPoly.one()
 
 
 def test_laurent_normalization_and_format():

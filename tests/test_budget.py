@@ -14,7 +14,8 @@ from adorn.cosets import CapExceeded, _Enumerator, commutator_coset_table, todd_
 from adorn.derived import INCONCLUSIVE, derived_series, step_cache_key, verify_filtration
 from adorn.fpgroup import DEFAULT_BUDGET, Budget, parse_presentation, tietze_simplify
 from adorn.rewriting import rewrite_presentation
-from adorn.zoo import make
+from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
+                       free_product_verdict, make)
 
 SETTINGS = ("max_depth", "max_cosets", "max_deductions", "max_generators",
             "max_total_relator_length", "max_passes", "wall_clock_seconds")
@@ -53,6 +54,13 @@ def test_deadline_is_set_by_start_only():
     started = Budget(wall_clock_seconds=5).start()
     assert started.deadline <= fpgroup.clock() + 5
     assert started == Budget(wall_clock_seconds=5)  # the deadline is not a setting
+
+
+def test_start_never_extends_a_deadline(monkeypatch):
+    expire_after(monkeypatch, 1)
+    started = Budget(wall_clock_seconds=5).start()
+    assert started.start() is started
+    assert started.start().start().deadline == 5.0
 
 
 def test_cap_exceeded_is_one_exception():
@@ -144,3 +152,19 @@ def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         verify_filtration(p, [[]])
     assert info.value.layer == "todd_coxeter"
+
+
+@pytest.mark.parametrize("call", [
+    lambda budget: free_product_verdict(make("sl3z"), make("cyclic", (2,)), budget),
+    lambda budget: certify_nontrivial(make("sl3z"), budget),
+], ids=["free_product_verdict", "certify_nontrivial"])
+def test_factor_certification_is_bounded_by_the_clock(monkeypatch, call):
+    # sl3z is perfect and infinite: only enumeration could certify it, and
+    # the clock, started on entry, stops that after 4096 deductions
+    expire_after(monkeypatch, 1)  # the start
+    with pytest.raises(CannotCertifyFactorTriviality) as info:
+        call(Budget())
+    cause = info.value.__cause__
+    assert isinstance(cause, CapExceeded)
+    assert cause.layer == "todd_coxeter"
+    assert "wall clock" in str(cause)

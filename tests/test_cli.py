@@ -98,6 +98,14 @@ def test_classify_seifert_cli(capsys):
     assert out.startswith("Perfect")
 
 
+@pytest.mark.parametrize("cones", ["2,x", "1,3"])
+def test_classify_seifert_rejects_bad_cones(capsys, cones):
+    code, out, err = run(capsys, ["classify-seifert", "--genus", "0", "--cones", cones])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_classify_seifert_json(capsys):
     code, out, _ = run(capsys, ["classify-seifert", "--genus", "2", "--json"])
     assert code == 0
@@ -219,6 +227,20 @@ def test_verify_corpus_rejects_malformed_zoo_entry(tmp_path, capsys, entry):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"name": "bad", "input": entry,
                                 "expect": {"abelianization": "Z"}}]))
+    code, out, err = run(capsys, ["verify-corpus", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", [{"seifert": {"genus": 0, "cones": ["x"]}},
+                                   {"seifert": {"genus": "0", "cones": [2, 3, 5]}},
+                                   {"seifert": {"genus": 0, "cones": [1]}},
+                                   {"seifert": 5}])
+def test_verify_corpus_rejects_malformed_seifert_entry(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"name": "s", "input": entry,
+                                "expect": {"seifert_branch": "Perfect"}}]))
     code, out, err = run(capsys, ["verify-corpus", str(bad)])
     assert code == 2
     assert out == ""
