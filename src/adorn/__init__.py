@@ -11,7 +11,7 @@ from .abelian import (AbelianInvariants, IntMatrix, abelianization,
                       abelianization_data, is_perfect, smith_normal_form)
 from .alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                         NotKnotLike, alexander_polynomial, fox_derivative,
-                        knot_adorability_report, laurent_gcd)
+                        knot_adorability_report)
 from .cosets import (CapExceeded, CosetTable, IncompleteTable, InfiniteIndex,
                      commutator_coset_table, todd_coxeter)
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,

@@ -84,9 +84,6 @@ class AbelianInvariants:
         return " ⊕ ".join(parts) if parts else "trivial"
 
 
-TRIVIAL_INVARIANTS = AbelianInvariants(0, ())
-
-
 def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
                       ) -> tuple[tuple[int, ...], list[list[int]]]:
     """Diagonalize ``m`` over Z: returns (d, u) where u * m * v is diagonal

@@ -4,16 +4,16 @@ A presentation qualifies when its abelianization is infinite cyclic and it
 has deficiency one (n generators, n-1 relators).  The Alexander matrix is
 the matrix of Fox derivatives of the relators, pushed through the
 abelianization map g -> t^e(g); :func:`fox_derivative` computes each
-entry in Z[t, 1/t] directly, never in the free group ring.  When some
-generator maps to t^{+-1} its column is deleted and the determinant of the
-rest is the polynomial; otherwise the gcd of all maximal minors is taken
-(first elementary ideal).
+entry in Z[t, 1/t] directly, never in the free group ring.  The polynomial
+is the gcd of the n maximal minors (the first elementary ideal), and Fox's
+fundamental formula lets one minor stand for all of them: deleting the
+column j of least non-zero |e_j|, the minor is the polynomial times
+(t^|e_j| - 1)/(t - 1), which is divided out exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abelian import abelianization_data
 from .fpgroup import GroupPresentation, Word
@@ -47,10 +47,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
-    @staticmethod
-    def term(coeff: int, exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -63,9 +59,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
@@ -76,9 +69,6 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
 
     def min_exp(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
@@ -122,12 +112,6 @@ class LaurentPoly:
                 total += c * x ** e
         return total
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        return g
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -147,42 +131,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeffs!r})"
-
-
-def _primitive(f: LaurentPoly) -> LaurentPoly:
-    c = f.content()
-    if c in (0, 1):
-        return f
-    return LaurentPoly({e: k // c for e, k in f.coeffs.items()})
-
-
-def _pseudo_rem(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Euclidean remainder up to an integer unit: cancel leading terms of f
-    against g (both with lowest exponent 0) until deg f < deg g."""
-    while not f.is_zero() and f.max_exp() >= g.max_exp():
-        lf, lg = f.max_exp(), g.max_exp()
-        cf, cg = f.coeffs[lf], g.coeffs[lg]
-        d = gcd(cf, cg)
-        f = f * LaurentPoly.term(cg // d, 0) - g * LaurentPoly.term(cf // d, lf - lg)
-    return f
-
-
-def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Gcd in Z[t, 1/t] (a UFD; units are +-t^k), in normalized form.
-
-    Shift both arguments to honest polynomials, split off integer content,
-    and run the primitive Euclidean algorithm.
-    """
-    f, g = f.normalized(), g.normalized()
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    content = gcd(f.content(), g.content())
-    f, g = _primitive(f), _primitive(g)
-    while not g.is_zero():
-        f, g = g, _primitive(_pseudo_rem(f, g).normalized())
-    return (f * LaurentPoly.term(content, 0)).normalized()
 
 
 def fox_derivative(w: Word, gen: int, images: tuple[int, ...]) -> LaurentPoly:
@@ -232,57 +180,65 @@ def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return minor(0, tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class AlexanderData:
-    polynomial: LaurentPoly
-    exponent_images: tuple[int, ...]
-    deleted_column: int | None  # None when the gcd-of-minors fallback ran
-
-
-def _alexander(p: GroupPresentation) -> AlexanderData:
-    data = abelianization_data(p)
-    inv = data.invariants
-    if inv.rank != 1 or inv.torsion:
-        raise NotKnotLike(f"abelianization is {inv}, expected Z")
-    if p.n_relators != p.n_generators - 1:
-        raise DeficiencyMismatch(
-            f"{p.n_generators} generators need {p.n_generators - 1} relators, "
-            f"found {p.n_relators}")
-    images = tuple(data.free_images[g][0] for g in range(p.n_generators))
-    if all(e <= 0 for e in images):
-        images = tuple(-e for e in images)
-
-    matrix = [[fox_derivative(r, g, images)
-               for g in range(p.n_generators)]
-              for r in p.relators]
-
-    unit_cols = [j for j, e in enumerate(images) if abs(e) == 1]
-    if unit_cols:
-        j = unit_cols[0]
-        rest = [[row[jj] for jj in range(p.n_generators) if jj != j]
-                for row in matrix]
-        delta = _laurent_det(rest)
-        deleted = j
-    else:
-        delta = LaurentPoly.zero()
-        for j in range(p.n_generators):
-            rest = [[row[jj] for jj in range(p.n_generators) if jj != j]
-                    for row in matrix]
-            delta = laurent_gcd(delta, _laurent_det(rest))
-        deleted = None
-
-    delta = delta.normalized()
-    if abs(delta.evaluate(1)) != 1:
-        raise AlexanderError(
-            f"polynomial evaluates to {delta.evaluate(1)} at t=1; "
-            f"the presentation does not behave like a knot group")
-    return AlexanderData(delta, images, deleted)
+def _divide_by_geometric_sum(f: LaurentPoly, m: int) -> LaurentPoly:
+    """f / (1 + t + ... + t^(m-1)) by long division from the top; raises
+    AlexanderError when a remainder is left."""
+    rem = dict(f.coeffs)
+    out: dict[int, int] = {}
+    while rem:
+        top = max(rem)
+        if top - min(rem) < m - 1:
+            raise AlexanderError(
+                f"minor {f} is not divisible by (t^{m} - 1)/(t - 1)")
+        c = rem[top]
+        e = top - m + 1
+        out[e] = c
+        for k in range(e, top + 1):
+            x = rem.get(k, 0) - c
+            if x:
+                rem[k] = x
+            else:
+                rem.pop(k, None)
+    return LaurentPoly(out)
 
 
 def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial of a knot-like presentation, normalized to
-    lowest exponent 0 and positive leading coefficient."""
-    return _alexander(p).polynomial
+    lowest exponent 0 and positive leading coefficient.
+
+    Let e be the exponent images, negated when none is positive (this fixes
+    t against 1/t), and D_k the maximal minor of the Alexander matrix
+    without column k.  The result is D_j / ((t^|e_j| - 1)/(t - 1)) for j
+    the first column of least non-zero |e_j|, one determinant in all.  It
+    is the gcd of every D_k, the first elementary ideal: by Fox's
+    fundamental formula each relator row satisfies
+    sum_k a_k (t^e_k - 1) = 0, so by Cramer's rule
+    D_k = +-t^i Delta (t^e_k - 1)/(t - 1) for one Delta and every k
+    (D_k = 0 where e_k = 0), and these cofactors are primitive with gcd
+    (t^g - 1)/(t - 1) = 1, since g = gcd(e) = 1 when H1 is Z.  A division
+    that leaves a remainder raises AlexanderError.
+    """
+    data = abelianization_data(p)
+    inv = data.invariants
+    if inv.rank != 1 or inv.torsion:
+        raise NotKnotLike(f"abelianization is {inv}, expected Z")
+    n = p.n_generators
+    if p.n_relators != n - 1:
+        raise DeficiencyMismatch(
+            f"{n} generators need {n - 1} relators, found {p.n_relators}")
+    images = tuple(data.free_images[g][0] for g in range(n))
+    if all(e <= 0 for e in images):
+        images = tuple(-e for e in images)
+
+    j = min((g for g in range(n) if images[g]), key=lambda g: abs(images[g]))
+    minor = _laurent_det([[fox_derivative(r, g, images) for g in range(n) if g != j]
+                          for r in p.relators])
+    delta = _divide_by_geometric_sum(minor, abs(images[j])).normalized()
+    if abs(delta.evaluate(1)) != 1:
+        raise AlexanderError(
+            f"polynomial evaluates to {delta.evaluate(1)} at t=1; "
+            f"the presentation does not behave like a knot group")
+    return delta
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ relators / zero generators, which are cap-independent facts, so capped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 from .abelian import AbelianInvariants, abelianization
@@ -54,7 +54,6 @@ class StageReport:
     invariants: AbelianInvariants
     flags: frozenset[str]
     free_rank: int | None = None
-    presentation: GroupPresentation | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +150,7 @@ def _stage_report(depth: int, p: GroupPresentation, inv: AbelianInvariants,
         free_rank = p.n_generators
     return StageReport(depth, p.n_generators, p.n_relators,
                        p.total_relator_length, inv, frozenset(flags),
-                       free_rank, p)
+                       free_rank)
 
 
 def _stage_verdict(report: StageReport, budget: Budget) -> SeriesVerdict | None:

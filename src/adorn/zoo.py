@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .abelian import abelianization, is_perfect
+from .abelian import AbelianInvariants, abelianization
 from .cosets import todd_coxeter
 from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
 from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
@@ -298,7 +298,12 @@ def certify_nontrivial(p: GroupPresentation,
     CannotCertifyFactorTriviality when no route works within caps.  The
     budget's clock starts here unless it has started already."""
     budget = budget.start()
-    if not abelianization(p).is_trivial():
+    return _certified_nontrivial(p, abelianization(p, budget), budget)
+
+
+def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
+                          budget: Budget) -> bool:
+    if not inv.is_trivial():
         return True
     if p.n_generators == 0:
         return False
@@ -312,8 +317,8 @@ def certify_nontrivial(p: GroupPresentation,
             f"cannot certify (non-)triviality of {p.name or p}: {exc}") from exc
 
 
-def _certified_order_two(p: GroupPresentation, budget: Budget) -> bool:
-    inv = abelianization(p)
+def _certified_order_two(p: GroupPresentation, inv: AbelianInvariants,
+                         budget: Budget) -> bool:
     if inv.rank != 0 or inv.torsion != (2,):
         return False
     try:
@@ -343,15 +348,18 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
     factors are perfect; the infinite dihedral group when both factors are
     Z2; otherwise not adorable.  The budget's clock starts here."""
     budget = budget.start()
+    factors = []
     for q in (pa, pb):
-        if not certify_nontrivial(q, budget):
+        inv = abelianization(q, budget)  # once per factor, for every test below
+        if not _certified_nontrivial(q, inv, budget):
             raise ValueError(f"free product factor {q.name or q} is trivial")
-    if is_perfect(pa) and is_perfect(pb):
+        factors.append((q, inv))
+    if all(inv.is_trivial() for _, inv in factors):
         return FreeProductVerdict(
             "PerfectProduct", 0,
             "free product of perfect groups is perfect (doa 0)",
             SeriesVerdict(ADORABLE, doa=0))
-    if _certified_order_two(pa, budget) and _certified_order_two(pb, budget):
+    if all(_certified_order_two(q, inv, budget) for q, inv in factors):
         return FreeProductVerdict(
             "Dinfty", 2,
             "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",

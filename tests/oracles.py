@@ -14,6 +14,9 @@ rotations: every rotation of every relator is scanned after each deduction.
 The reference Fox derivative is the library's as it was before it went
 straight to Z[t, 1/t]: an element of the free group ring Z[F], keyed by
 freely reduced prefix words, that ``to_laurent`` pushes through g -> t^e(g).
+The reference Alexander polynomial is the library's as it was before it
+took a single minor: the gcd of all n maximal minors of the Alexander
+matrix, folded by the primitive Euclidean algorithm in Z[t, 1/t].
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from adorn.alexander import LaurentPoly
+from adorn.abelian import abelianization_data
+from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
+                             NotKnotLike, _laurent_det, fox_derivative)
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            Simplified, Word, _dedupe, _subword_pass,
@@ -798,6 +803,78 @@ def fox_derivative_reference(w: Word, gen: int) -> GroupRingElement:
             key = free_reduce(Word.of(w.letters[:i] if s > 0 else w.letters[:i + 1]))
             terms[key] = terms.get(key, 0) + s
     return GroupRingElement(terms)
+
+
+# ---------------------------------------------------------------------------
+# Alexander polynomial as the gcd of all maximal minors
+
+
+def _content(f: LaurentPoly) -> int:
+    g = 0
+    for c in f.coeffs.values():
+        g = gcd(g, c)
+    return g
+
+
+def _primitive(f: LaurentPoly) -> LaurentPoly:
+    c = _content(f)
+    if c in (0, 1):
+        return f
+    return LaurentPoly({e: k // c for e, k in f.coeffs.items()})
+
+
+def _pseudo_rem(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Euclidean remainder up to an integer unit: cancel leading terms of f
+    against g (both with lowest exponent 0) until deg f < deg g."""
+    while not f.is_zero() and f.max_exp() >= g.max_exp():
+        lf, lg = f.max_exp(), g.max_exp()
+        cf, cg = f.coeffs[lf], g.coeffs[lg]
+        d = gcd(cf, cg)
+        f = f * LaurentPoly({0: cg // d}) + g * LaurentPoly({lf - lg: -(cf // d)})
+    return f
+
+
+def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Gcd in Z[t, 1/t] (a UFD; units are +-t^k), in normalized form.
+
+    Shift both arguments to honest polynomials, split off integer content,
+    and run the primitive Euclidean algorithm.
+    """
+    f, g = f.normalized(), g.normalized()
+    if f.is_zero():
+        return g
+    if g.is_zero():
+        return f
+    content = gcd(_content(f), _content(g))
+    f, g = _primitive(f), _primitive(g)
+    while not g.is_zero():
+        f, g = g, _primitive(_pseudo_rem(f, g).normalized())
+    return (f * LaurentPoly({0: content})).normalized()
+
+
+def alexander_polynomial_reference(p: GroupPresentation) -> LaurentPoly:
+    """Normalized gcd of every maximal minor of the Alexander matrix, with
+    the library's checks and orientation (exponent images negated when none
+    is positive); raises the library's AlexanderError subclasses."""
+    data = abelianization_data(p)
+    inv = data.invariants
+    if inv.rank != 1 or inv.torsion:
+        raise NotKnotLike(f"abelianization is {inv}, expected Z")
+    n = p.n_generators
+    if p.n_relators != n - 1:
+        raise DeficiencyMismatch(f"{n} generators, {p.n_relators} relators")
+    images = tuple(data.free_images[g][0] for g in range(n))
+    if all(e <= 0 for e in images):
+        images = tuple(-e for e in images)
+    matrix = [[fox_derivative(r, g, images) for g in range(n)] for r in p.relators]
+    delta = LaurentPoly.zero()
+    for j in range(n):
+        delta = laurent_gcd(delta, _laurent_det(
+            [[row[k] for k in range(n) if k != j] for row in matrix]))
+    delta = delta.normalized()
+    if abs(delta.evaluate(1)) != 1:
+        raise AlexanderError(f"polynomial evaluates to {delta.evaluate(1)} at t=1")
+    return delta
 
 
 # ---------------------------------------------------------------------------

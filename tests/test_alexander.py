@@ -1,16 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adorn.alexander import (DeficiencyMismatch, LaurentPoly, NotKnotLike,
+from adorn.abelian import AbelianInvariants, abelianization, abelianization_data
+from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
+                             NotKnotLike, _divide_by_geometric_sum,
                              alexander_polynomial, fox_derivative,
-                             knot_adorability_report, laurent_gcd)
-from adorn.fpgroup import Word, free_reduce, parse_presentation, tietze_simplify
+                             knot_adorability_report)
+from adorn.fpgroup import (GroupPresentation, Word, free_reduce, parse_presentation,
+                           tietze_simplify)
 from adorn.zoo import make
 
-from oracles import GroupRingElement, fox_derivative_reference
+from oracles import (GroupRingElement, alexander_polynomial_reference,
+                     fox_derivative_reference, laurent_gcd)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -72,8 +76,8 @@ def test_fox_fundamental_formula(w, e):
     # sum_g dw/dg (g - 1) = w - 1 in Z[F], pushed through g -> t^e(g)
     total = LaurentPoly.zero()
     for g in range(3):
-        total = total + fox_derivative(w, g, e) * (poly({e[g]: 1}) - LaurentPoly.one())
-    assert total == poly({sum(s * e[g] for g, s in w): 1}) - LaurentPoly.one()
+        total = total + fox_derivative(w, g, e) * (poly({e[g]: 1}) + poly({0: -1}))
+    assert total == poly({sum(s * e[g] for g, s in w): 1}) + poly({0: -1})
 
 
 def test_laurent_normalization_and_format():
@@ -110,9 +114,9 @@ def test_figure_eight_polynomial():
     assert alexander_polynomial(make("figure_eight")) == poly({2: 1, 1: -3, 0: 1})
 
 
-def test_torus_knot_via_minor_gcd_fallback():
-    # no generator of < x, y | x^2 y^-3 > maps to t^{+-1}; the first
-    # elementary ideal still pins the trefoil polynomial
+def test_torus_knot_without_unit_image():
+    # x and y of < x, y | x^2 y^-3 > map to t^3 and t^2: the minor without
+    # y's column, divided by 1 + t, is the trefoil polynomial
     assert alexander_polynomial(make("torus_knot", (2, 3))) == poly({2: 1, 1: -1, 0: 1})
 
 
@@ -120,6 +124,90 @@ def test_torus_knot_25():
     # (2,5) torus knot: t^4 - t^3 + t^2 - t + 1
     got = alexander_polynomial(make("torus_knot", (2, 5)))
     assert got == poly({4: 1, 3: -1, 2: 1, 1: -1, 0: 1})
+
+
+def _images(p):
+    return tuple(row[0] for row in abelianization_data(p).free_images)
+
+
+def test_orientation_pinned_by_a_non_symmetric_polynomial():
+    # both images are negative, so t is flipped to 1/t before any minor
+    p = parse_presentation("< a, b | a^3 b^-1 a b^-2 >")
+    assert _images(p) == (-3, -4)
+    delta = alexander_polynomial(p)
+    assert delta == poly({3: 1, 1: -1, 0: 1})  # t^3 - t + 1
+    assert not delta.is_symmetric()
+    assert delta == alexander_polynomial_reference(p)
+
+
+def test_zero_image_column_is_never_deleted():
+    # z maps to t^0, whose minor is 0; y (image of least |e|) is deleted
+    p = parse_presentation("< x, y, z | x^2 y^-3, z y^3 x^-2 >")
+    assert sorted(map(abs, _images(p))) == [0, 2, 3]
+    assert alexander_polynomial(p) == poly({2: 1, 1: -1, 0: 1})
+    assert alexander_polynomial_reference(p) == poly({2: 1, 1: -1, 0: 1})
+
+
+def test_division_by_geometric_sum():
+    # (t^3 - 1)/(t - 1) = t^2 + t + 1 divides t^-1 (t^3 - 1) exactly, and
+    # leaves a remainder on t^2 + 1
+    assert _divide_by_geometric_sum(poly({2: 1, -1: -1}), 3) == poly({0: 1, -1: -1})
+    assert _divide_by_geometric_sum(poly({4: 2, 0: -2}), 1) == poly({4: 2, 0: -2})
+    assert _divide_by_geometric_sum(poly({}), 5) == poly({})
+    with pytest.raises(AlexanderError, match="not divisible"):
+        _divide_by_geometric_sum(poly({2: 1, 0: 1}), 3)
+
+
+EXPONENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def _power_word(codes) -> Word:
+    """The product of the powers g^k over codes 6g + i, k = EXPONENTS[i]."""
+    letters = []
+    for c in codes:
+        g, i = divmod(c, 6)
+        letters += [(g, 1 if EXPONENTS[i] > 0 else -1)] * abs(EXPONENTS[i])
+    return Word(letters)
+
+
+POWER_WORDS = {n: st.lists(st.integers(0, 6 * n - 1), max_size=6).map(_power_word)
+               for n in range(1, 5)}
+
+
+@st.composite
+def knot_like_presentations(draw):
+    """Deficiency-one presentations on 1-4 generators whose relators are
+    products of generator powers.  On 3 or more generators, the last
+    relator may be z u r^s u^-1 [v, w], with z the last generator and r the
+    first relator, which then avoids z: z maps to t^0."""
+    n = draw(st.integers(1, 4))
+    words = POWER_WORDS[n]
+    zero = n >= 3 and draw(st.booleans())
+    rels = [draw(POWER_WORDS[n - 1] if zero and i == 0 else words)
+            for i in range(n - 1)]
+    if zero:
+        u, v, w = draw(words), draw(words), draw(words)
+        r = rels[0] ** draw(st.sampled_from((1, -1)))
+        rels[-1] = (Word.gen(n - 1) * u * r * u.inverse()
+                    * v * w * v.inverse() * w.inverse())
+    return GroupPresentation(("a", "b", "c", "d")[:n], rels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knot_like_presentations())
+@example(parse_presentation("< a, b | a^3 b^-1 a b^-2 >"))  # all negative, no unit
+@example(parse_presentation("< x, y, z | x^2 y^-3, z y^3 x^-2 >"))  # a zero image
+@example(make("torus_knot", (3, 4)))  # no unit image
+def test_one_minor_equals_gcd_of_all_minors(p):
+    assume(p.n_relators == p.n_generators - 1)
+    assume(abelianization(p) == AbelianInvariants(1, ()))
+    try:
+        want = alexander_polynomial_reference(p)
+    except AlexanderError as exc:
+        with pytest.raises(type(exc)):
+            alexander_polynomial(p)
+    else:
+        assert alexander_polynomial(p) == want
 
 
 def test_not_knot_like():

@@ -154,17 +154,29 @@ def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
     assert info.value.layer == "todd_coxeter"
 
 
-@pytest.mark.parametrize("call", [
+FACTOR_CALLS = pytest.mark.parametrize("call", [
     lambda budget: free_product_verdict(make("sl3z"), make("cyclic", (2,)), budget),
     lambda budget: certify_nontrivial(make("sl3z"), budget),
 ], ids=["free_product_verdict", "certify_nontrivial"])
+
+
+@FACTOR_CALLS
 def test_factor_certification_is_bounded_by_the_clock(monkeypatch, call):
     # sl3z is perfect and infinite: only enumeration could certify it, and
-    # the clock, started on entry, stops that after 4096 deductions
-    expire_after(monkeypatch, 1)  # the start
+    # the clock, started on entry, lets its abelianization finish and stops
+    # the enumeration after 4096 deductions
+    expire_after(monkeypatch, 7)  # the start and six SNF pivot steps
     with pytest.raises(CannotCertifyFactorTriviality) as info:
         call(Budget())
     cause = info.value.__cause__
     assert isinstance(cause, CapExceeded)
     assert cause.layer == "todd_coxeter"
     assert "wall clock" in str(cause)
+
+
+@FACTOR_CALLS
+def test_factor_abelianization_is_bounded_by_the_clock(monkeypatch, call):
+    expire_after(monkeypatch, 1)  # the start; the first SNF pivot step is late
+    with pytest.raises(CapExceeded) as info:
+        call(Budget())
+    assert info.value.layer == "smith_normal_form"

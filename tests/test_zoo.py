@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adorn import abelian
 from adorn.abelian import AbelianInvariants, abelianization, is_perfect
 from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
@@ -110,6 +113,27 @@ def test_free_product_verdict_perfect():
     v = free_product_verdict(make("triangle", (2, 3, 5)),
                              make("triangle", (2, 3, 7)))
     assert v.kind == "PerfectProduct" and v.doa == 0
+
+
+@pytest.mark.parametrize("factors", [
+    (("cyclic", (2,)), ("cyclic", (2,))),
+    (("triangle", (2, 3, 5)), ("triangle", (2, 3, 7))),
+], ids=["Z2*Z2", "triangle235*triangle237"])
+def test_free_product_abelianizes_each_factor_once(monkeypatch, factors):
+    pa, pb = (make(*f) for f in factors)
+    budgets = []
+    real = abelian.abelianization_data
+
+    def counting(p, budget):
+        budgets.append(budget)
+        return real(p, budget)
+
+    monkeypatch.setattr(abelian, "abelianization_data", counting)
+    free_product_verdict(pa, pb, Budget(wall_clock_seconds=30))
+    assert len(budgets) == 2
+    # each under the caller's budget, with its clock started
+    assert all(b == Budget(wall_clock_seconds=30) and b.deadline < math.inf
+               for b in budgets)
 
 
 def test_free_product_rejects_trivial_factor():
