@@ -8,7 +8,7 @@ Seifert base-orbifold classification.
 """
 
 from .abelian import (AbelianInvariants, IntMatrix, abelianization,
-                      abelianization_data, is_perfect, smith_normal_form)
+                      abelianization_data, smith_normal_form)
 from .alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                         NotKnotLike, alexander_polynomial, fox_derivative,
                         knot_adorability_report)

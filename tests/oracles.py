@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from adorn.abelian import abelianization_data
+from adorn.abelian import abelianization, abelianization_data
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, _laurent_det, fox_derivative)
 from adorn.cosets import CapExceeded
@@ -872,13 +872,19 @@ def alexander_polynomial_reference(p: GroupPresentation) -> LaurentPoly:
         delta = laurent_gcd(delta, _laurent_det(
             [[row[k] for k in range(n) if k != j] for row in matrix]))
     delta = delta.normalized()
-    if abs(delta.evaluate(1)) != 1:
-        raise AlexanderError(f"polynomial evaluates to {delta.evaluate(1)} at t=1")
+    if abs(delta.value_at_one()) != 1:
+        raise AlexanderError(f"polynomial evaluates to {delta.value_at_one()} at t=1")
     return delta
 
 
 # ---------------------------------------------------------------------------
 # abelianization helpers
+
+
+def is_perfect(p) -> bool:
+    """True when the abelianization is trivial (the group equals its
+    commutator subgroup)."""
+    return abelianization(p).is_trivial()
 
 
 def exterior_square_rank(r: int) -> int:

@@ -5,15 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import (AbelianInvariants, IntMatrix, abelianization,
-                           abelianization_data, is_perfect, relator_matrix,
+                           abelianization_data, relator_matrix,
                            smith_normal_form)
 from adorn.cosets import commutator_coset_table
 from adorn.fpgroup import parse_presentation
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
-from oracles import (det, exterior_square_rank, mat_mul, minor_gcd_diagonal,
-                     smith_normal_form_reference, word_exponent_images)
+from oracles import (det, exterior_square_rank, is_perfect, mat_mul,
+                     minor_gcd_diagonal, smith_normal_form_reference,
+                     word_exponent_images)
+
+
+def dense(u, n):
+    """The sparse rows ``u`` of an n-column matrix as dense lists."""
+    out = [[0] * n for _ in u]
+    for row, sparse in zip(out, u):
+        for j, x in sparse.items():
+            row[j] = x
+    return out
 
 
 def snf_checked(rows):
@@ -21,6 +31,7 @@ def snf_checked(rows):
     d, u = smith_normal_form(m)
     ref_d, ref_u, ref_v = smith_normal_form_reference(m)
     assert mat_mul(mat_mul(ref_u, m.to_rows()), ref_v) == ref_d
+    u = dense(u, m.rows)
     assert det(u) in (1, -1)
     assert det(ref_v) in (1, -1)
     for i in range(m.rows):
@@ -75,7 +86,7 @@ def test_snf_non_unit_pivots(rows, diag):
 
 def _snf_rows(m):
     d, u = smith_normal_form(m)
-    return d, u
+    return d, dense(u, m.rows)
 
 
 def _reference_rows(m):
@@ -87,8 +98,9 @@ def _reference_rows(m):
 def small_matrices(draw):
     r = draw(st.integers(0, 6))
     c = draw(st.integers(0, 6))
-    entries = draw(st.lists(st.integers(-6, 6), min_size=r * c, max_size=r * c))
-    return IntMatrix(r, c, tuple(entries))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return IntMatrix.from_rows(rows) if r else IntMatrix(0, c, ())
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,15 +110,59 @@ def test_snf_equals_reference(m):
     assert _snf_rows(m) == _reference_rows(m)
 
 
+@st.composite
+def sparse_matrices(draw):
+    # shapes and entries where index upkeep goes wrong: mostly-zero rows and
+    # columns, single columns and rows, and equal non-unit minima that only
+    # the (i, j) tie-break separates
+    shape = draw(st.sampled_from(["sparse", "tall", "wide"]))
+    if shape == "tall":
+        r, c = draw(st.integers(1, 30)), 1
+    elif shape == "wide":
+        r, c = 1, draw(st.integers(1, 30))
+    else:
+        r, c = draw(st.integers(0, 12)), draw(st.integers(0, 16))
+    rows = [[0] * c for _ in range(r)]
+    if r and c:
+        base = draw(st.sampled_from([1, 2, 3]))
+        value = st.builds(lambda k, s: s * k * base,
+                          st.integers(1, 4), st.sampled_from([1, -1]))
+        cells = draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                        st.integers(0, c - 1), value),
+                              min_size=r * c // 8, max_size=max(1, r * c // 4)))
+        for i, j, x in cells:
+            rows[i][j] = x
+        if base > 1 and r > 1 and draw(st.booleans()):
+            for i in draw(st.lists(st.integers(0, r - 1), min_size=2,
+                                   max_size=2, unique=True)):
+                rows[i][draw(st.integers(0, c - 1))] = base
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, r - 1))] = [0] * c
+        if draw(st.booleans()):
+            j = draw(st.integers(0, c - 1))
+            for row in rows:
+                row[j] = 0
+    return IntMatrix.from_rows(rows) if r else IntMatrix(0, c, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_snf_equals_reference(m):
+    assert _snf_rows(m) == _reference_rows(m)
+
+
 def _raw_rewrite(p):
     return rewrite_presentation(p, commutator_coset_table(p))
 
 
 def test_snf_equals_reference_on_raw_rewrite():
-    p = make("free_product", (make("cyclic", (6,)), make("cyclic", (8,))))
-    m = relator_matrix(_raw_rewrite(p)).transpose()
-    assert (m.rows, m.cols) == (49, 96)
-    assert _snf_rows(m) == _reference_rows(m)
+    for p, shape in [
+        (make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))), (49, 96)),
+        (make("fuchsian", (0, (4, 4, 4, 4))), (193, 320)),
+    ]:
+        m = relator_matrix(_raw_rewrite(p))
+        assert (m.rows, m.cols) == shape
+        assert _snf_rows(m) == _reference_rows(m)
 
 
 def test_raw_rewrite_h1_of_genus_zero_orbifold():
@@ -153,7 +209,8 @@ def test_abelianization_free_and_trivial():
 
 def test_relator_matrix_orientation():
     p = parse_presentation("< a, b | a^4, a^2 b^-3 >")
-    assert relator_matrix(p).to_rows() == [[4, 0], [2, -3]]
+    # one row per generator, one column per relator
+    assert relator_matrix(p).to_rows() == [[4, 2], [0, -3]]
 
 
 def test_exterior_square_rank():

@@ -240,7 +240,7 @@ def corpus():
 def test_corpus_determinant_one_at_unity():
     for p in corpus():
         delta = alexander_polynomial(p)
-        assert abs(delta.evaluate(1)) == 1
+        assert abs(delta.value_at_one()) == 1
 
 
 def test_corpus_symmetry():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adorn import abelian
-from adorn.abelian import AbelianInvariants, abelianization, is_perfect
+from adorn.abelian import AbelianInvariants, abelianization
 from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
 from adorn.fpgroup import Budget, parse_presentation
@@ -15,7 +15,7 @@ from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
                        _pairwise_coprime, classify_seifert,
                        free_product_verdict, make, splitting_verdict)
 
-from oracles import minor_gcd_diagonal
+from oracles import is_perfect, minor_gcd_diagonal
 
 
 def test_braid3_presentation():
