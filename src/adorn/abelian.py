@@ -118,7 +118,7 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
 
     ``u`` is part of the contract, not just ``d``: the commutator coset
     table numbers its cosets by the torsion rows of ``u``
-    (``AbelianizationData.torsion_images``), and the stage shapes every
+    (``AbelianizationData.torsion_rows``), and the stage shapes every
     later step reports follow from that numbering.  So the output must
     depend on the pivot rule alone: the pivots, the operations and (d, u)
     are those of the plain dense elimination (``smith_normal_form_reference``
@@ -278,41 +278,34 @@ def relator_matrix(p: GroupPresentation) -> IntMatrix:
 
 @dataclass(frozen=True)
 class AbelianizationData:
-    """Invariants of G/[G,G] together with the generator images.
+    """Invariants of G/[G,G] together with the rows of ``u`` that map the
+    generators onto them.
 
-    ``free_images[j]`` are the coordinates of generator j in the Z^rank part;
-    ``torsion_images[j]`` the residues in the Z/t_i coordinates (same order
-    as ``invariants.torsion``).
+    ``free_rows[k]`` and ``torsion_rows[k]`` are sparse rows, in the form
+    :func:`smith_normal_form` returns: each maps generator g to its
+    coordinate in the k-th Z summand, or in the k-th Z/d_k summand
+    (d_k = ``invariants.torsion[k]``), and a generator that is absent has
+    coordinate 0.  Torsion coordinates are reduced into [1, d_k), zero
+    residues dropped.  Generator g's image is read off by
+    ``row.get(g, 0)``; no per-generator table is built, since a wide stage
+    of infinite H1 has as many free rows as generators.
     """
 
     invariants: AbelianInvariants
-    free_images: tuple[tuple[int, ...], ...]
-    torsion_images: tuple[tuple[int, ...], ...]
+    free_rows: tuple[dict[int, int], ...]
+    torsion_rows: tuple[dict[int, int], ...]
 
 
 def abelianization_data(p: GroupPresentation,
                         budget: Budget = DEFAULT_BUDGET) -> AbelianizationData:
-    n = p.n_generators
     d, u = smith_normal_form(relator_matrix(p), budget)
-    diag = list(d) + [0] * (n - len(d))
-    free_rows = [i for i in range(n) if diag[i] == 0]
-    torsion_rows = [i for i in range(n) if diag[i] >= 2]
-    invariants = AbelianInvariants(len(free_rows),
-                                   tuple(diag[i] for i in torsion_rows))
-    # generator j's image is column j of the kept rows of u
-    free_images = [[0] * len(free_rows) for _ in range(n)]
-    for k, i in enumerate(free_rows):
-        for j, x in u[i].items():
-            free_images[j][k] = x
-    torsion_images = [[0] * len(torsion_rows) for _ in range(n)]
-    for k, i in enumerate(torsion_rows):
-        for j, x in u[i].items():
-            torsion_images[j][k] = x % diag[i]
-    for images in (free_images, torsion_images):
-        for j, image in enumerate(images):
-            images[j] = tuple(image)  # in place: the lists go as the tuples come
-    return AbelianizationData(invariants, tuple(free_images),
-                              tuple(torsion_images))
+    diag = list(d) + [0] * (p.n_generators - len(d))
+    free_rows = tuple(row for row, x in zip(u, diag) if x == 0)
+    torsion = tuple(x for x in diag if x >= 2)
+    torsion_rows = tuple({g: y for g, c in row.items() if (y := c % x)}
+                         for row, x in zip(u, diag) if x >= 2)
+    return AbelianizationData(AbelianInvariants(len(free_rows), torsion),
+                              free_rows, torsion_rows)
 
 
 def abelianization(p: GroupPresentation,

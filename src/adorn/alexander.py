@@ -218,7 +218,7 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     if p.n_relators != n - 1:
         raise DeficiencyMismatch(
             f"{n} generators need {n - 1} relators, found {p.n_relators}")
-    images = tuple(data.free_images[g][0] for g in range(n))
+    images = tuple(data.free_rows[0].get(g, 0) for g in range(n))
     if all(e <= 0 for e in images):
         images = tuple(-e for e in images)
 

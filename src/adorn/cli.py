@@ -27,8 +27,9 @@ import time
 from .abelian import abelianization
 from .alexander import AlexanderError, knot_adorability_report
 from .derived import INCONCLUSIVE, derived_series
-from .fpgroup import (Budget, GroupPresentation, PresentationSyntaxError,
-                      format_presentation, parse_presentation)
+from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
+                      PresentationSyntaxError, format_presentation,
+                      parse_presentation)
 from .zoo import FAMILIES, SeifertData, classify_seifert, make
 
 
@@ -364,11 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
             add_limits(sp)
 
     def add_limits(sp):
-        sp.add_argument("--max-depth", type=int, default=6)
-        sp.add_argument("--max-cosets", type=int, default=20000)
-        sp.add_argument("--max-gens", type=int, default=64)
-        sp.add_argument("--max-length", type=int, default=65536)
-        sp.add_argument("--timeout", type=float, default=60.0, metavar="SECS")
+        b = DEFAULT_BUDGET
+        sp.add_argument("--max-depth", type=int, default=b.max_depth)
+        sp.add_argument("--max-cosets", type=int, default=b.max_cosets)
+        sp.add_argument("--max-gens", type=int, default=b.max_generators)
+        sp.add_argument("--max-length", type=int, default=b.max_total_relator_length)
+        sp.add_argument("--timeout", type=float, default=b.wall_clock_seconds,
+                        metavar="SECS")
 
     sp = sub.add_parser("abelianize", help="print the abelianization")
     add_input(sp)

@@ -62,7 +62,6 @@ class _Enumerator:
         self.budget = budget
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p = [0]  # union-find over cosets; rep is the least member
-        self.defined = 1
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
         self.check_at = min(CHECK_EVERY, budget.max_deductions)
@@ -84,13 +83,12 @@ class _Enumerator:
         return root
 
     def define(self, alpha: int, col: int) -> None:
-        if self.defined >= self.budget.max_cosets:
+        if len(self.table) >= self.budget.max_cosets:
             raise CapExceeded(f"coset limit {self.budget.max_cosets} reached",
                               "todd_coxeter")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
-        self.defined += 1
         self.set_edge(alpha, col, beta)
 
     def set_edge(self, a: int, col: int, b: int) -> None:
@@ -269,8 +267,13 @@ def commutator_coset_table(p: GroupPresentation,
     """Coset table of the commutator subgroup, built from G/[G,G].
 
     Requires the abelianization to be finite (rank 0).  Cosets are the
-    elements of the abelian quotient, enumerated in mixed-radix order over
-    the torsion coordinates; each generator acts by adding its image.
+    elements of the abelian quotient, numbered in mixed-radix order over
+    the torsion coordinates (last coordinate fastest); generator g acts by
+    adding its image, read from the torsion rows of ``u``
+    (``AbelianizationData.torsion_rows``).  Only the forward column is
+    computed: ``rows[c][2g] = f`` is filled from c's coordinates, and the
+    inverse column as its mirror edge, ``rows[f][2g+1] = c``; adding an
+    image is a bijection, so every inverse entry is set exactly once.
     """
     data = abelianization_data(p, budget)
     inv = data.invariants
@@ -278,28 +281,17 @@ def commutator_coset_table(p: GroupPresentation,
         raise InfiniteIndex(
             f"abelianization has rank {inv.rank}; commutator subgroup has infinite index")
     moduli = inv.torsion
-    k = len(moduli)
-    n = inv.order()
-    assert n is not None
-
-    weights = [1] * k
-    for i in range(k - 2, -1, -1):
+    weights = [1] * len(moduli)
+    for i in range(len(moduli) - 2, -1, -1):
         weights[i] = weights[i + 1] * moduli[i + 1]
+    images = [tuple(row.get(g, 0) for row in data.torsion_rows)
+              for g in range(p.n_generators)]
 
-    def encode(coords: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(coords, weights))
-
-    elements = list(product(*(range(m) for m in moduli)))
-
-    rows = []
-    for coords in elements:
-        row: list[int | None] = [None] * (2 * p.n_generators)
-        for g in range(p.n_generators):
-            img = data.torsion_images[g]
-            fwd = tuple((c + x) % m for c, x, m in zip(coords, img, moduli))
-            bwd = tuple((c - x) % m for c, x, m in zip(coords, img, moduli))
-            row[2 * g] = encode(fwd)
-            row[2 * g + 1] = encode(bwd)
-        rows.append(row)
-    assert len(rows) == n
+    rows: list[list[int]] = [[0] * (2 * p.n_generators) for _ in range(inv.order())]
+    for c, coords in enumerate(product(*(range(m) for m in moduli))):
+        row = rows[c]
+        for g, img in enumerate(images):
+            f = sum(((a + x) % m) * w for a, x, m, w in zip(coords, img, moduli, weights))
+            row[2 * g] = f
+            rows[f][2 * g + 1] = c
     return CosetTable(p.n_generators, rows, complete=True)

@@ -210,50 +210,36 @@ def _sl3z() -> GroupPresentation:
     return GroupPresentation(names, rels, name="sl3z")
 
 
-FAMILIES = ("free", "cyclic", "dihedral_inf", "free_product", "direct_product",
-            "braid", "torus_knot", "sl2z", "triangle", "surface", "klein_bottle",
-            "fuchsian", "baumslag_solitar", "trefoil", "figure_eight", "sl3z")
+_FAMILY_TABLE = {
+    "free": lambda a: _free(int(a[0])),
+    "cyclic": lambda a: _cyclic(int(a[0])),
+    "dihedral_inf": lambda a: _dihedral_inf(),
+    "free_product": lambda a: _free_product(a[0], a[1]),
+    "direct_product": lambda a: _direct_product(a[0], a[1]),
+    "braid": lambda a: _braid(int(a[0])),
+    "torus_knot": lambda a: _torus_knot(int(a[0]), int(a[1])),
+    "sl2z": lambda a: _sl2z(),
+    "triangle": lambda a: _triangle(int(a[0]), int(a[1]), int(a[2])),
+    "surface": lambda a: _surface(int(a[0])),
+    "klein_bottle": lambda a: _klein_bottle(),
+    "fuchsian": lambda a: _fuchsian(int(a[0]), tuple(int(x) for x in a[1])),
+    "baumslag_solitar": lambda a: _baumslag_solitar(int(a[0]), int(a[1])),
+    "trefoil": lambda a: _trefoil(),
+    "figure_eight": lambda a: _figure_eight(),
+    "sl3z": lambda a: _sl3z(),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def make(family: str, params: Sequence = ()) -> GroupPresentation:
     """Standard presentation of a named family; see :data:`FAMILIES`."""
-    params = tuple(params)
+    build = _FAMILY_TABLE.get(family)
+    if build is None:
+        raise ValueError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
     try:
-        if family == "free":
-            return _free(int(params[0]))
-        if family == "cyclic":
-            return _cyclic(int(params[0]))
-        if family == "dihedral_inf":
-            return _dihedral_inf()
-        if family == "free_product":
-            return _free_product(params[0], params[1])
-        if family == "direct_product":
-            return _direct_product(params[0], params[1])
-        if family == "braid":
-            return _braid(int(params[0]))
-        if family == "torus_knot":
-            return _torus_knot(int(params[0]), int(params[1]))
-        if family == "sl2z":
-            return _sl2z()
-        if family == "triangle":
-            return _triangle(int(params[0]), int(params[1]), int(params[2]))
-        if family == "surface":
-            return _surface(int(params[0]))
-        if family == "klein_bottle":
-            return _klein_bottle()
-        if family == "fuchsian":
-            return _fuchsian(int(params[0]), tuple(int(x) for x in params[1]))
-        if family == "baumslag_solitar":
-            return _baumslag_solitar(int(params[0]), int(params[1]))
-        if family == "trefoil":
-            return _trefoil()
-        if family == "figure_eight":
-            return _figure_eight()
-        if family == "sl3z":
-            return _sl3z()
+        return build(tuple(params))
     except IndexError as exc:
         raise ValueError(f"family {family!r}: missing parameters") from exc
-    raise ValueError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,19 @@ freely reduced prefix words, that ``to_laurent`` pushes through g -> t^e(g).
 The reference Alexander polynomial is the library's as it was before it
 took a single minor: the gcd of all n maximal minors of the Alexander
 matrix, folded by the primitive Euclidean algorithm in Z[t, 1/t].
+The reference commutator coset table is the library's as it was before it
+read the torsion rows of ``u``: a dense table of generator images taken
+from the reference Smith normal form, and both columns of every row
+computed from the coset's coordinates.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
-from adorn.abelian import abelianization, abelianization_data
+from adorn.abelian import abelianization, abelianization_data, relator_matrix
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, _laurent_det, fox_derivative)
 from adorn.cosets import CapExceeded
@@ -258,6 +262,29 @@ def verify_table(table, p, subgroup_gens=()) -> None:
             assert table.word_act(c, r) == c, "relator does not act trivially"
     for w in subgroup_gens:
         assert table.word_act(0, w) == 0, "subgroup generator moves coset 0"
+
+
+def commutator_coset_table_reference(p) -> tuple[tuple[int, ...], ...]:
+    """Rows of the coset table of the commutator subgroup, cosets numbered
+    in ``itertools.product`` order over the torsion coordinates.  Requires
+    a finite abelianization."""
+    a, u, _ = smith_normal_form_reference(relator_matrix(p))
+    n = p.n_generators
+    diag = [a[i][i] if i < p.n_relators else 0 for i in range(n)]
+    assert 0 not in diag, "abelianization is infinite"
+    kept = [i for i in range(n) if diag[i] >= 2]
+    moduli = [diag[i] for i in kept]
+    images = [[u[i][g] % diag[i] for i in kept] for g in range(n)]
+    elements = list(product(*(range(m) for m in moduli)))
+    index = {c: k for k, c in enumerate(elements)}
+    rows = []
+    for coords in elements:
+        row = []
+        for img in images:
+            row.append(index[tuple((c + x) % m for c, x, m in zip(coords, img, moduli))])
+            row.append(index[tuple((c - x) % m for c, x, m in zip(coords, img, moduli))])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +890,7 @@ def alexander_polynomial_reference(p: GroupPresentation) -> LaurentPoly:
     n = p.n_generators
     if p.n_relators != n - 1:
         raise DeficiencyMismatch(f"{n} generators, {p.n_relators} relators")
-    images = tuple(data.free_images[g][0] for g in range(n))
+    images = tuple(data.free_rows[0].get(g, 0) for g in range(n))
     if all(e <= 0 for e in images):
         images = tuple(-e for e in images)
     matrix = [[fox_derivative(r, g, images) for g in range(n)] for r in p.relators]
@@ -897,10 +924,10 @@ def word_exponent_images(p, data, word) -> tuple[tuple[int, ...], tuple[int, ...
     free = [0] * data.invariants.rank
     tors = [0] * len(data.invariants.torsion)
     for g, s in word:
-        for k, x in enumerate(data.free_images[g]):
-            free[k] += s * x
-        for k, x in enumerate(data.torsion_images[g]):
-            tors[k] += s * x
+        for k, row in enumerate(data.free_rows):
+            free[k] += s * row.get(g, 0)
+        for k, row in enumerate(data.torsion_rows):
+            tors[k] += s * row.get(g, 0)
     moduli = data.invariants.torsion
     return tuple(free), tuple(t % m for t, m in zip(tors, moduli))
 

@@ -247,12 +247,14 @@ def test_generator_images_kill_relators():
         # and the images must generate the quotient: the subgroup generated
         # by the torsion images has full order (checked for rank 0)
         if data.invariants.rank == 0 and data.invariants.order() <= 4096:
+            images = [tuple(row.get(g, 0) for row in data.torsion_rows)
+                      for g in range(p.n_generators)]
             seen = {tuple(0 for _ in data.invariants.torsion)}
             frontier = list(seen)
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for img in data.torsion_images:
+                    for img in images:
                         y = tuple((a + b) % m for a, b, m in
                                   zip(x, img, data.invariants.torsion))
                         if y not in seen:
@@ -260,6 +262,14 @@ def test_generator_images_kill_relators():
                             nxt.append(y)
                 frontier = nxt
             assert len(seen) == data.invariants.order()
+
+
+def test_wide_free_group_stores_one_entry_per_generator():
+    # rank n: the free rows are u's identity rows, not an n x n image table
+    data = abelianization_data(make("free", (3000,)))
+    assert data.invariants == AbelianInvariants(3000, ())
+    assert sum(len(row) for row in data.free_rows) == 3000
+    assert data.torsion_rows == ()
 
 
 def test_abelianization_invariant_under_tietze():

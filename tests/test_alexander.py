@@ -127,7 +127,8 @@ def test_torus_knot_25():
 
 
 def _images(p):
-    return tuple(row[0] for row in abelianization_data(p).free_images)
+    row = abelianization_data(p).free_rows[0]
+    return tuple(row.get(g, 0) for g in range(p.n_generators))
 
 
 def test_orientation_pinned_by_a_non_symmetric_polynomial():

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from adorn.cli import main
+from adorn.fpgroup import DEFAULT_BUDGET
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "paper.json")
 
@@ -56,7 +57,12 @@ def test_series_json_schema(capsys):
     assert report["verdict"]["kind"] == "NonAdorableCertified"
     assert report["stages"][0]["invariants"] == "Z/12"
     assert report["stages"][1]["flags"] == ["CertifiedFree"]
-    assert report["limits"]["max_depth"] == 6
+    b = DEFAULT_BUDGET
+    assert report["limits"] == {
+        "max_depth": b.max_depth, "max_cosets": b.max_cosets,
+        "max_generators": b.max_generators,
+        "max_total_relator_length": b.max_total_relator_length,
+        "timeout_seconds": b.wall_clock_seconds}
 
 
 def test_series_inline_psl2z(capsys):

@@ -1,16 +1,16 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adorn.abelian import abelianization
+from adorn.abelian import abelianization, abelianization_data
 from adorn.cosets import (CapExceeded, CosetTable, InfiniteIndex, _Enumerator,
                           commutator_coset_table, todd_coxeter)
 from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
-from oracles import (check_model, closure, quaternion_model,
-                     todd_coxeter_reference, verify_table)
+from oracles import (check_model, closure, commutator_coset_table_reference,
+                     quaternion_model, todd_coxeter_reference, verify_table)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -126,6 +126,14 @@ def test_commutator_table_agrees_with_enumeration(pres, comm_words):
     assert canonical(direct) == canonical(enum)
 
 
+def test_coset_cap_counts_every_defined_coset():
+    # < a | a^7 > needs exactly 7 cosets: a cap of 7 lets it close, 6 stops it
+    p = parse_presentation("< a | a^7 >")
+    assert todd_coxeter(p, [], Budget(max_cosets=7)).n_cosets == 7
+    with pytest.raises(CapExceeded, match="coset limit 6 reached"):
+        todd_coxeter(p, [], Budget(max_cosets=6))
+
+
 def test_deterministic_numbering():
     t1 = todd_coxeter(S3, [A])
     t2 = todd_coxeter(S3, [A])
@@ -157,9 +165,9 @@ def _reference_enumeration(p, sub, caps=Budget()):
         return str(e)
 
 
-def _words(n_gens, max_size):
+def _words(n_gens, max_size, min_size=0):
     letters = st.tuples(st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
-    return st.lists(letters, max_size=max_size).map(Word)
+    return st.lists(letters, min_size=min_size, max_size=max_size).map(Word)
 
 
 @st.composite
@@ -234,3 +242,28 @@ def test_todd_coxeter_matches_reference_on_symmetric_groups(n, perm, signs, sub_
     rows = _enumeration(p, sub)
     assert rows == _reference_enumeration(p, sub)
     assert len(rows) == index
+
+
+@st.composite
+def finite_h1_presentations(draw):
+    n = draw(st.integers(1, 3))
+    rels = draw(st.lists(_words(n, 8, min_size=1), min_size=n, max_size=n + 2))
+    p = GroupPresentation([f"x{i}" for i in range(n)], rels)
+    order = abelianization(p).order()
+    assume(order is not None and order <= 1000)
+    return p
+
+
+@settings(max_examples=250, deadline=None)
+@given(finite_h1_presentations())
+@example(Q8)
+@example(parse_presentation("< a, b | a^6 b^4, a^-2 b^6 >"))
+def test_commutator_table_from_torsion_rows(p):
+    data = abelianization_data(p)
+    for row, d in zip(data.torsion_rows, data.invariants.torsion):
+        assert all(1 <= x < d for x in row.values())
+    t = commutator_coset_table(p)
+    assert t.n_cosets == data.invariants.order()
+    verify_table(t, p)
+    # the numbering fixes every later stage shape: it must not move
+    assert t.rows == commutator_coset_table_reference(p)

@@ -8,14 +8,37 @@ from adorn import abelian
 from adorn.abelian import AbelianInvariants, abelianization
 from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
-from adorn.fpgroup import Budget, parse_presentation
+from adorn.fpgroup import Budget, GroupPresentation, parse_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
                        SplittingDecl, UnknownSolvabilityStep,
                        UnsupportedOrbifold, certify_nontrivial,
-                       _pairwise_coprime, classify_seifert,
+                       FAMILIES, _pairwise_coprime, classify_seifert,
                        free_product_verdict, make, splitting_verdict)
 
 from oracles import is_perfect, minor_gcd_diagonal
+
+
+def test_family_order():
+    # `adorn zoo` lists the families in this order
+    assert FAMILIES == (
+        "free", "cyclic", "dihedral_inf", "free_product", "direct_product",
+        "braid", "torus_knot", "sl2z", "triangle", "surface", "klein_bottle",
+        "fuchsian", "baumslag_solitar", "trefoil", "figure_eight", "sl3z")
+
+
+PARAMETERLESS = {"dihedral_inf", "sl2z", "klein_bottle", "trefoil", "figure_eight", "sl3z"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_make_without_parameters(family):
+    try:
+        p = make(family, ())
+    except ValueError as exc:
+        assert family not in PARAMETERLESS
+        assert str(exc) == f"family {family!r}: missing parameters"
+    else:
+        assert family in PARAMETERLESS
+        assert isinstance(p, GroupPresentation)
 
 
 def test_braid3_presentation():
@@ -43,7 +66,7 @@ def test_torus_knot_presentation():
 
 
 def test_unknown_family():
-    with pytest.raises(ValueError, match="unknown family"):
+    with pytest.raises(ValueError, match=r"unknown family 'mystery' \(known: free, "):
         make("mystery")
     with pytest.raises(ValueError, match="missing parameters"):
         make("triangle", (2,))
