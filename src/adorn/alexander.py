@@ -8,12 +8,17 @@ entry in Z[t, 1/t] directly, never in the free group ring.  The polynomial
 is the gcd of the n maximal minors (the first elementary ideal), and Fox's
 fundamental formula lets one minor stand for all of them: deleting the
 column j of least non-zero |e_j|, the minor is the polynomial times
-(t^|e_j| - 1)/(t - 1), which is divided out exactly.
+(t^|e_j| - 1)/(t - 1), which is divided out exactly.  That minor is one
+integer determinant: with each row shifted to honest polynomials, its
+coefficients are at most B = prod_i sum_j ||a_ij||_1 in absolute value,
+so Kronecker substitution t = 2^k, 2^(k-1) > 2B, and Bareiss's
+fraction-free elimination give them back as balanced base-2^k digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .abelian import abelianization_data
 from .fpgroup import GroupPresentation, Word
@@ -146,30 +151,46 @@ def fox_derivative(w: Word, gen: int, images: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant by cofactor expansion (small matrices only)."""
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    memo: dict[tuple[int, ...], LaurentPoly] = {}
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Integer determinant by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968): each step's division by the previous pivot is exact.
+    A zero pivot is swapped with a row below; a column without one gives 0."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - x * top[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
-    def minor(row: int, cols: tuple[int, ...]) -> LaurentPoly:
-        if not cols:
-            return LaurentPoly.one()
-        if cols in memo:
-            return memo[cols]
-        total = LaurentPoly.zero()
-        for k, j in enumerate(cols):
-            entry = matrix[row][j]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols[:k] + cols[k + 1:])
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
-        memo[cols] = total
-        return total
 
-    return minor(0, tuple(range(n)))
+def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant in Z[t, 1/t]: row i shifted by its least exponent, t =
+    2^k with 2^(k-1) > 2B for the coefficient bound B above, read back as
+    balanced base-2^k digits (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8.4)."""
+    lows = [min((e.min_exp() for e in row if e.coeffs), default=0) for row in matrix]
+    bound = prod(sum(abs(c) for e in row for c in e.coeffs.values()) for row in matrix)
+    if not bound:
+        return LaurentPoly.zero()
+    k = (2 * bound).bit_length() + 1
+    d = _bareiss_det([[sum(c << k * (x - lo) for x, c in e.coeffs.items()) for e in row]
+                      for row, lo in zip(matrix, lows)])
+    out, shift, half = {}, sum(lows), 1 << (k - 1)
+    while d:
+        digit = (d + half) % (1 << k) - half
+        out[shift] = digit
+        d = (d - digit) >> k
+        shift += 1
+    return LaurentPoly(out)
 
 
 def _divide_by_geometric_sum(f: LaurentPoly, m: int) -> LaurentPoly:
@@ -207,8 +228,10 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     sum_k a_k (t^e_k - 1) = 0, so by Cramer's rule
     D_k = +-t^i Delta (t^e_k - 1)/(t - 1) for one Delta and every k
     (D_k = 0 where e_k = 0), and these cofactors are primitive with gcd
-    (t^g - 1)/(t - 1) = 1, since g = gcd(e) = 1 when H1 is Z.  A division
-    that leaves a remainder raises AlexanderError.
+    (t^g - 1)/(t - 1) = 1, since g = gcd(e) = 1 when H1 is Z.  D_j is one
+    Bareiss integer determinant after the Kronecker substitution t = 2^k,
+    with k set by the coefficient bound B = prod_i sum_k ||a_ik||_1.  A
+    division that leaves a remainder raises AlexanderError.
     """
     data = abelianization_data(p)
     inv = data.invariants
@@ -223,8 +246,8 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
         images = tuple(-e for e in images)
 
     j = min((g for g in range(n) if images[g]), key=lambda g: abs(images[g]))
-    minor = _laurent_det([[fox_derivative(r, g, images) for g in range(n) if g != j]
-                          for r in p.relators])
+    minor = _kronecker_det([[fox_derivative(r, g, images) for g in range(n) if g != j]
+                            for r in p.relators])
     delta = _divide_by_geometric_sum(minor, abs(images[j])).normalized()
     if abs(delta.value_at_one()) != 1:
         raise AlexanderError(

@@ -18,6 +18,7 @@ treated as a miss and overwritten.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -349,6 +350,7 @@ def cmd_verify_corpus(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adorn",

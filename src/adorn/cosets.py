@@ -273,7 +273,8 @@ def commutator_coset_table(p: GroupPresentation,
     (``AbelianizationData.torsion_rows``).  Only the forward column is
     computed: ``rows[c][2g] = f`` is filled from c's coordinates, and the
     inverse column as its mirror edge, ``rows[f][2g+1] = c``; adding an
-    image is a bijection, so every inverse entry is set exactly once.
+    image is a bijection, so every inverse entry is set exactly once.  The
+    budget's clock is read once per block of 1,024 cosets after the first.
     """
     data = abelianization_data(p, budget)
     inv = data.invariants
@@ -289,6 +290,8 @@ def commutator_coset_table(p: GroupPresentation,
 
     rows: list[list[int]] = [[0] * (2 * p.n_generators) for _ in range(inv.order())]
     for c, coords in enumerate(product(*(range(m) for m in moduli))):
+        if c and not c % 1024:
+            budget.check("commutator_coset_table")
         row = rows[c]
         for g, img in enumerate(images):
             f = sum(((a + x) % m) * w for a, x, m, w in zip(coords, img, moduli, weights))

@@ -583,10 +583,13 @@ def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]
     return out
 
 
-def _subword_pass(rels: list[Word]) -> tuple[list[Word], bool]:
+def _subword_pass(rels: list[Word],
+                  budget: Budget = DEFAULT_BUDGET) -> tuple[list[Word], bool]:
     """Replace long shared subwords (length >= 3, and more than half of the
-    source relator) by the shorter complement; total length strictly drops."""
+    source relator) by the shorter complement; total length strictly drops.
+    The clock is read once per relator scanned for a subword to replace."""
     for ri in range(len(rels)):
+        budget.check("tietze_simplify")
         r = rels[ri].letters
         for sj in range(len(rels)):
             s = rels[sj]
@@ -620,7 +623,8 @@ def tietze_simplify(p: GroupPresentation,
     shared subwords of length >= 3 by shorter complements.  Passes repeat to
     a fixed point or until a cap is hit; the result is flagged ``hit_caps``
     when it is not known to be fully simplified.  The budget's clock is
-    checked once per pass and once per elimination.
+    checked once per pass, once per elimination and once per relator the
+    subword pass scans.
 
     Eliminations are applied in the order of the key ``(cost, relator
     length, generator, relator index)``, recomputed after each one, so the
@@ -657,7 +661,7 @@ def tietze_simplify(p: GroupPresentation,
         changed = changed or bool(removed)
         hit = hit or blocked  # a legal elimination was blocked by the cap
 
-        rels, subbed = _subword_pass(rels)
+        rels, subbed = _subword_pass(rels, budget)
         if subbed:
             changed = True
 

@@ -16,7 +16,10 @@ straight to Z[t, 1/t]: an element of the free group ring Z[F], keyed by
 freely reduced prefix words, that ``to_laurent`` pushes through g -> t^e(g).
 The reference Alexander polynomial is the library's as it was before it
 took a single minor: the gcd of all n maximal minors of the Alexander
-matrix, folded by the primitive Euclidean algorithm in Z[t, 1/t].
+matrix, folded by the primitive Euclidean algorithm in Z[t, 1/t].  Its
+minors, and the reference for the library's Kronecker-substitution
+determinant, come from the cofactor expansion the library used before:
+a Laplace expansion along the rows, memoised over column subsets.
 The reference commutator coset table is the library's as it was before it
 read the torsion rows of ``u``: a dense table of generator images taken
 from the reference Smith normal form, and both columns of every row
@@ -31,7 +34,7 @@ from typing import Sequence
 
 from adorn.abelian import abelianization, abelianization_data, relator_matrix
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
-                             NotKnotLike, _laurent_det, fox_derivative)
+                             NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            Simplified, Word, _dedupe, _subword_pass,
@@ -834,6 +837,32 @@ def fox_derivative_reference(w: Word, gen: int) -> GroupRingElement:
 
 # ---------------------------------------------------------------------------
 # Alexander polynomial as the gcd of all maximal minors
+
+
+def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant by cofactor expansion (small matrices only)."""
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one()
+    memo: dict[tuple[int, ...], LaurentPoly] = {}
+
+    def minor(row: int, cols: tuple[int, ...]) -> LaurentPoly:
+        if not cols:
+            return LaurentPoly.one()
+        if cols in memo:
+            return memo[cols]
+        total = LaurentPoly.zero()
+        for k, j in enumerate(cols):
+            entry = matrix[row][j]
+            if entry.is_zero():
+                continue
+            sub = minor(row + 1, cols[:k] + cols[k + 1:])
+            term = entry * sub
+            total = total + (term if k % 2 == 0 else -term)
+        memo[cols] = total
+        return total
+
+    return minor(0, tuple(range(n)))
 
 
 def _content(f: LaurentPoly) -> int:

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from adorn.abelian import AbelianInvariants, abelianization, abelianization_data
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, _divide_by_geometric_sum,
-                             alexander_polynomial, fox_derivative,
-                             knot_adorability_report)
+                             _kronecker_det, alexander_polynomial,
+                             fox_derivative, knot_adorability_report)
 from adorn.fpgroup import (GroupPresentation, Word, free_reduce, parse_presentation,
                            tietze_simplify)
 from adorn.zoo import make
 
-from oracles import (GroupRingElement, alexander_polynomial_reference,
+from oracles import (GroupRingElement, _laurent_det, alexander_polynomial_reference,
                      fox_derivative_reference, laurent_gcd)
 
 A = Word.gen(0)
@@ -157,6 +157,72 @@ def test_division_by_geometric_sum():
     assert _divide_by_geometric_sum(poly({}), 5) == poly({})
     with pytest.raises(AlexanderError, match="not divisible"):
         _divide_by_geometric_sum(poly({2: 1, 0: 1}), 3)
+
+
+laurent_entries = st.dictionaries(st.integers(-6, 6), st.integers(-10**6, 10**6),
+                                  max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of order 0-6 over Z[t, 1/t], with zero entries and,
+    sometimes, a zero row."""
+    n = draw(st.integers(0, 6))
+    rows = [[draw(laurent_entries) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [LaurentPoly.zero()] * n
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_matrices())
+@example([[poly({-2: 10**6, 3: -10**6})]])
+@example([[poly({0: 1}), poly({1: 1})], [poly({-1: 1}), poly({0: 1})]])  # det 0
+@example([[poly({}), poly({1: -3})], [poly({-4: 5}), poly({})]])  # zero pivot
+def test_kronecker_determinant_equals_cofactor_expansion(m):
+    assert _kronecker_det(m) == _laurent_det(m)
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of integer polynomials (coefficient lists, constant first)
+    by long division from the top; asserts a zero remainder."""
+    num, out = list(num), [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i], rem = divmod(num[i + len(den) - 1], den[-1])
+        assert rem == 0
+        for j, c in enumerate(den):
+            num[i + j] -= out[i] * c
+    assert not any(num)
+    return out
+
+
+def _torus_braid_closure(p: int) -> GroupPresentation:
+    """Knot group of the closure of (sigma_1 ... sigma_{p-1})^(p+1), from
+    the Artin action: x_k = beta(x_k) for every strand but the last."""
+    x = [Word.gen(k) for k in range(p)]
+    img = list(x)
+    for i in list(range(p - 1)) * (p + 1):
+        a, b = img[i], img[i + 1]
+        img[i], img[i + 1] = free_reduce(a * b * a.inverse()), a
+    return GroupPresentation(tuple(f"x{k}" for k in range(p)),
+                             [img[k] * x[k].inverse() for k in range(p - 1)])
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_torus_knot_polynomial(p):
+    # Delta(T(p, q)) = (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)), q = p + 1,
+    # which is (1 + t^q + ... + t^(p-1)q)/(1 + t + ... + t^(p-1)); from the
+    # zoo's one relator, from three relators on four generators, and from
+    # the braid closure, whose minor is (p-1) x (p-1)
+    q = p + 1
+    num = [int(i % q == 0) for i in range(q * (p - 1) + 1)]
+    want = poly(dict(enumerate(_exact_quotient(num, [1] * p))))
+    x, y, u, v = (Word.gen(i) for i in range(4))
+    four = GroupPresentation(("x", "y", "u", "v"),
+                             (u * x ** -p, v * y ** -q, u * v.inverse()))
+    assert alexander_polynomial(make("torus_knot", (p, q))) == want
+    assert alexander_polynomial(four) == want
+    assert alexander_polynomial(_torus_braid_closure(p)) == want
 
 
 EXPONENTS = (-3, -2, -1, 1, 2, 3)

@@ -98,6 +98,22 @@ def test_rewrite_checks_each_relator(monkeypatch):
     assert info.value.layer == "rewrite_presentation"
 
 
+def wide(n):
+    """The free product of n copies of Z/2: 2^n cosets of the commutator
+    subgroup, and n SNF pivot steps."""
+    gens = ", ".join(f"x{i}" for i in range(n))
+    return parse_presentation(f"< {gens} | {', '.join(f'x{i}^2' for i in range(n))} >")
+
+
+def test_commutator_table_checks_each_block_after_the_first(monkeypatch):
+    expire_after(monkeypatch, 11)  # start, ten SNF pivots; 1,024 cosets, one block
+    assert commutator_coset_table(wide(10), Budget().start()).n_cosets == 1024
+    expire_after(monkeypatch, 12)  # start, eleven SNF pivots, then coset 1,024
+    with pytest.raises(CapExceeded) as info:
+        commutator_coset_table(wide(11), Budget().start())
+    assert info.value.layer == "commutator_coset_table"
+
+
 def test_tietze_checks_each_elimination(monkeypatch):
     p = make("fuchsian", (0, (4, 4, 4, 4)))
     raw = rewrite_presentation(p, commutator_coset_table(p))
@@ -110,7 +126,7 @@ def test_tietze_checks_each_elimination(monkeypatch):
 def test_tietze_checks_each_pass(monkeypatch):
     # every generator occurs twice in each relator: passes, no eliminations
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
-    expire_after(monkeypatch, 2)  # start, the first pass
+    expire_after(monkeypatch, 4)  # start, the first pass, its two subword scans
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(p, Budget().start())
     assert info.value.layer == "tietze_simplify"
@@ -145,10 +161,11 @@ def test_series_inconclusive_names_the_layer(monkeypatch):
 
 def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
     # certifying Z/40 x Z/40 abelian reads the clock at start, one Tietze
-    # pass, two SNF pivots, then after 4096 of its 6400 deductions
+    # pass and its three subword scans, two SNF pivots, then after 4096 of
+    # its 6400 deductions
     p = parse_presentation("< a, b | a^40, b^40, a b a^-1 b^-1 >")
     assert verify_filtration(p, [[]]).terminal_trivial
-    expire_after(monkeypatch, 4)
+    expire_after(monkeypatch, 7)
     with pytest.raises(CapExceeded) as info:
         verify_filtration(p, [[]])
     assert info.value.layer == "todd_coxeter"

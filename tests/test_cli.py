@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from adorn.cli import main
+from adorn.cli import build_parser, main
 from adorn.fpgroup import DEFAULT_BUDGET
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "paper.json")
@@ -13,6 +13,44 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout without timings, and stderr of one call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    text = out.out
+    if text.startswith("{"):
+        report = json.loads(text)
+        report.pop("timings_ms")
+        text = json.dumps(report)
+    return code, text, out.err
+
+
+@pytest.mark.parametrize("calls", [
+    [["series", "< a | a^50 >", "--max-cosets", "10", "--strict"],
+     ["series", "< a | a^50 >", "--max-cosets", "10"]],
+    [["series", "--zoo", "sl2z", "--json"], ["series", "--zoo", "sl2z"]],
+    [["classify-seifert", "--genus", "0", "--cones", "2,3", "--boundary"],
+     ["classify-seifert", "--genus", "0", "--cones", "2,3"]],
+    [["series", "--no-such-flag"], ["abelianize", "--zoo", "sl2z"]],
+], ids=["strict", "json", "boundary", "bad-argv"])
+def test_reused_parser_answers_as_a_fresh_one(capsys, calls):
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in calls] == alone
+    assert alone[0] != alone[1]  # the first call's flag changes its answer
+    assert alone[-1][0] == 0
 
 
 def test_abelianize_zoo(capsys):
