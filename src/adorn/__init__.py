@@ -24,7 +24,7 @@ from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                       free_reduce, format_presentation, format_word,
                       parse_presentation, tietze_simplify)
 from .rewriting import (reidemeister_schreier, rewrite_presentation,
-                        schreier_transversal, subgroup_word)
+                        subgroup_words)
 from .zoo import (FAMILIES, CannotCertifyFactorTriviality, SeifertData,
                   SplittingDecl, UnknownSolvabilityStep, UnsupportedOrbifold,
                   classify_seifert, free_product_verdict, make,

@@ -333,8 +333,12 @@ def cmd_verify_corpus(args) -> int:
             raise CliError(f"cannot read corpus {path}: {exc}") from exc
         if not isinstance(entries, list):
             raise CliError(f"corpus {path}: expected a JSON array of entries")
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise CliError(f"corpus {path}: entry {i} is not a JSON object")
             name = entry.get("name", "<unnamed>")
+            if not isinstance(entry.get("expect", {}), dict):
+                raise CliError(f"corpus {path}: entry {name!r}: expect is not a JSON object")
             try:
                 rows = _check_entry(entry, budget)
             except CliError:

@@ -14,7 +14,7 @@ producing one report per stage and a verdict:
   continue by coset enumeration.
 * ``Inconclusive`` — a resource limit was hit first; for ``wall_clock``,
   ``reason`` names the layer that stopped (``smith_normal_form``,
-  ``rewrite_presentation``, ``tietze_simplify``).
+  ``commutator_coset_table``, ``rewrite_presentation``, ``tietze_simplify``).
 
 Soundness rule: "manifestly free" and "manifestly trivial" mean zero
 relators / zero generators, which are cap-independent facts, so capped
@@ -31,7 +31,7 @@ from .cosets import CosetTable, commutator_coset_table, todd_coxeter
 from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
                       Simplified, Word, format_presentation, parse_presentation,
                       tietze_simplify)
-from .rewriting import reidemeister_schreier, rewrite_presentation, subgroup_word
+from .rewriting import reidemeister_schreier, rewrite_presentation, subgroup_words
 
 ADORABLE = "AdorableCertified"
 NON_ADORABLE = "NonAdorableCertified"
@@ -340,7 +340,7 @@ def verify_filtration(p: GroupPresentation,
         if prev_table is None:
             rewritten = words
         else:
-            rewritten = [subgroup_word(p, prev_table, w) for w in words]
+            rewritten = subgroup_words(prev_table, words)
         quotient = prev_pres.with_relators(rewritten)
         inv = abelianization(quotient, budget)
         if inv.order() != ratio:

@@ -458,12 +458,15 @@ def _dedupe(rels: list[Word]) -> list[Word]:
     return out
 
 
+INDEX_BLOCK = 4096  # relators or generators indexed between two clock reads
+
+
 def _eliminate_generators(rels: list[Word], n_gens: int,
                           budget: Budget) -> tuple[list[Word], list[int], bool]:
     """Eliminate generators occurring exactly once in some relator, one at a
     time, until none is left or every one left would push the total relator
     length over ``budget.max_total_relator_length``; the budget is checked
-    before each elimination.
+    before each elimination and every ``INDEX_BLOCK`` relators or generators indexed.
 
     ``rels`` must be canonical, non-empty and pairwise distinct.  The
     candidate ``(cost, len, gen, id)`` with the least key is applied first,
@@ -531,9 +534,14 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
         return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
 
     for i, r in enumerate(rels):
+        if i and not i % INDEX_BLOCK:
+            budget.check("tietze_simplify")
         add(i, r)
     best: dict[int, tuple[int, int, int, int]] = {}
-    rekey(range(n_gens))
+    for g in range(n_gens):
+        if g and not g % INDEX_BLOCK:
+            budget.check("tietze_simplify")
+        rekey((g,))
 
     cap = budget.max_total_relator_length
     removed: list[int] = []
@@ -623,8 +631,8 @@ def tietze_simplify(p: GroupPresentation,
     shared subwords of length >= 3 by shorter complements.  Passes repeat to
     a fixed point or until a cap is hit; the result is flagged ``hit_caps``
     when it is not known to be fully simplified.  The budget's clock is
-    checked once per pass, once per elimination and once per relator the
-    subword pass scans.
+    checked once per pass, once per elimination, once per block of the
+    occurrence index build and once per relator the subword pass scans.
 
     Eliminations are applied in the order of the key ``(cost, relator
     length, generator, relator index)``, recomputed after each one, so the

@@ -1,11 +1,13 @@
 """Presentations of finite-index subgroups from coset tables.
 
-Given a complete coset table for a subgroup H, the Schreier generators are
-one per non-tree edge of the coset graph (the tree being the BFS transversal
-tree), and relators are obtained by rewriting every relator of the ambient
-group once per coset.  The raw presentation has exactly
-``n_cosets * n_generators - (n_cosets - 1)`` generators; it is then passed
-through Tietze simplification.
+Given a complete coset table for a subgroup H, a breadth-first spanning
+tree of the coset graph leaves one Schreier generator per non-tree edge.
+The rewrite reads nothing but the edge labelling ``labels[c][x]``: the
+Schreier letter read when leaving coset c by column x, -1 on a tree edge.
+A word rewritten from a coset is the letters read along its walk, and
+every ambient relator is rewritten once from each coset.  The raw
+presentation has exactly ``n_cosets * n_generators - (n_cosets - 1)``
+generators; it is then passed through Tietze simplification.
 
 Words, coset-table columns and Schreier letters all use the int letter
 codes of :class:`adorn.fpgroup.Word` (``2*g`` for a generator, ``x ^ 1`` for
@@ -15,71 +17,49 @@ one table row and one label row per letter.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable
 
 from .cosets import CosetTable, IncompleteTable
 from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation, Simplified,
                       Word, free_reduce, tietze_simplify)
 
 
-class _Transversal(NamedTuple):
-    words: tuple[Word, ...]
-    # labels[c][x]: Schreier letter read when leaving coset c by column x,
-    # None on a tree edge
-    labels: list[list[int | None]]
-    n_schreier: int
-
-
-def _bfs_transversal(t: CosetTable) -> _Transversal:
-    """BFS transversal plus the Schreier generator numbering: generator k is
-    the k-th non-tree edge (coset a, column 2g) in (a, g) order, and crossing
-    it backwards reads its inverse."""
+def _schreier_labels(t: CosetTable) -> tuple[list[list[int]], int]:
+    """The edge labelling and the number of Schreier generators: generator
+    k is the k-th non-tree edge (coset a, column 2g) in (a, g) order, and
+    crossing it backwards reads its inverse."""
     if not t.complete:
-        raise IncompleteTable("transversal requires a complete coset table")
+        raise IncompleteTable("Schreier rewriting requires a complete coset table")
     rows = t.rows
     ncols = 2 * t.n_generators
-    reps: list[Word | None] = [None] * t.n_cosets
-    reps[0] = Word()
-    tree: set[tuple[int, int]] = set()  # (coset, column), both directions
+    labels = [[None] * ncols for _ in range(t.n_cosets)]
+    seen = [False] * t.n_cosets
+    seen[0] = True
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for x in range(ncols):
-            b = rows[a][x]
-            if reps[b] is None:
-                reps[b] = reps[a] * Word.of((x,))
-                tree.add((a, x))
-                tree.add((b, x ^ 1))
+    for a in queue:  # grows while it is read: breadth-first order
+        for x, b in enumerate(rows[a]):
+            if not seen[b]:
+                seen[b] = True
+                labels[a][x] = labels[b][x ^ 1] = -1
                 queue.append(b)
-    labels: list[list[int | None]] = [[None] * ncols for _ in range(t.n_cosets)]
     k = 0
-    for a in range(t.n_cosets):
+    for a, row in enumerate(labels):
         for x in range(0, ncols, 2):
-            if (a, x) not in tree:
-                labels[a][x] = 2 * k
+            if row[x] is None:
+                row[x] = 2 * k
                 labels[rows[a][x]][x ^ 1] = 2 * k + 1
                 k += 1
-    return _Transversal(tuple(reps), labels, k)
+    return labels, k
 
 
-def schreier_transversal(t: CosetTable) -> tuple[Word, ...]:
-    """Breadth-first shortest-lex coset representatives; prefix-closed,
-    with the empty word representing coset 0 (the subgroup)."""
-    return _bfs_transversal(t).words
-
-
-def _rewrite(t: CosetTable, labels: list[list[int | None]], w: Word,
-             start: int) -> Word:
-    """Rewrite (transversal[start]) w (transversal[end])^-1 over Schreier
-    generators; tree edges contribute nothing."""
+def _rewrite(t: CosetTable, labels: list[list[int]], w: Word, start: int) -> Word:
+    """The Schreier letters read along the walk of ``w`` from ``start``."""
     rows = t.rows
     c = start
     out = []
     for x in w.letters:
         y = labels[c][x]
-        if y is not None:
+        if y >= 0:
             out.append(y)
         c = rows[c][x]
     return Word.of(out)
@@ -89,7 +69,7 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                          budget: Budget = DEFAULT_BUDGET) -> GroupPresentation:
     """Raw subgroup presentation on Schreier generators, before
     simplification; the budget is checked once per ambient relator."""
-    _, labels, n_schreier = _bfs_transversal(t)
+    labels, n_schreier = _schreier_labels(t)
     relators = []
     for r in p.relators:
         budget.check("rewrite_presentation")
@@ -98,13 +78,17 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                              name=f"[{p.name or 'G'} : index {t.n_cosets}]")
 
 
-def subgroup_word(p: GroupPresentation, t: CosetTable, w: Word) -> Word:
-    """Express a word lying in the subgroup in terms of its Schreier
-    generators (matching :func:`rewrite_presentation` numbering)."""
-    labels = _bfs_transversal(t).labels
-    if t.word_act(0, w) != 0:
-        raise ValueError("word does not lie in the subgroup of coset 0")
-    return free_reduce(_rewrite(t, labels, w, 0))
+def subgroup_words(t: CosetTable, words: Iterable[Word]) -> list[Word]:
+    """Express words lying in the subgroup of coset 0 in terms of its
+    Schreier generators (matching :func:`rewrite_presentation` numbering),
+    freely reduced; one labelling serves every word."""
+    labels, _ = _schreier_labels(t)
+    out = []
+    for w in words:
+        if t.word_act(0, w) != 0:
+            raise ValueError("word does not lie in the subgroup of coset 0")
+        out.append(free_reduce(_rewrite(t, labels, w, 0)))
+    return out
 
 
 def reidemeister_schreier(p: GroupPresentation, t: CosetTable,

@@ -24,6 +24,9 @@ The reference commutator coset table is the library's as it was before it
 read the torsion rows of ``u``: a dense table of generator images taken
 from the reference Smith normal form, and both columns of every row
 computed from the coset's coordinates.
+The Schreier transversal is found without the library's labelling: level
+by level, each new coset takes the shortlex-least one-letter extension of
+the representatives found so far.
 """
 
 from __future__ import annotations
@@ -265,6 +268,26 @@ def verify_table(table, p, subgroup_gens=()) -> None:
             assert table.word_act(c, r) == c, "relator does not act trivially"
     for w in subgroup_gens:
         assert table.word_act(0, w) == 0, "subgroup generator moves coset 0"
+
+
+def schreier_transversal(table) -> tuple[Word, ...]:
+    """Shortlex-least word taking coset 0 to each coset, with the empty word
+    for coset 0.  The least word of length n + 1 to a new coset extends the
+    least word of its length-n prefix's coset, so each level only extends
+    the one before; the result is prefix-closed."""
+    reps: dict[int, tuple[int, ...]] = {0: ()}
+    level = [0]
+    while level:
+        found: dict[int, tuple[int, ...]] = {}
+        for c in level:
+            for x, b in enumerate(table.rows[c]):
+                if b not in reps:
+                    w = reps[c] + (x,)
+                    if b not in found or w < found[b]:
+                        found[b] = w
+        reps.update(found)
+        level = list(found)
+    return tuple(Word.of(reps[c]) for c in range(table.n_cosets))
 
 
 def commutator_coset_table_reference(p) -> tuple[tuple[int, ...], ...]:

@@ -132,6 +132,21 @@ def test_tietze_checks_each_pass(monkeypatch):
     assert info.value.layer == "tietze_simplify"
 
 
+@pytest.mark.parametrize("reads", [2, 3, 4])
+def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
+    # the raw rewrite of wide(10) keeps 5,120 relators after _dedupe, on
+    # 9,217 generators: after the start and the first pass, the index reads
+    # the clock at relator 4,096, then at generators 4,096 and 8,192
+    p = wide(10)
+    raw = rewrite_presentation(p, commutator_coset_table(p))
+    expire_after(monkeypatch, reads)
+    with pytest.raises(CapExceeded) as info:
+        tietze_simplify(raw, Budget().start())
+    assert info.value.layer == "tietze_simplify"
+    indexing = next(e for e in info.traceback if e.name == "_eliminate_generators")
+    assert "removed" not in indexing.locals  # the elimination loop never began
+
+
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):
     s6 = parse_presentation(  # 720 cosets, 7200 deductions
         "< a, b, c, d, e | a^2, b^2, c^2, d^2, e^2, (a b)^3, (b c)^3, (c d)^3,"

@@ -291,6 +291,25 @@ def test_verify_corpus_rejects_malformed_seifert_entry(tmp_path, capsys, entry):
     assert err.startswith("error:")
 
 
+GOOD_ENTRY = {"name": "ok", "input": "< a | a^2 >", "expect": {"abelianization": "Z/2"}}
+
+
+@pytest.mark.parametrize("entries,named", [
+    ([1], "entry 0"),
+    ([GOOD_ENTRY, "oops"], "entry 1"),
+    ([{"name": "e", "input": "< a | >", "expect": ["abelianization"]}], "'e'"),
+    ([GOOD_ENTRY, {"name": "f", "input": "< a | >", "expect": 5}], "'f'"),
+], ids=["int-entry", "string-entry", "list-expect", "int-expect"])
+def test_verify_corpus_rejects_malformed_entry(tmp_path, capsys, entries, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    code, out, err = run(capsys, ["verify-corpus", str(bad)])
+    assert code == 2
+    assert "FAIL" not in out
+    assert err.startswith("error:")
+    assert str(bad) in err and named in err
+
+
 def test_zoo_params_decode_alike_on_cli_and_corpus(tmp_path, capsys):
     code, out, _ = run(capsys, ["abelianize", "--zoo", "fuchsian", "--params", "0,2,4,4"])
     assert (code, out.strip()) == (0, "Z/2 ⊕ Z/4")

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
 from adorn.cosets import CosetTable, IncompleteTable, commutator_coset_table, todd_coxeter
-from adorn.fpgroup import GroupPresentation, Word, parse_presentation
-from adorn.rewriting import (reidemeister_schreier, rewrite_presentation,
-                             schreier_transversal, subgroup_word)
+from adorn.fpgroup import GroupPresentation, Word, free_reduce, parse_presentation
+from adorn.rewriting import (_rewrite, _schreier_labels, reidemeister_schreier,
+                             rewrite_presentation, subgroup_words)
 from adorn.zoo import make
 
-from oracles import derived_series_quotients, pinv, quaternion_model
+from oracles import (derived_series_quotients, pinv, quaternion_model,
+                     schreier_transversal)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -47,7 +48,7 @@ def test_transversal_prefix_closed():
 def test_transversal_requires_complete():
     t = CosetTable(1, [[None, None]], complete=False)
     with pytest.raises(IncompleteTable):
-        schreier_transversal(t)
+        rewrite_presentation(parse_presentation("< a | a^2 >"), t)
 
 
 def test_schreier_generator_count():
@@ -177,12 +178,79 @@ def test_second_derived_quotient_matches_permutation_oracle(pres, model):
 def test_subgroup_word_rewriting():
     p = S3_ROT
     t = todd_coxeter(p, [B])
-    w = subgroup_word(p, t, B)
+    [w] = subgroup_words(t, [B])
     # b lies in the subgroup; its rewriting is a word in Schreier generators
     sub = rewrite_presentation(p, t)
     assert w.max_generator() < sub.n_generators
     with pytest.raises(ValueError):
-        subgroup_word(p, t, A)  # a is not in <b>
+        subgroup_words(t, [B, A])  # a is not in <b>
+
+
+def labelled_tables():
+    """(words, table) pairs: random permutation tables of free groups with
+    random words, and Coxeter tables of S3 and S4 with their relators."""
+    rng = random.Random(12)
+    cases = []
+    for _ in range(25):
+        n = rng.choice((2, 3))
+        t = random_subgroup_table(rng, n, rng.randrange(1, 13))
+        words = [Word.of(rng.randrange(2 * n) for _ in range(rng.randrange(8)))
+                 for _ in range(4)]
+        cases.append((words, t))
+    for n, sub in [(3, []), (3, [A]), (4, []), (4, [A]), (4, [A, Word.gen(2)])]:
+        p = coxeter_symmetric(n)
+        cases.append((list(p.relators), todd_coxeter(p, sub)))
+    return cases
+
+
+def schreier_images(t, reps):
+    """Schreier generator k as the word rep(a) x rep(b)^-1 of the k-th edge
+    (a, x) to b, x a generator column, in (a, x) order, that is not an edge
+    of the tree of ``reps``."""
+    images = []
+    for a in range(t.n_cosets):
+        for x in range(0, 2 * t.n_generators, 2):
+            b = t.rows[a][x]
+            edge = Word.of((x,))
+            if reps[b] != reps[a] * edge and reps[a] != reps[b] * edge.inverse():
+                images.append(reps[a] * edge * reps[b].inverse())
+    return images
+
+
+def substitute(w, images):
+    out = Word()
+    for x in w.letters:
+        out = out * (images[x >> 1].inverse() if x & 1 else images[x >> 1])
+    return free_reduce(out)
+
+
+def test_labelling_follows_the_shortlex_tree():
+    for _, t in labelled_tables():
+        labels, _ = _schreier_labels(t)
+        for c, rep in enumerate(schreier_transversal(t)):
+            assert t.word_act(0, rep) == c
+            assert _rewrite(t, labels, rep, 0) == Word()
+
+
+def test_rewrite_is_conjugation_by_the_transversal():
+    # the rewrite of w from coset a, read back through rep(a) x rep(b)^-1,
+    # is rep(a) w rep(a.w)^-1: for a relator, rep(a) r rep(a)^-1
+    for words, t in labelled_tables():
+        reps = schreier_transversal(t)
+        images = schreier_images(t, reps)
+        labels, n_schreier = _schreier_labels(t)
+        assert n_schreier == len(images) == t.n_cosets * (t.n_generators - 1) + 1
+        in_subgroup = []
+        for w in words:
+            for a in range(t.n_cosets):
+                conj = reps[a] * w * reps[t.word_act(a, w)].inverse()
+                assert substitute(_rewrite(t, labels, w, a), images) == free_reduce(conj)
+                in_subgroup.append(conj)
+        got = subgroup_words(t, in_subgroup)
+        assert [substitute(u, images) for u in got] == [free_reduce(w) for w in in_subgroup]
+        if t.n_cosets > 1:
+            with pytest.raises(ValueError):
+                subgroup_words(t, in_subgroup + [reps[1]])
 
 
 def test_rewritten_relators_land_in_subgroup():
