@@ -24,6 +24,7 @@ Whitespace is insignificant; integers may be negative.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import time
@@ -448,16 +449,6 @@ def _substitute(w: Word, x: int, repl: Word) -> Word:
     return Word.of(out)
 
 
-def _dedupe(rels: list[Word]) -> list[Word]:
-    seen: set[Word] = set()
-    out = []
-    for r in rels:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 INDEX_BLOCK = 4096  # relators or generators indexed between two clock reads
 
 
@@ -465,19 +456,23 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
                           budget: Budget) -> tuple[list[Word], list[int], bool]:
     """Eliminate generators occurring exactly once in some relator, one at a
     time, until none is left or every one left would push the total relator
-    length over ``budget.max_total_relator_length``; the budget is checked
-    before each elimination and every ``INDEX_BLOCK`` relators or generators indexed.
+    length over ``budget.max_total_relator_length``.
 
-    ``rels`` must be canonical, non-empty and pairwise distinct.  The
-    candidate ``(cost, len, gen, id)`` with the least key is applied first,
-    where ``cost = (occurrences elsewhere) * (len - 2) - len`` and ``id`` is
-    the relator's list position.  An occurrence index keeps, per relator,
-    its letter counts, and per generator, its total count, the relators it
-    occurs in and its best candidate key; an elimination rewrites and
-    re-keys only what contains the eliminated generator.  Relators keep
-    their ids, and a rewritten relator equal to another keeps the lower id,
-    as :func:`_dedupe` would.  Returns the relators left, the eliminated
-    generators in order, and whether the cap blocked an elimination.
+    ``rels`` must be canonical and non-empty; a relator equal to an earlier
+    one is dropped as the occurrence index is built.  The index keeps, per
+    relator, its letter counts, and per generator, its total count and the
+    relators it occurs in.  Candidates ``(cost, len, gen, id)``, where
+    ``cost = (occurrences elsewhere) * (len - 2) - len`` and ``id`` is the
+    relator's list position, are popped least first from one heap: a key
+    is skipped when its relator is gone, its generator no longer occurs
+    once there, or the key changed since it was pushed.  An elimination
+    rewrites only the relators containing its generator and pushes the keys
+    of their generators; a candidate the cap blocks is pushed back after the
+    next elimination applied.  A rewritten relator equal to another keeps
+    the lower id, so the first occurrence wins.  The budget is checked every
+    ``INDEX_BLOCK`` relators or generators indexed and before each candidate
+    is tried.  Returns the relators left, the eliminated generators in
+    order, and whether the cap blocked an elimination.
     """
     rels: list[Word | None] = list(rels)
     size = [0] * len(rels)
@@ -509,18 +504,16 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
         rels[i] = counts[i] = None
         return c
 
-    def keys(g: int) -> list[tuple[int, int, int, int]]:
-        elsewhere = occ[g] - 1
-        return [(elsewhere * (size[i] - 2) - size[i], size[i], g, i)
-                for i in where[g] if counts[i][g] == 1]
+    def key(g: int, i: int) -> tuple[int, int, int, int]:
+        return (occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i
 
-    def rekey(gens: Iterable[int]) -> None:
+    heap: list[tuple[int, int, int, int]] = []
+
+    def push(gens: Iterable[int]) -> None:
         for g in gens:
-            k = min(keys(g), default=None)
-            if k is None:
-                best.pop(g, None)
-            else:
-                best[g] = k
+            for i in where[g]:
+                if counts[i][g] == 1:
+                    heapq.heappush(heap, key(g, i))
 
     def rewrite(g: int, ri: int) -> tuple[dict[int, Word], int]:
         """Relators other than ``ri`` that contain ``g``, with ``g`` solved
@@ -536,29 +529,33 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
     for i, r in enumerate(rels):
         if i and not i % INDEX_BLOCK:
             budget.check("tietze_simplify")
-        add(i, r)
-    best: dict[int, tuple[int, int, int, int]] = {}
+        if r in ids:
+            rels[i] = None
+        else:
+            add(i, r)
     for g in range(n_gens):
         if g and not g % INDEX_BLOCK:
             budget.check("tietze_simplify")
-        rekey((g,))
+        push((g,))
 
     cap = budget.max_total_relator_length
     removed: list[int] = []
+    tried: list[tuple[int, int, int, int]] = []
     blocked = False
-    while best:
+    last = None
+    while heap:
+        k = heapq.heappop(heap)
+        _, _, g, ri = k
+        stale = counts[ri] is None or counts[ri].get(g) != 1 or k != key(g, ri)
+        if stale or k == last:  # pushes repeat unchanged keys
+            continue
+        last = k
         budget.check("tietze_simplify")
-        _, _, g, ri = min(best.values())
         new, length = rewrite(g, ri)
         if length > cap:
-            # rare: try the other candidates in key order, as a full rescan would
+            tried.append(k)
             blocked = True
-            for _, _, g, ri in sorted(k for h in best for k in keys(h))[1:]:
-                new, length = rewrite(g, ri)
-                if length <= cap:
-                    break
-            else:
-                break
+            continue
         touched = set(drop(ri))
         for i in new:
             touched.update(drop(i))
@@ -572,7 +569,10 @@ def _eliminate_generators(rels: list[Word], n_gens: int,
                 touched.update(drop(j))
             add(i, s)
             touched.update(counts[i])
-        rekey(touched)
+        push(touched)
+        for t in tried:
+            heapq.heappush(heap, t)
+        tried.clear()
         removed.append(g)
     return [r for r in rels if r is not None], removed, blocked
 
@@ -624,27 +624,28 @@ def tietze_simplify(p: GroupPresentation,
                     budget: Budget = DEFAULT_BUDGET) -> Simplified:
     """Deterministic presentation simplification within a budget.
 
-    Each pass runs, in order: trivial-relator deletion, duplicate deletion
-    (up to rotation and inversion), elimination of generators occurring
-    exactly once in some relator (cheapest substitution first, skipped if it
-    would push the total relator length over the cap), and replacement of
-    shared subwords of length >= 3 by shorter complements.  Passes repeat to
-    a fixed point or until a cap is hit; the result is flagged ``hit_caps``
-    when it is not known to be fully simplified.  The budget's clock is
-    checked once per pass, once per elimination, once per block of the
-    occurrence index build and once per relator the subword pass scans.
+    Each pass runs, in order: duplicate deletion (up to rotation and
+    inversion) and elimination of generators occurring exactly once in some
+    relator (cheapest substitution first, skipped if it would push the total
+    relator length over the cap), then replacement of shared subwords of
+    length >= 3 by shorter complements.  Passes repeat to a fixed point or
+    until a cap is hit; the result is flagged ``hit_caps`` when it is not
+    known to be fully simplified.  The budget's clock is checked once per
+    pass, once per elimination tried, once per block of the occurrence index
+    build and once per relator the subword pass scans.
 
     Eliminations are applied in the order of the key ``(cost, relator
     length, generator, relator index)``, recomputed after each one, so the
     output depends only on the input.  :func:`_eliminate_generators` keeps
-    that order with an occurrence index instead of a rescan.  Relators keep
-    their list positions as ids, and nothing reorders them, so ids compare
-    like relator indices.  A key depends only on its relator's length and
-    its generator's total count, which change only for the generators of
-    the relators an elimination rewrites, so only those are re-keyed.
+    that order with an occurrence index and a heap instead of a rescan.
+    Relators keep their list positions as ids, and nothing reorders them, so
+    ids compare like relator indices.  A key depends only on its relator's
+    length and its generator's total count, which change only for the
+    generators of the relators an elimination rewrites, so only those keys
+    are pushed.
     """
-    alive = list(range(p.n_generators))
     rels = list(p.relators)
+    gone: set[int] = set()
     hit = False
 
     passes = 0
@@ -655,24 +656,18 @@ def tietze_simplify(p: GroupPresentation,
             break
         budget.check("tietze_simplify")
         passes += 1
-        changed = False
 
         before = len(rels)
-        rels = _dedupe(rels)
-        if len(rels) != before:
-            changed = True
-
         rels, removed, blocked = _eliminate_generators(
             rels, p.n_generators, budget)
-        for g in removed:
-            alive.remove(g)
-        changed = changed or bool(removed)
+        gone.update(removed)
+        changed = len(rels) != before or bool(removed)
         hit = hit or blocked  # a legal elimination was blocked by the cap
 
         rels, subbed = _subword_pass(rels, budget)
-        if subbed:
-            changed = True
+        changed = changed or subbed
 
+    alive = [g for g in range(p.n_generators) if g not in gone]
     remap = {g: i for i, g in enumerate(alive)}
     final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]
     final.sort(key=lambda w: (len(w), w.letters))

@@ -40,7 +40,7 @@ from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
-                           Simplified, Word, _dedupe, _subword_pass,
+                           Simplified, Word, _subword_pass,
                            _substitute, cyclically_reduce, free_reduce)
 
 Perm = tuple[int, ...]
@@ -601,7 +601,7 @@ def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
         changed = False
 
         before = len(rels)
-        rels = _dedupe(rels)
+        rels = list(dict.fromkeys(rels))  # the first occurrence wins
         if len(rels) != before:
             changed = True
 
@@ -612,7 +612,7 @@ def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
                 if sum(len(r) for r in new_rels) > caps.max_total_relator_length:
                     hit = True  # a legal elimination was blocked by the cap
                     continue
-                rels = _dedupe(new_rels)
+                rels = list(dict.fromkeys(new_rels))
                 alive.remove(g)
                 applied = changed = True
                 break
@@ -986,6 +986,13 @@ def word_exponent_images(p, data, word) -> tuple[tuple[int, ...], tuple[int, ...
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+def wide(n: int) -> GroupPresentation:
+    """``< x0..x{n-1} | x_i^2 >``, the free product of n copies of Z/2: 2^n
+    cosets of the commutator subgroup, and n SNF pivot steps."""
+    return GroupPresentation([f"x{i}" for i in range(n)],
+                             [Word.gen(i) ** 2 for i in range(n)])
 
 
 def quaternion_model() -> tuple[list[Perm], "object"]:

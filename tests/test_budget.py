@@ -17,6 +17,8 @@ from adorn.rewriting import rewrite_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
                        free_product_verdict, make)
 
+from oracles import wide
+
 SETTINGS = ("max_depth", "max_cosets", "max_deductions", "max_generators",
             "max_total_relator_length", "max_passes", "wall_clock_seconds")
 
@@ -98,13 +100,6 @@ def test_rewrite_checks_each_relator(monkeypatch):
     assert info.value.layer == "rewrite_presentation"
 
 
-def wide(n):
-    """The free product of n copies of Z/2: 2^n cosets of the commutator
-    subgroup, and n SNF pivot steps."""
-    gens = ", ".join(f"x{i}" for i in range(n))
-    return parse_presentation(f"< {gens} | {', '.join(f'x{i}^2' for i in range(n))} >")
-
-
 def test_commutator_table_checks_each_block_after_the_first(monkeypatch):
     expire_after(monkeypatch, 11)  # start, ten SNF pivots; 1,024 cosets, one block
     assert commutator_coset_table(wide(10), Budget().start()).n_cosets == 1024
@@ -123,6 +118,19 @@ def test_tietze_checks_each_elimination(monkeypatch):
     assert info.value.layer == "tietze_simplify"
 
 
+def test_tietze_checks_each_blocked_candidate(monkeypatch):
+    # the raw rewrite starts at 386 letters after dropping duplicates, and
+    # the cap blocks every one of its 386 candidates
+    p = make("fuchsian", (0, (4, 4, 4, 4)))
+    raw = rewrite_presentation(p, commutator_coset_table(p))
+    expire_after(monkeypatch, 10)  # start, the first pass, eight candidates
+    with pytest.raises(CapExceeded) as info:
+        tietze_simplify(raw, Budget(max_total_relator_length=321).start())
+    assert info.value.layer == "tietze_simplify"
+    assert info.traceback[-2].name == "_eliminate_generators"
+    assert info.traceback[-2].locals["blocked"]
+
+
 def test_tietze_checks_each_pass(monkeypatch):
     # every generator occurs twice in each relator: passes, no eliminations
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
@@ -134,9 +142,10 @@ def test_tietze_checks_each_pass(monkeypatch):
 
 @pytest.mark.parametrize("reads", [2, 3, 4])
 def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
-    # the raw rewrite of wide(10) keeps 5,120 relators after _dedupe, on
-    # 9,217 generators: after the start and the first pass, the index reads
-    # the clock at relator 4,096, then at generators 4,096 and 8,192
+    # the raw rewrite of wide(10) has 10,240 relators, half of them
+    # duplicates, on 9,217 generators: after the start and the first pass,
+    # the index reads the clock at relators 4,096 and 8,192, then at
+    # generators 4,096 and 8,192
     p = wide(10)
     raw = rewrite_presentation(p, commutator_coset_table(p))
     expire_after(monkeypatch, reads)

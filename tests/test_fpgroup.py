@@ -15,7 +15,7 @@ from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
-from oracles import canonical_relator_pairs, tietze_simplify_reference
+from oracles import canonical_relator_pairs, tietze_simplify_reference, wide
 
 
 def W(*letters):
@@ -297,6 +297,8 @@ def tietze_presentations(draw):
 # the cap blocks a generator's best candidate but not its next one
 @example(parse_presentation("< a, b | a b, a^2 b a^-1 b^-1 a b^-1, a b^2 a^-1 b,"
                             " a^2 b^-1 a b^-1, a b^-1 >"))
+# the cap blocks a candidate that fits after the next elimination
+@example(parse_presentation("< a, b, c | a^2, a c, b c, b^8 c >"))
 def test_tietze_matches_full_rescan_reference(p):
     for caps in TIETZE_CAPS:
         assert (_simplified_bytes(tietze_simplify(p, caps))
@@ -306,6 +308,7 @@ def test_tietze_matches_full_rescan_reference(p):
 @pytest.mark.parametrize("group", [
     make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))),
     make("fuchsian", (0, (4, 4, 4, 4))),
+    wide(6),  # 321 generators: many tied keys on the heap
 ])
 @pytest.mark.parametrize("caps", [DEFAULT_BUDGET,
                                   Budget(max_total_relator_length=400)])
