@@ -452,131 +452,6 @@ def _substitute(w: Word, x: int, repl: Word) -> Word:
 INDEX_BLOCK = 4096  # relators or generators indexed between two clock reads
 
 
-def _eliminate_generators(rels: list[Word], n_gens: int,
-                          budget: Budget) -> tuple[list[Word], list[int], bool]:
-    """Eliminate generators occurring exactly once in some relator, one at a
-    time, until none is left or every one left would push the total relator
-    length over ``budget.max_total_relator_length``.
-
-    ``rels`` must be canonical and non-empty; a relator equal to an earlier
-    one is dropped as the occurrence index is built.  The index keeps, per
-    relator, its letter counts, and per generator, its total count and the
-    relators it occurs in.  Candidates ``(cost, len, gen, id)``, where
-    ``cost = (occurrences elsewhere) * (len - 2) - len`` and ``id`` is the
-    relator's list position, are popped least first from one heap: a key
-    is skipped when its relator is gone, its generator no longer occurs
-    once there, or the key changed since it was pushed.  An elimination
-    rewrites only the relators containing its generator and pushes the keys
-    of their generators; a candidate the cap blocks is pushed back after the
-    next elimination applied.  A rewritten relator equal to another keeps
-    the lower id, so the first occurrence wins.  The budget is checked every
-    ``INDEX_BLOCK`` relators or generators indexed and before each candidate
-    is tried.  Returns the relators left, the eliminated generators in
-    order, and whether the cap blocked an elimination.
-    """
-    rels: list[Word | None] = list(rels)
-    size = [0] * len(rels)
-    counts: list[dict[int, int] | None] = [None] * len(rels)
-    occ = [0] * n_gens
-    where: list[set[int]] = [set() for _ in range(n_gens)]
-    ids: dict[Word, int] = {}
-    total = 0
-
-    def add(i: int, r: Word) -> None:
-        nonlocal total
-        c: dict[int, int] = {}
-        for x in r.letters:
-            c[x >> 1] = c.get(x >> 1, 0) + 1
-        for g, k in c.items():
-            occ[g] += k
-            where[g].add(i)
-        rels[i], size[i], counts[i], ids[r] = r, len(r), c, i
-        total += size[i]
-
-    def drop(i: int) -> dict[int, int]:
-        nonlocal total
-        c = counts[i]
-        for g, k in c.items():
-            occ[g] -= k
-            where[g].discard(i)
-        del ids[rels[i]]
-        total -= size[i]
-        rels[i] = counts[i] = None
-        return c
-
-    def key(g: int, i: int) -> tuple[int, int, int, int]:
-        return (occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i
-
-    heap: list[tuple[int, int, int, int]] = []
-
-    def push(gens: Iterable[int]) -> None:
-        for g in gens:
-            for i in where[g]:
-                if counts[i][g] == 1:
-                    heapq.heappush(heap, key(g, i))
-
-    def rewrite(g: int, ri: int) -> tuple[dict[int, Word], int]:
-        """Relators other than ``ri`` that contain ``g``, with ``g`` solved
-        from relator ``ri`` and substituted; and the total length after."""
-        r = rels[ri].letters
-        k = next(i for i, x in enumerate(r) if x >> 1 == g)
-        # r[k] * rest = 1, so r[k] = rest^-1
-        repl = Word.of(r[k + 1:] + r[:k]).inverse()
-        new = {i: canonical_relator(_substitute(rels[i], r[k], repl))
-               for i in sorted(where[g]) if i != ri}
-        return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
-
-    for i, r in enumerate(rels):
-        if i and not i % INDEX_BLOCK:
-            budget.check("tietze_simplify")
-        if r in ids:
-            rels[i] = None
-        else:
-            add(i, r)
-    for g in range(n_gens):
-        if g and not g % INDEX_BLOCK:
-            budget.check("tietze_simplify")
-        push((g,))
-
-    cap = budget.max_total_relator_length
-    removed: list[int] = []
-    tried: list[tuple[int, int, int, int]] = []
-    blocked = False
-    last = None
-    while heap:
-        k = heapq.heappop(heap)
-        _, _, g, ri = k
-        stale = counts[ri] is None or counts[ri].get(g) != 1 or k != key(g, ri)
-        if stale or k == last:  # pushes repeat unchanged keys
-            continue
-        last = k
-        budget.check("tietze_simplify")
-        new, length = rewrite(g, ri)
-        if length > cap:
-            tried.append(k)
-            blocked = True
-            continue
-        touched = set(drop(ri))
-        for i in new:
-            touched.update(drop(i))
-        for i, s in new.items():  # ascending ids: the first occurrence wins
-            if not len(s):
-                continue
-            j = ids.get(s)
-            if j is not None:
-                if j < i:
-                    continue
-                touched.update(drop(j))
-            add(i, s)
-            touched.update(counts[i])
-        push(touched)
-        for t in tried:
-            heapq.heappush(heap, t)
-        tried.clear()
-        removed.append(g)
-    return [r for r in rels if r is not None], removed, blocked
-
-
 def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]:
     """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
     mapped to the inverse of their cyclic complement (a shorter equivalent)."""
@@ -591,85 +466,200 @@ def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]
     return out
 
 
-def _subword_pass(rels: list[Word],
-                  budget: Budget = DEFAULT_BUDGET) -> tuple[list[Word], bool]:
-    """Replace long shared subwords (length >= 3, and more than half of the
-    source relator) by the shorter complement; total length strictly drops.
-    The clock is read once per relator scanned for a subword to replace."""
-    for ri in range(len(rels)):
+def _subword_replacement(rels: list[Word | None],
+                         budget: Budget) -> tuple[int, Word] | None:
+    """The first replacement, scanning the live ids of ``rels`` in the order
+    ``(relator, source, length, position)``, of a subword of relator ``ri``
+    (length >= 3, and more than half of a source relator no longer than
+    ``ri``) by the shorter complement.  Returns ``ri`` and its new canonical
+    word, possibly empty, or ``None``.  The clock is read once per relator
+    scanned."""
+    live = [i for i, r in enumerate(rels) if r is not None]
+    sources = [(j, rels[j], len(rels[j])) for j in live if len(rels[j]) >= 4]
+    for ri in live:
         budget.check("tietze_simplify")
         r = rels[ri].letters
-        for sj in range(len(rels)):
-            s = rels[sj]
-            if sj == ri or len(s) > len(r) or len(s) < 4:
+        for sj, s, n in sources:
+            if n > len(r) or sj == ri:
                 continue
-            low = max(3, len(s) // 2 + 1)
-            for length in range(min(len(s) - 1, len(r)), low - 1, -1):
-                sources = _cyclic_subword_sources(s, length)
+            for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
+                subs = _cyclic_subword_sources(s, length)
                 for i in range(len(r) - length + 1):
                     u = r[i:i + length]
-                    if u in sources:
-                        new = canonical_relator(
-                            Word.of(r[:i] + sources[u].letters + r[i + length:]))
-                        out = list(rels)
-                        if len(new):
-                            out[ri] = new
-                        else:
-                            del out[ri]
-                        return out, True
-    return rels, False
+                    if u in subs:
+                        return ri, canonical_relator(
+                            Word.of(r[:i] + subs[u].letters + r[i + length:]))
+    return None
 
 
 def tietze_simplify(p: GroupPresentation,
                     budget: Budget = DEFAULT_BUDGET) -> Simplified:
     """Deterministic presentation simplification within a budget.
 
-    Each pass runs, in order: duplicate deletion (up to rotation and
-    inversion) and elimination of generators occurring exactly once in some
-    relator (cheapest substitution first, skipped if it would push the total
-    relator length over the cap), then replacement of shared subwords of
-    length >= 3 by shorter complements.  Passes repeat to a fixed point or
-    until a cap is hit; the result is flagged ``hit_caps`` when it is not
-    known to be fully simplified.  The budget's clock is checked once per
-    pass, once per elimination tried, once per block of the occurrence index
-    build and once per relator the subword pass scans.
+    Duplicate relators (up to rotation and inversion) are dropped, the first
+    occurrence kept.  Each pass eliminates generators occurring exactly once
+    in some relator (cheapest substitution first, skipped if it would push
+    the total relator length over the cap) until none is left, then makes
+    the first replacement :func:`_subword_replacement` finds.  A pass that
+    finds none is a fixed point and ends the loop.  The result is flagged
+    ``hit_caps`` when the cap blocked an elimination, when the last allowed
+    pass (``max_passes``) made a replacement, or when it is over the
+    generator or length cap.  The clock is checked once per block of the
+    occurrence index build, once per pass, once per elimination tried and
+    once per relator the subword scan reads.
 
-    Eliminations are applied in the order of the key ``(cost, relator
-    length, generator, relator index)``, recomputed after each one, so the
-    output depends only on the input.  :func:`_eliminate_generators` keeps
-    that order with an occurrence index and a heap instead of a rescan.
-    Relators keep their list positions as ids, and nothing reorders them, so
-    ids compare like relator indices.  A key depends only on its relator's
-    length and its generator's total count, which change only for the
-    generators of the relators an elimination rewrites, so only those keys
-    are pushed.
+    The occurrence index is built once: per relator, its letter counts, and
+    per generator, its total count and the relators it occurs in.  Relator
+    ids are input positions; a rewritten relator keeps its id, and one equal
+    to another keeps the lower id, so the first occurrence wins.
+    Eliminations are applied in the order of the key ``(cost, len, gen,
+    id)``, ``cost = (occurrences elsewhere) * (len - 2) - len``, popped least
+    first from one heap: a key is skipped when its relator is gone, its
+    generator no longer occurs once there, the key changed since it was
+    pushed, or it repeats the key just tried.  A key depends only on its
+    relator's length and its generator's total count, so a change pushes the
+    keys of the generators whose count moved and of the relators added, then
+    pushes back the keys the cap blocked.
     """
-    rels = list(p.relators)
-    gone: set[int] = set()
-    hit = False
+    n_gens = p.n_generators
+    rels: list[Word | None] = list(p.relators)
+    size = [0] * len(rels)
+    counts: list[dict[int, int] | None] = [None] * len(rels)
+    occ = [0] * n_gens
+    where: list[set[int]] = [set() for _ in range(n_gens)]
+    ids: dict[Word, int] = {}
+    total = 0
+    moved: dict[int, int] = {}  # the change of each total count in one replace
 
+    def add(i: int, r: Word) -> None:
+        nonlocal total
+        c: dict[int, int] = {}
+        for x in r.letters:
+            c[x >> 1] = c.get(x >> 1, 0) + 1
+        for g, k in c.items():
+            occ[g] += k
+            where[g].add(i)
+        rels[i], size[i], counts[i], ids[r] = r, len(r), c, i
+        total += size[i]
+
+    def drop(i: int) -> None:
+        nonlocal total
+        for g, k in counts[i].items():
+            occ[g] -= k
+            moved[g] = moved.get(g, 0) - k
+            where[g].discard(i)
+        del ids[rels[i]]
+        total -= size[i]
+        rels[i] = counts[i] = None
+
+    def key(g: int, i: int) -> tuple[int, int, int, int]:
+        return (occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i
+
+    heap: list[tuple[int, int, int, int]] = []
+    tried: list[tuple[int, int, int, int]] = []
+    last = None
+
+    def push(g: int, among: Iterable[int]) -> None:
+        for i in among:
+            if counts[i][g] == 1:
+                heapq.heappush(heap, key(g, i))
+
+    def rewrite(g: int, ri: int) -> tuple[dict[int, Word], int]:
+        """Relators other than ``ri`` that contain ``g``, with ``g`` solved
+        from relator ``ri`` and substituted; and the total length after."""
+        r = rels[ri].letters
+        k = next(i for i, x in enumerate(r) if x >> 1 == g)
+        # r[k] * rest = 1, so r[k] = rest^-1
+        repl = Word.of(r[k + 1:] + r[:k]).inverse()
+        new = {i: canonical_relator(_substitute(rels[i], r[k], repl))
+               for i in sorted(where[g]) if i != ri}
+        return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
+
+    def replace(new: dict[int, Word]) -> None:
+        """Drop the relators with the ids of ``new``, then add its non-empty
+        words in id order; a word equal to a live relator keeps the lower
+        id.  Push every key of a generator whose total count moved (one a
+        subword complement brings in too) and of a relator added, push back
+        the keys the cap blocked, and forget the last key tried."""
+        nonlocal last
+        moved.clear()
+        for i in new:
+            drop(i)
+        added = []
+        for i in sorted(new):
+            s = new[i]
+            if not s.letters:
+                continue
+            j = ids.get(s)
+            if j is not None:
+                if j < i:
+                    continue
+                drop(j)
+            add(i, s)
+            added.append(i)
+            for g, k in counts[i].items():
+                moved[g] = moved.get(g, 0) + k
+        for g, d in moved.items():
+            if d:
+                push(g, where[g])
+        for i in added:
+            for g in counts[i]:
+                if not moved[g]:
+                    push(g, (i,))
+        for t in tried:
+            heapq.heappush(heap, t)
+        tried.clear()
+        last = None
+
+    for i, r in enumerate(rels):
+        if i and not i % INDEX_BLOCK:
+            budget.check("tietze_simplify")
+        if r in ids:
+            rels[i] = None
+        else:
+            add(i, r)
+    for g in range(n_gens):
+        if g and not g % INDEX_BLOCK:
+            budget.check("tietze_simplify")
+        push(g, where[g])
+
+    cap = budget.max_total_relator_length
+    removed: list[int] = []
+    hit = False
     passes = 0
-    changed = True
-    while changed:
+    while True:
+        budget.check("tietze_simplify")
+        passes += 1
+        while heap:
+            k = heapq.heappop(heap)
+            _, _, g, ri = k
+            stale = counts[ri] is None or counts[ri].get(g) != 1 or k != key(g, ri)
+            if stale or k == last:  # a key can be pushed again unchanged
+                continue
+            last = k
+            budget.check("tietze_simplify")
+            new, length = rewrite(g, ri)
+            if length > cap:
+                tried.append(k)
+                hit = True  # a legal elimination was blocked by the cap
+                continue
+            new[ri] = EMPTY_WORD
+            replace(new)
+            removed.append(g)
+        found = _subword_replacement(rels, budget)
+        if found is None:
+            break
+        replace(dict([found]))
         if passes >= budget.max_passes:
             hit = True
             break
-        budget.check("tietze_simplify")
-        passes += 1
 
-        before = len(rels)
-        rels, removed, blocked = _eliminate_generators(
-            rels, p.n_generators, budget)
-        gone.update(removed)
-        changed = len(rels) != before or bool(removed)
-        hit = hit or blocked  # a legal elimination was blocked by the cap
-
-        rels, subbed = _subword_pass(rels, budget)
-        changed = changed or subbed
-
-    alive = [g for g in range(p.n_generators) if g not in gone]
+    del size, counts, occ, where, ids, heap  # free the index before the output
+    gone = set(removed)
+    alive = [g for g in range(n_gens) if g not in gone]
     remap = {g: i for i, g in enumerate(alive)}
-    final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]
+    final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters)
+             for r in rels if r is not None]
     final.sort(key=lambda w: (len(w), w.letters))
     out = GroupPresentation(tuple(p.generator_names[g] for g in alive), final,
                             name=p.name)

@@ -8,7 +8,9 @@ early exits, kept on plain lists of rows so that the fast one can be
 compared with it entry for entry.  Likewise the reference Tietze
 simplification is the library's elimination loop as it was before the
 occurrence index: it recounts every relator before each elimination and
-re-canonicalises every relator after it.  The reference Todd–Coxeter
+re-canonicalises every relator after it, and its subword pass is the
+library's as it was before one index served the whole call: it scans
+every pair of relators and copies the list.  The reference Todd–Coxeter
 enumerator is the library's as it was before it dropped repeated relator
 rotations: every rotation of every relator is scanned after each deduction.
 The reference Fox derivative is the library's as it was before it went
@@ -40,7 +42,7 @@ from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
-                           Simplified, Word, _subword_pass,
+                           Simplified, Word, _cyclic_subword_sources,
                            _substitute, cyclically_reduce, free_reduce)
 
 Perm = tuple[int, ...]
@@ -584,27 +586,45 @@ def _eliminate(rels, gen: int, ri: int):
     return out
 
 
+def _subword_pass(rels):
+    """Replace the first long shared subword (length >= 3, and more than
+    half of the source relator) by the shorter complement, on a copy of the
+    list; a relator that becomes empty is deleted."""
+    for ri in range(len(rels)):
+        r = rels[ri].letters
+        for sj in range(len(rels)):
+            s = rels[sj]
+            if sj == ri or len(s) > len(r) or len(s) < 4:
+                continue
+            low = max(3, len(s) // 2 + 1)
+            for length in range(min(len(s) - 1, len(r)), low - 1, -1):
+                sources = _cyclic_subword_sources(s, length)
+                for i in range(len(r) - length + 1):
+                    u = r[i:i + length]
+                    if u in sources:
+                        new = canonical_relator_all_rotations(
+                            Word.of(r[:i] + sources[u].letters + r[i + length:]))
+                        out = list(rels)
+                        if len(new):
+                            out[ri] = new
+                        else:
+                            del out[ri]
+                        return out, True
+    return rels, False
+
+
 def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
     """``tietze_simplify`` as a loop that recomputes every elimination
-    candidate and re-canonicalises every relator after each elimination."""
+    candidate and re-canonicalises every relator after each elimination.
+    A pass whose subword pass replaces nothing ends the loop; the pass cap
+    flags the result only when it stops the loop after a replacement."""
     alive = list(range(p.n_generators))
-    rels = list(p.relators)
+    rels = list(dict.fromkeys(p.relators))  # the first occurrence wins
     hit = False
 
     passes = 0
-    changed = True
-    while changed:
-        if passes >= caps.max_passes:
-            hit = True
-            break
+    while True:
         passes += 1
-        changed = False
-
-        before = len(rels)
-        rels = list(dict.fromkeys(rels))  # the first occurrence wins
-        if len(rels) != before:
-            changed = True
-
         while True:
             applied = False
             for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
@@ -614,14 +634,18 @@ def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
                     continue
                 rels = list(dict.fromkeys(new_rels))
                 alive.remove(g)
-                applied = changed = True
+                applied = True
                 break
             if not applied:
                 break
 
         rels, subbed = _subword_pass(rels)
-        if subbed:
-            changed = True
+        if not subbed:
+            break
+        rels = list(dict.fromkeys(rels))
+        if passes >= caps.max_passes:
+            hit = True
+            break
 
     remap = {g: i for i, g in enumerate(alive)}
     final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]

@@ -127,8 +127,8 @@ def test_tietze_checks_each_blocked_candidate(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(raw, Budget(max_total_relator_length=321).start())
     assert info.value.layer == "tietze_simplify"
-    assert info.traceback[-2].name == "_eliminate_generators"
-    assert info.traceback[-2].locals["blocked"]
+    assert info.traceback[-2].name == "tietze_simplify"
+    assert info.traceback[-2].locals["hit"]
 
 
 def test_tietze_checks_each_pass(monkeypatch):
@@ -140,20 +140,20 @@ def test_tietze_checks_each_pass(monkeypatch):
     assert info.value.layer == "tietze_simplify"
 
 
-@pytest.mark.parametrize("reads", [2, 3, 4])
+@pytest.mark.parametrize("reads", [1, 2, 3, 4])
 def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
     # the raw rewrite of wide(10) has 10,240 relators, half of them
-    # duplicates, on 9,217 generators: after the start and the first pass,
-    # the index reads the clock at relators 4,096 and 8,192, then at
-    # generators 4,096 and 8,192
+    # duplicates, on 9,217 generators: after the start, the index reads the
+    # clock at relators 4,096 and 8,192, then at generators 4,096 and 8,192,
+    # all before the first pass
     p = wide(10)
     raw = rewrite_presentation(p, commutator_coset_table(p))
     expire_after(monkeypatch, reads)
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(raw, Budget().start())
     assert info.value.layer == "tietze_simplify"
-    indexing = next(e for e in info.traceback if e.name == "_eliminate_generators")
-    assert "removed" not in indexing.locals  # the elimination loop never began
+    indexing = next(e for e in info.traceback if e.name == "tietze_simplify")
+    assert "passes" not in indexing.locals  # the pass loop never began
 
 
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):

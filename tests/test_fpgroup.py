@@ -8,8 +8,7 @@ from adorn.abelian import abelianization
 from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            PresentationSyntaxError, Word,
-                           _eliminate_generators, _subword_pass,
-                           canonical_relator, cyclically_reduce,
+                           _subword_replacement, canonical_relator, cyclically_reduce,
                            format_presentation, free_reduce,
                            parse_presentation, tietze_simplify)
 from adorn.rewriting import rewrite_presentation
@@ -237,12 +236,10 @@ def test_subword_pass_replaces_shared_subword():
     # elimination applies; "a b a" is 3 > 4/2 letters of a b a b^-1, and
     # equals b there, so a b a b^2 becomes b^3
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
-    _, removed, _ = _eliminate_generators(list(p.relators), p.n_generators,
-                                          DEFAULT_BUDGET)
-    assert not removed
-    rels, fired = _subword_pass(list(p.relators))
-    assert fired
-    assert sum(len(r) for r in rels) < p.total_relator_length
+    assert _subword_replacement(list(p.relators), DEFAULT_BUDGET) == (1, Word.gen(1) ** 3)
+    one, hit = tietze_simplify(p, Budget(max_passes=1))
+    assert hit  # the last allowed pass replaced a subword
+    assert one.generator_names == p.generator_names
     out, hit = tietze_simplify(p)
     assert not hit
     assert out.total_relator_length < p.total_relator_length
@@ -276,10 +273,13 @@ def _simplified_bytes(result):
     return out.generator_names, [r.letters for r in out.relators], hit
 
 
-# the tight caps block eliminations (12) and stop after two passes (2)
+# the tight caps block eliminations (12) and stop after one, two or three
+# passes
 TIETZE_CAPS = (DEFAULT_BUDGET,
                Budget(max_generators=64, max_total_relator_length=12, max_passes=32),
-               Budget(max_generators=64, max_total_relator_length=25, max_passes=2))
+               Budget(max_generators=64, max_total_relator_length=25, max_passes=2),
+               Budget(max_passes=1),
+               Budget(max_passes=3))
 
 
 @st.composite
@@ -299,10 +299,21 @@ def tietze_presentations(draw):
                             " a^2 b^-1 a b^-1, a b^-1 >"))
 # the cap blocks a candidate that fits after the next elimination
 @example(parse_presentation("< a, b, c | a^2, a c, b c, b^8 c >"))
+# the last allowed pass turns g0^10 (g0^6 after the first) into a copy of g0^2
+@example(parse_presentation("< g0 | g0^2, g0^4, g0^10 >"))
+# one pass eliminates c and finds no subword: a fixed point, not a cap
+@example(parse_presentation("< a, b, c | c a^2 b^3, a^7 >"))
+# a subword complement brings in a generator the replaced relator lacks
+@example(parse_presentation("< a, b, c | a b a c^-1, a b a b^2, a^3 b^-2, c >"))
+# the cap blocks a candidate that fits after a subword replacement
+@example(parse_presentation("< a, b, c, d | c, a^3 c, a b^2 d^-2 c^-1, a b^2 d b^-1 >"))
+# ... and that candidate was the last key tried before the replacement
+@example(parse_presentation("< a, b, c | a^2 c^2, a c^-1 b^-2 c^-1, a^2 b^-1, b^3 c^-1 >"))
 def test_tietze_matches_full_rescan_reference(p):
     for caps in TIETZE_CAPS:
-        assert (_simplified_bytes(tietze_simplify(p, caps))
-                == _simplified_bytes(tietze_simplify_reference(p, caps)))
+        result = tietze_simplify(p, caps)
+        assert _simplified_bytes(result) == _simplified_bytes(tietze_simplify_reference(p, caps))
+        assert len(set(result.presentation.relators)) == result.presentation.n_relators
 
 
 @pytest.mark.parametrize("group", [
