@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .abelian import abelianization_data
-from .fpgroup import GroupPresentation, Word
+from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation, Word
 
 
 class AlexanderError(ValueError):
@@ -215,7 +215,8 @@ def _divide_by_geometric_sum(f: LaurentPoly, m: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
+def alexander_polynomial(p: GroupPresentation,
+                         budget: Budget = DEFAULT_BUDGET) -> LaurentPoly:
     """Alexander polynomial of a knot-like presentation, normalized to
     lowest exponent 0 and positive leading coefficient.
 
@@ -233,7 +234,7 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     with k set by the coefficient bound B = prod_i sum_k ||a_ik||_1.  A
     division that leaves a remainder raises AlexanderError.
     """
-    data = abelianization_data(p)
+    data = abelianization_data(p, budget)
     inv = data.invariants
     if inv.rank != 1 or inv.torsion:
         raise NotKnotLike(f"abelianization is {inv}, expected Z")
@@ -277,10 +278,11 @@ class KnotReport:
         }
 
 
-def knot_adorability_report(p: GroupPresentation) -> KnotReport:
+def knot_adorability_report(p: GroupPresentation,
+                            budget: Budget = DEFAULT_BUDGET) -> KnotReport:
     """Adorability verdict for a knot group: adorable (with perfect
     commutator subgroup) exactly when the Alexander polynomial is trivial."""
-    delta = alexander_polynomial(p)
+    delta = alexander_polynomial(p, budget)
     degree = delta.degree_span()
     trivial = delta == LaurentPoly.one()
     notes = []

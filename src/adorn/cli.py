@@ -8,8 +8,8 @@ input, 3 inconclusive under --strict, 1 corpus failures).
 
 When ``ADORN_CACHE_DIR`` is set, series runs persist each rewrite step as a
 JSON file, making long runs resumable.  The key hashes a schema tag, the
-presentation and the Tietze caps (``--max-gens``, ``--max-length`` and the
-pass cap), the only limits that shape a step: runs that differ only in
+presentation and the Tietze caps (``--max-gens`` and ``--max-length``), the
+only limits that shape a step: runs that differ only in
 ``--max-depth``, ``--max-cosets`` or ``--timeout`` share entries.  A
 malformed entry, or one whose index is not the stage's quotient order, is
 treated as a miss and overwritten.
@@ -305,6 +305,7 @@ def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]
     if isinstance(subject, SeifertData) and presentation_keys:
         raise CliError(f"corpus entry {entry.get('name')!r}: "
                        f"{sorted(presentation_keys)} need a presentation input")
+    budget = budget.start()  # one deadline bounds every check of the entry
     got: dict = {}  # in the order the rows are printed
     if "seifert_branch" in expect:
         if not isinstance(subject, SeifertData):
@@ -312,12 +313,12 @@ def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]
                            f"needs a seifert input")
         got["seifert_branch"] = classify_seifert(subject).branch
     if "abelianization" in expect:
-        got["abelianization"] = str(abelianization(subject))
+        got["abelianization"] = str(abelianization(subject, budget))
     if "verdict" in expect or "doa" in expect:
         _, verdict = derived_series(subject, budget)
         got["verdict"], got["doa"] = verdict.kind, verdict.doa
     if "alexander" in expect:
-        got["alexander"] = str(knot_adorability_report(subject).polynomial)
+        got["alexander"] = str(knot_adorability_report(subject, budget).polynomial)
     return [(key, str(expect[key]), str(value), value == expect[key])
             for key, value in got.items() if key in expect]
 

@@ -64,7 +64,7 @@ class _Enumerator:
         self.p = [0]  # union-find over cosets; rep is the least member
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
-        self.check_at = min(CHECK_EVERY, budget.max_deductions)
+        self.check_at = CHECK_EVERY
         # scans indexed by leading column: (rotation, last index), each
         # distinct rotation of the relators once, in first-occurrence order
         self.edp: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
@@ -169,16 +169,12 @@ class _Enumerator:
     def process_deductions(self) -> None:
         table, p, edp, deductions = self.table, self.p, self.edp, self.deductions
         rep, coincidence, set_edge = self.rep, self.coincidence, self.set_edge
-        max_deductions = self.budget.max_deductions
-        check_at = self.check_at  # one compare covers the cap and the clock
+        check_at = self.check_at
         while deductions:
             self.deductions_done += 1
             if self.deductions_done > check_at:
-                if self.deductions_done > max_deductions:
-                    raise CapExceeded(f"deduction limit {max_deductions} reached",
-                                      "todd_coxeter")
                 self.budget.check("todd_coxeter")
-                check_at = self.check_at = min(check_at + CHECK_EVERY, max_deductions)
+                check_at = self.check_at = check_at + CHECK_EVERY
             a, col = deductions.pop()
             if p[a] != a:
                 a = rep(a)
@@ -250,11 +246,12 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     distinct rotation once makes the same definitions, numbering and rows.
 
     Raises :class:`CapExceeded` when the enumeration does not close within
-    the budget's caps (infinite index, or caps too small), or when its clock,
-    checked every ``CHECK_EVERY`` deductions, runs out.  ``max_deductions``
-    bounds the processed deductions; after a coincidence that count can
-    differ, either way, from an enumeration that scans every rotation of
-    every relator.
+    ``max_cosets`` (infinite index, or the cap too small), or when its
+    clock, checked every ``CHECK_EVERY`` deductions, runs out.  The coset
+    cap bounds the deductions too: one is pushed per empty slot of a live
+    coset filled, a coset is defined with ``2 * gens`` empty slots, and a
+    live slot empties again only as one of the ``2 * gens`` mirror entries
+    a dying coset clears, so there are at most ``4 * gens * max_cosets``.
     """
     for w in subgroup_gens:
         if w.max_generator() >= p.n_generators:

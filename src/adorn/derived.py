@@ -117,8 +117,8 @@ def step_cache_key(p: GroupPresentation, budget: Budget) -> str:
     budget only the Tietze caps shape it."""
     import hashlib
 
-    text = "|".join(["step-v3", format_presentation(p), repr((
-        budget.max_generators, budget.max_total_relator_length, budget.max_passes))])
+    text = "|".join(["step-v4", format_presentation(p), repr((
+        budget.max_generators, budget.max_total_relator_length))])
     return hashlib.sha256(text.encode()).hexdigest()
 
 

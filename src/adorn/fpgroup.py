@@ -234,10 +234,8 @@ class Budget:
 
     max_depth: int = 6
     max_cosets: int = 20000
-    max_deductions: int = 2_000_000
     max_generators: int = 64
     max_total_relator_length: int = 65536
-    max_passes: int = 32
     wall_clock_seconds: float = 60.0
     deadline: float = field(default=math.inf, init=False, compare=False)
 
@@ -472,24 +470,28 @@ def _subword_replacement(rels: list[Word | None],
     ``(relator, source, length, position)``, of a subword of relator ``ri``
     (length >= 3, and more than half of a source relator no longer than
     ``ri``) by the shorter complement.  Returns ``ri`` and its new canonical
-    word, possibly empty, or ``None``.  The clock is read once per relator
-    scanned."""
+    word, possibly empty, or ``None``.  Each (source, length) table is
+    built once, alone in memory, and matched only against the relators
+    before the best found so far; the clock is read once per such match."""
     live = [i for i, r in enumerate(rels) if r is not None]
-    sources = [(j, rels[j], len(rels[j])) for j in live if len(rels[j]) >= 4]
-    for ri in live:
-        budget.check("tietze_simplify")
-        r = rels[ri].letters
-        for sj, s, n in sources:
-            if n > len(r) or sj == ri:
-                continue
-            for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
-                subs = _cyclic_subword_sources(s, length)
-                for i in range(len(r) - length + 1):
-                    u = r[i:i + length]
-                    if u in subs:
-                        return ri, canonical_relator(
-                            Word.of(r[:i] + subs[u].letters + r[i + length:]))
-    return None
+    best: tuple[int, Word] | None = None
+    for sj in live:
+        n = len(rels[sj])
+        for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
+            subs = None
+            for ri in live:
+                r = rels[ri].letters
+                if best and ri >= best[0]:
+                    break
+                if n > len(r) or sj == ri:
+                    continue
+                budget.check("tietze_simplify")
+                subs = subs or _cyclic_subword_sources(rels[sj], length)
+                i = next((i for i in range(len(r) - length + 1) if r[i:i + length] in subs), -1)
+                if i >= 0:
+                    best = ri, canonical_relator(
+                        Word.of(r[:i] + subs[r[i:i + length]].letters + r[i + length:]))
+    return best
 
 
 def tietze_simplify(p: GroupPresentation,
@@ -502,11 +504,13 @@ def tietze_simplify(p: GroupPresentation,
     the total relator length over the cap) until none is left, then makes
     the first replacement :func:`_subword_replacement` finds.  A pass that
     finds none is a fixed point and ends the loop.  The result is flagged
-    ``hit_caps`` when the cap blocked an elimination, when the last allowed
-    pass (``max_passes``) made a replacement, or when it is over the
+    ``hit_caps`` when the cap blocked an elimination, or when it is over the
     generator or length cap.  The clock is checked once per block of the
     occurrence index build, once per pass, once per elimination tried and
-    once per relator the subword scan reads.
+    once per relator the subword scan matches against a table.  The loop
+    ends with no pass cap: a subword replacement puts n - L < L letters for
+    L, so it shortens the total length, and each of the at most one
+    elimination per generator leaves it at or below ``max(start, cap)``.
 
     The occurrence index is built once: per relator, its letter counts, and
     per generator, its total count and the relators it occurs in.  Relator
@@ -626,10 +630,8 @@ def tietze_simplify(p: GroupPresentation,
     cap = budget.max_total_relator_length
     removed: list[int] = []
     hit = False
-    passes = 0
     while True:
         budget.check("tietze_simplify")
-        passes += 1
         while heap:
             k = heapq.heappop(heap)
             _, _, g, ri = k
@@ -650,9 +652,6 @@ def tietze_simplify(p: GroupPresentation,
         if found is None:
             break
         replace(dict([found]))
-        if passes >= budget.max_passes:
-            hit = True
-            break
 
     del size, counts, occ, where, ids, heap  # free the index before the output
     gone = set(removed)

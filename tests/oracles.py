@@ -458,8 +458,6 @@ class _ReferenceEnumerator:
     def process_deductions(self) -> None:
         while self.deductions:
             self.deductions_done += 1
-            if self.deductions_done > self.caps.max_deductions:
-                raise CapExceeded(f"deduction limit {self.caps.max_deductions} reached")
             a, col = self.deductions.pop()
             a = self.rep(a)
             if self.table[a][col] is None:
@@ -616,15 +614,12 @@ def _subword_pass(rels):
 def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
     """``tietze_simplify`` as a loop that recomputes every elimination
     candidate and re-canonicalises every relator after each elimination.
-    A pass whose subword pass replaces nothing ends the loop; the pass cap
-    flags the result only when it stops the loop after a replacement."""
+    A pass whose subword pass replaces nothing ends the loop."""
     alive = list(range(p.n_generators))
     rels = list(dict.fromkeys(p.relators))  # the first occurrence wins
     hit = False
 
-    passes = 0
     while True:
-        passes += 1
         while True:
             applied = False
             for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
@@ -643,9 +638,6 @@ def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
         if not subbed:
             break
         rels = list(dict.fromkeys(rels))
-        if passes >= caps.max_passes:
-            hit = True
-            break
 
     remap = {g: i for i, g in enumerate(alive)}
     final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters) for r in rels]

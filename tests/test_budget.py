@@ -4,12 +4,14 @@ The layer tests replace the clock ``Budget`` reads by one that passes the
 deadline after a fixed number of reads, so where a run stops is
 deterministic."""
 
+import json
 import math
 
 import pytest
 
 from adorn import fpgroup
 from adorn.abelian import IntMatrix, smith_normal_form
+from adorn.cli import main
 from adorn.cosets import CapExceeded, _Enumerator, commutator_coset_table, todd_coxeter
 from adorn.derived import INCONCLUSIVE, derived_series, step_cache_key, verify_filtration
 from adorn.fpgroup import DEFAULT_BUDGET, Budget, parse_presentation, tietze_simplify
@@ -19,8 +21,8 @@ from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
 
 from oracles import wide
 
-SETTINGS = ("max_depth", "max_cosets", "max_deductions", "max_generators",
-            "max_total_relator_length", "max_passes", "wall_clock_seconds")
+SETTINGS = ("max_depth", "max_cosets", "max_generators", "max_total_relator_length",
+            "wall_clock_seconds")
 
 
 def expire_after(monkeypatch, k):
@@ -77,9 +79,9 @@ def test_cap_exceeded_is_one_exception():
 def test_step_cache_key_covers_only_what_shapes_a_step():
     p = make("sl2z")
     key = step_cache_key(p, DEFAULT_BUDGET)
-    assert step_cache_key(p, Budget(max_depth=2, max_cosets=10, max_deductions=7,
+    assert step_cache_key(p, Budget(max_depth=2, max_cosets=10,
                                     wall_clock_seconds=0.5).start()) == key
-    for name in ("max_generators", "max_total_relator_length", "max_passes"):
+    for name in ("max_generators", "max_total_relator_length"):
         assert step_cache_key(p, Budget(**{name: 1000})) != key, name
 
 
@@ -134,10 +136,14 @@ def test_tietze_checks_each_blocked_candidate(monkeypatch):
 def test_tietze_checks_each_pass(monkeypatch):
     # every generator occurs twice in each relator: passes, no eliminations
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
-    expire_after(monkeypatch, 4)  # start, the first pass, its two subword scans
+    # start, the first pass, and its scan's one subword table match (the
+    # 4-letter table of a b a b^-1 against a b a b^2); the second pass reads
+    # the clock again
+    expire_after(monkeypatch, 3)
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(p, Budget().start())
     assert info.value.layer == "tietze_simplify"
+    assert info.traceback[-2].name == "tietze_simplify"
 
 
 @pytest.mark.parametrize("reads", [1, 2, 3, 4])
@@ -153,7 +159,7 @@ def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
         tietze_simplify(raw, Budget().start())
     assert info.value.layer == "tietze_simplify"
     indexing = next(e for e in info.traceback if e.name == "tietze_simplify")
-    assert "passes" not in indexing.locals  # the pass loop never began
+    assert "removed" not in indexing.locals  # the pass loop never began
 
 
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):
@@ -185,11 +191,12 @@ def test_series_inconclusive_names_the_layer(monkeypatch):
 
 def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
     # certifying Z/40 x Z/40 abelian reads the clock at start, one Tietze
-    # pass and its three subword scans, two SNF pivots, then after 4096 of
-    # its 6400 deductions
+    # pass and its scan's 40 subword table matches (19 lengths of each power
+    # against the other, and the commutator's one length against both), two
+    # SNF pivots, then after 4096 of its 6400 deductions
     p = parse_presentation("< a, b | a^40, b^40, a b a^-1 b^-1 >")
     assert verify_filtration(p, [[]]).terminal_trivial
-    expire_after(monkeypatch, 7)
+    expire_after(monkeypatch, 44)
     with pytest.raises(CapExceeded) as info:
         verify_filtration(p, [[]])
     assert info.value.layer == "todd_coxeter"
@@ -221,3 +228,17 @@ def test_factor_abelianization_is_bounded_by_the_clock(monkeypatch, call):
     with pytest.raises(CapExceeded) as info:
         call(Budget())
     assert info.value.layer == "smith_normal_form"
+
+
+@pytest.mark.parametrize("expect", [{"abelianization": "Z"}, {"alexander": "t^2 - t + 1"}])
+def test_verify_corpus_bounds_every_check_of_an_entry(tmp_path, capsys, monkeypatch,
+                                                      expect):
+    # the entry's budget starts before its first check, so the first SNF
+    # pivot step, of the abelianization or of the Alexander polynomial,
+    # reads a clock past the deadline
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"name": "trefoil", "input": {"zoo": "trefoil"},
+                                   "expect": expect}]))
+    expire_after(monkeypatch, 1)  # the entry's start
+    assert main(["verify-corpus", str(corpus)]) == 1
+    assert capsys.readouterr().out == "FAIL trefoil: error: wall clock limit 60.0s reached\n"

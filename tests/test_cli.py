@@ -1,10 +1,12 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from adorn.cli import build_parser, main
-from adorn.fpgroup import DEFAULT_BUDGET
+from adorn.cli import _budget, build_parser, main
+from adorn.fpgroup import DEFAULT_BUDGET, Budget
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "paper.json")
 
@@ -17,6 +19,31 @@ def run(capsys, argv):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [["series"], ["verify-corpus", "corpus.json"]])
+def test_every_budget_setting_has_a_flag(argv):
+    # a limit that no flag sets is a limit no run can change
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    default = _budget(parser.parse_args(argv))
+    flagged = set()
+    for action in sub.choices[argv[0]]._actions:
+        if action.type in (int, float):
+            budget = _budget(parser.parse_args([*argv, action.option_strings[0], "7"]))
+            changed = [f.name for f in fields(Budget) if f.init
+                       and getattr(budget, f.name) != getattr(default, f.name)]
+            assert len(changed) == 1 and getattr(budget, changed[0]) == 7, action
+            flagged.update(changed)
+    assert flagged == {f.name for f in fields(Budget) if f.init}
+
+
+def test_every_budget_setting_is_a_json_limits_key(capsys):
+    code, out, _ = run(capsys, ["series", "< a | a^2 >", "--json"])
+    assert code == 0
+    assert json.loads(out)["limits"] == {
+        "timeout_seconds" if f.name == "wall_clock_seconds" else f.name:
+        getattr(DEFAULT_BUDGET, f.name) for f in fields(Budget) if f.init}
 
 
 def _outcome(capsys, argv):

@@ -140,11 +140,6 @@ def test_deterministic_numbering():
     assert t1.rows == t2.rows
 
 
-def test_deduction_cap():
-    with pytest.raises(CapExceeded):
-        todd_coxeter(Q8, [], Budget(max_cosets=20000, max_deductions=5))
-
-
 def test_incomplete_table_construction():
     t = CosetTable(1, [[None, None]], complete=False)
     assert not t.complete
@@ -197,9 +192,23 @@ REPEATED_RELATOR = (parse_presentation("< x0, x1 | x0 x1^-2, x1, x0 x1^-2 >"),
 @example(REPEATED_RELATOR)
 def test_todd_coxeter_matches_reference(case):
     p, sub = case
-    for caps in (Budget(max_cosets=300, max_deductions=10**6),
-                 Budget(max_cosets=40, max_deductions=10**6)):
+    for caps in (Budget(max_cosets=300), Budget(max_cosets=40)):
         assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumeration_inputs())
+@example(REPEATED_RELATOR)
+def test_deductions_are_bounded_by_the_cosets_defined(case):
+    # the bound in todd_coxeter's docstring that lets max_cosets stand for
+    # a deduction cap; it holds for a run stopped by the cap as well
+    p, sub = case
+    e = _Enumerator(p.n_generators, p.relators, Budget(max_cosets=300))
+    try:
+        e.run(sub)
+    except CapExceeded:
+        pass
+    assert e.deductions_done <= 2 * e.ncols * len(e.table)
 
 
 @pytest.mark.parametrize("case,done,reference_done", [

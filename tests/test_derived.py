@@ -136,7 +136,7 @@ def test_inconclusive_wall_clock():
 def test_verdicts_sound_under_partial_simplification():
     # with crippling simplification caps the engine may stop, but it must
     # never certify freeness from a partially simplified stage
-    lim = Budget(max_generators=1, max_total_relator_length=4, max_passes=1)
+    lim = Budget(max_generators=1, max_total_relator_length=4)
     for p in (make("sl2z"), S3, Q8):
         stages, verdict = derived_series(p, lim)
         for s in stages:

@@ -178,14 +178,12 @@ def test_tietze_single_occurrence_elimination_always_runs():
     # a generator occurring once in exactly one relator disappears even
     # under tight caps (the move shrinks the presentation)
     p = parse_presentation("< a, b, c | c a^2 b^3, a^7 >")
-    out, _ = tietze_simplify(p, Budget(max_generators=64,
-                                       max_total_relator_length=12, max_passes=32))
+    out, _ = tietze_simplify(p, Budget(max_generators=64, max_total_relator_length=12))
     assert "c" not in out.generator_names
 
 
 def test_tietze_caps_flag():
-    caps = Budget(max_generators=1, max_total_relator_length=65536,
-                  max_passes=32)
+    caps = Budget(max_generators=1, max_total_relator_length=65536)
     p = parse_presentation("< a, b | a^2 b^2 a^2 b^-2 >")
     out, hit = tietze_simplify(p, caps)
     assert hit  # cannot get below two generators
@@ -237,9 +235,6 @@ def test_subword_pass_replaces_shared_subword():
     # equals b there, so a b a b^2 becomes b^3
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
     assert _subword_replacement(list(p.relators), DEFAULT_BUDGET) == (1, Word.gen(1) ** 3)
-    one, hit = tietze_simplify(p, Budget(max_passes=1))
-    assert hit  # the last allowed pass replaced a subword
-    assert one.generator_names == p.generator_names
     out, hit = tietze_simplify(p)
     assert not hit
     assert out.total_relator_length < p.total_relator_length
@@ -273,24 +268,31 @@ def _simplified_bytes(result):
     return out.generator_names, [r.letters for r in out.relators], hit
 
 
-# the tight caps block eliminations (12) and stop after one, two or three
-# passes
-TIETZE_CAPS = (DEFAULT_BUDGET,
-               Budget(max_generators=64, max_total_relator_length=12, max_passes=32),
-               Budget(max_generators=64, max_total_relator_length=25, max_passes=2),
-               Budget(max_passes=1),
-               Budget(max_passes=3))
-
-
 @st.composite
-def tietze_presentations(draw):
+def random_presentations(draw):
     n = draw(st.integers(1, 5))
     rels = draw(st.lists(pair_words(n, 1, 10), max_size=6))
     return GroupPresentation([f"g{i}" for i in range(n)], [Word(r) for r in rels])
 
 
+@st.composite
+def shaped_presentations(draw):
+    """A letter x, a power y^k, and x y^j or y^j, with up to two random
+    relators, in random order: the smallest shape on which broken copies of
+    the Tietze loop were seen to differ from the reference.  A replacement
+    shortens y^k, and then an elimination of x that the cap blocked fits."""
+    n = draw(st.integers(2, 3))
+    x, y = draw(st.permutations(range(n)))[:2]
+    sign = st.sampled_from((1, -1))
+    head = [(x, draw(sign))] if draw(st.booleans()) else []
+    core = [[(x, draw(sign))], [(y, draw(sign))] * draw(st.integers(3, 7)),
+            head + [(y, draw(sign))] * draw(st.integers(1, 7))]
+    rels = draw(st.permutations(core + draw(st.lists(pair_words(n, 1, 6), max_size=2))))
+    return GroupPresentation([f"g{i}" for i in range(n)], [Word(r) for r in rels])
+
+
 @settings(max_examples=300, deadline=None)
-@given(tietze_presentations())
+@given(st.one_of(random_presentations(), shaped_presentations()))
 # a rewritten relator equals a later one, which must be the one dropped
 @example(parse_presentation("< a, b, c | b c^2, a c^-1 a c^-1 b^2 c^-1 b, a c^-2,"
                             " a c^2 a^-1 b, c^2, a b^-1 >"))
@@ -299,21 +301,34 @@ def tietze_presentations(draw):
                             " a^2 b^-1 a b^-1, a b^-1 >"))
 # the cap blocks a candidate that fits after the next elimination
 @example(parse_presentation("< a, b, c | a^2, a c, b c, b^8 c >"))
-# the last allowed pass turns g0^10 (g0^6 after the first) into a copy of g0^2
+# a subword replacement turns g0^10 (g0^6 after the first) into a copy of g0^2
 @example(parse_presentation("< g0 | g0^2, g0^4, g0^10 >"))
-# one pass eliminates c and finds no subword: a fixed point, not a cap
-@example(parse_presentation("< a, b, c | c a^2 b^3, a^7 >"))
 # a subword complement brings in a generator the replaced relator lacks
 @example(parse_presentation("< a, b, c | a b a c^-1, a b a b^2, a^3 b^-2, c >"))
 # the cap blocks a candidate that fits after a subword replacement
 @example(parse_presentation("< a, b, c, d | c, a^3 c, a b^2 d^-2 c^-1, a b^2 d b^-1 >"))
 # ... and that candidate was the last key tried before the replacement
 @example(parse_presentation("< a, b, c | a^2 c^2, a c^-1 b^-2 c^-1, a^2 b^-1, b^3 c^-1 >"))
+@example(parse_presentation("< g0, g1 | g1, g0^6, g0^4 >"))
+# 49 subword replacements in a row reach the fixed point < a, b | a^4 >
+@example(parse_presentation("< a, b | a^4, a^100 b a^100 b^-1 >"))
 def test_tietze_matches_full_rescan_reference(p):
-    for caps in TIETZE_CAPS:
-        result = tietze_simplify(p, caps)
-        assert _simplified_bytes(result) == _simplified_bytes(tietze_simplify_reference(p, caps))
+    # caps from a quarter of the input's length up to all of it, where
+    # eliminations are blocked and then fit again after a replacement, and
+    # above it, where only an elimination that grows the total is blocked
+    total = p.total_relator_length
+    caps = sorted({*range(max(1, total // 4), total + 1, max(1, total // 24)),
+                   total + 1, total + total // 4, 2 * total} - {0})
+    for budget in (DEFAULT_BUDGET, *(Budget(max_total_relator_length=c) for c in caps)):
+        result = tietze_simplify(p, budget)
+        assert (_simplified_bytes(result)
+                == _simplified_bytes(tietze_simplify_reference(p, budget)))
         assert len(set(result.presentation.relators)) == result.presentation.n_relators
+
+
+def test_tietze_runs_long_subword_chains_to_their_fixed_point():
+    p = parse_presentation("< a, b | a^4, a^100 b a^100 b^-1 >")
+    assert tietze_simplify(p) == (parse_presentation("< a, b | a^4 >"), False)
 
 
 @pytest.mark.parametrize("group", [
