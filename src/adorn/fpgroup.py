@@ -160,7 +160,9 @@ class GroupPresentation:
     """A finite presentation: generator names plus relator words.
 
     Relators are stored freely and cyclically reduced in canonical rotation;
-    words that reduce to the identity are dropped at construction.
+    words that reduce to the identity are dropped at construction.  Each
+    distinct input word is range-checked and canonicalised once, however
+    often it repeats.
     """
 
     generator_names: tuple[str, ...]
@@ -175,15 +177,18 @@ class GroupPresentation:
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise ValueError(f"invalid generator name: {nm!r}")
+        canonical: dict[Word, Word] = {}
         rels = []
         for r in relators:
-            if r.max_generator() >= len(names):
-                raise ValueError(
-                    f"relator uses generator index {r.max_generator()} "
-                    f"but presentation has {len(names)} generators")
-            r = canonical_relator(r)
-            if len(r):
-                rels.append(r)
+            c = canonical.get(r)
+            if c is None:
+                if r.max_generator() >= len(names):
+                    raise ValueError(
+                        f"relator uses generator index {r.max_generator()} "
+                        f"but presentation has {len(names)} generators")
+                c = canonical[r] = canonical_relator(r)
+            if len(c):
+                rels.append(c)
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "name", name)

@@ -4,8 +4,13 @@ Given a complete coset table for a subgroup H, a breadth-first spanning
 tree of the coset graph leaves one Schreier generator per non-tree edge.
 The rewrite reads nothing but the edge labelling ``labels[c][x]``: the
 Schreier letter read when leaving coset c by column x, -1 on a tree edge.
-A word rewritten from a coset is the letters read along its walk, and
-every ambient relator is rewritten once from each coset.  The raw
+A word rewritten from a coset is the letters read along its walk.  The raw
+presentation holds the rewrite of every ambient relator from each coset,
+but a relator ``r = s^k`` with primitive root ``s`` is walked only once per
+⟨s⟩-orbit of cosets: the walk of ``r`` from ``a·s^j`` is the walk from
+``a`` started at letter ``j·len(s)``, so its rewrite is a rotation of the
+rewrite from ``a`` and has the same canonical relator (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, §2.5).  The raw
 presentation has exactly ``n_cosets * n_generators - (n_cosets - 1)``
 generators; it is then passed through Tietze simplification.
 
@@ -20,8 +25,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .cosets import CosetTable, IncompleteTable
-from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation, Simplified,
-                      Word, free_reduce, tietze_simplify)
+from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
+                      Simplified, Word, free_reduce, tietze_simplify)
 
 
 def _schreier_labels(t: CosetTable) -> tuple[list[list[int]], int]:
@@ -65,15 +70,50 @@ def _rewrite(t: CosetTable, labels: list[list[int]], w: Word, start: int) -> Wor
     return Word.of(out)
 
 
+def _period(letters: tuple[int, ...]) -> int:
+    """Length of the primitive root ``s`` of a non-empty word ``s^k``."""
+    n = len(letters)
+    return next(p for p in range(1, n + 1)
+                if not n % p and letters[:n - p] == letters[p:])
+
+
 def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                          budget: Budget = DEFAULT_BUDGET) -> GroupPresentation:
     """Raw subgroup presentation on Schreier generators, before
-    simplification; the budget is checked once per ambient relator."""
+    simplification: relator by relator, the rewrite from each coset in
+    coset order.  Each relator is walked from the least coset of every
+    orbit of its primitive root, and that rewrite stands for the whole
+    orbit.  The budget is checked once per ambient relator and once per
+    block of ``INDEX_BLOCK`` orbits within it."""
     labels, n_schreier = _schreier_labels(t)
+    rows = t.rows
     relators = []
     for r in p.relators:
         budget.check("rewrite_presentation")
-        relators.extend(_rewrite(t, labels, r, a) for a in range(t.n_cosets))
+        root = r.letters[:_period(r.letters)]
+        powers = range(len(r) // len(root))
+        out = [None] * t.n_cosets
+        walks = 0
+        for a in range(t.n_cosets):
+            if out[a] is not None:
+                continue
+            if walks and not walks % INDEX_BLOCK:
+                budget.check("rewrite_presentation")
+            walks += 1
+            c = a
+            orbit = []
+            read = []
+            for _ in powers:
+                orbit.append(c)
+                for x in root:
+                    y = labels[c][x]
+                    if y >= 0:
+                        read.append(y)
+                    c = rows[c][x]
+            w = Word.of(read)
+            for b in orbit:
+                out[b] = w
+        relators.extend(out)
     return GroupPresentation(tuple(f"x{i}" for i in range(n_schreier)), relators,
                              name=f"[{p.name or 'G'} : index {t.n_cosets}]")
 

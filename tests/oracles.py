@@ -29,6 +29,9 @@ computed from the coset's coordinates.
 The Schreier transversal is found without the library's labelling: level
 by level, each new coset takes the shortlex-least one-letter extension of
 the representatives found so far.
+The reference raw Reidemeister–Schreier rewrite is the library's as it was
+before it walked one coset per orbit of a periodic relator: every ambient
+relator is walked from every coset.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            Simplified, Word, _cyclic_subword_sources,
                            _substitute, cyclically_reduce, free_reduce)
+from adorn.rewriting import _rewrite, _schreier_labels
 
 Perm = tuple[int, ...]
 
@@ -290,6 +294,17 @@ def schreier_transversal(table) -> tuple[Word, ...]:
         reps.update(found)
         level = list(found)
     return tuple(Word.of(reps[c]) for c in range(table.n_cosets))
+
+
+def rewrite_presentation_reference(p, table) -> GroupPresentation:
+    """Raw subgroup presentation on Schreier generators: the rewrite of each
+    ambient relator from each coset, in coset order."""
+    labels, n_schreier = _schreier_labels(table)
+    relators = []
+    for r in p.relators:
+        relators.extend(_rewrite(table, labels, r, a) for a in range(table.n_cosets))
+    return GroupPresentation(tuple(f"x{i}" for i in range(n_schreier)), relators,
+                             name=f"[{p.name or 'G'} : index {table.n_cosets}]")
 
 
 def commutator_coset_table_reference(p) -> tuple[tuple[int, ...], ...]:

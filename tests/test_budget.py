@@ -12,9 +12,11 @@ import pytest
 from adorn import fpgroup
 from adorn.abelian import IntMatrix, smith_normal_form
 from adorn.cli import main
-from adorn.cosets import CapExceeded, _Enumerator, commutator_coset_table, todd_coxeter
+from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
+                          todd_coxeter)
 from adorn.derived import INCONCLUSIVE, derived_series, step_cache_key, verify_filtration
-from adorn.fpgroup import DEFAULT_BUDGET, Budget, parse_presentation, tietze_simplify
+from adorn.fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, parse_presentation,
+                           tietze_simplify)
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
                        free_product_verdict, make)
@@ -100,6 +102,22 @@ def test_rewrite_checks_each_relator(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         rewrite_presentation(p, table, Budget().start())
     assert info.value.layer == "rewrite_presentation"
+
+
+def test_rewrite_checks_each_block_of_orbits(monkeypatch):
+    # over the trivial subgroup's table, the regular action of Z/5000, a^5000
+    # is one orbit, but b a^-1 is primitive, so each of the 5,000 cosets
+    # leads its own orbit
+    p = parse_presentation("< a, b | a^5000, b = a >")
+    n = 5000
+    table = CosetTable(2, [[(c + 1) % n, (c - 1) % n] * 2 for c in range(n)])
+    expire_after(monkeypatch, 4)  # start, both relators, then orbit 4,097
+    assert rewrite_presentation(p, table, Budget().start()).n_relators == 2 * n
+    expire_after(monkeypatch, 3)
+    with pytest.raises(CapExceeded) as info:
+        rewrite_presentation(p, table, Budget().start())
+    assert info.value.layer == "rewrite_presentation"
+    assert info.traceback[-2].locals["walks"] == INDEX_BLOCK
 
 
 def test_commutator_table_checks_each_block_after_the_first(monkeypatch):

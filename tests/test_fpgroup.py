@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adorn import fpgroup
 from adorn.abelian import abelianization
 from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
@@ -195,6 +196,26 @@ def test_tietze_deterministic():
     first = tietze_simplify(p)
     for _ in range(3):
         assert tietze_simplify(p) == first
+
+
+def test_presentation_canonicalises_each_distinct_word_once(monkeypatch):
+    words = [W((0, 1), (1, 1), (0, -1))] * 50 + [W((1, -1), (0, -1))] * 30
+    words += [W((0, 1), (0, -1))] * 20 + [W((1, 1), (0, 1))]
+    expected = tuple(c for c in map(canonical_relator, words) if len(c))
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return canonical_relator(w)
+
+    monkeypatch.setattr(fpgroup, "canonical_relator", counted)
+    assert GroupPresentation(("a", "b"), words).relators == expected
+    assert len(calls) == len(set(words)) == 4
+
+
+def test_presentation_rejects_a_repeated_out_of_range_word():
+    with pytest.raises(ValueError, match="generator index 1"):
+        GroupPresentation(("a",), [W((0, 1))] + [W((1, 1), (0, 1))] * 3)
 
 
 def test_word_str_collapses_runs():

@@ -12,7 +12,7 @@ from adorn.rewriting import (_rewrite, _schreier_labels, reidemeister_schreier,
 from adorn.zoo import make
 
 from oracles import (derived_series_quotients, pinv, quaternion_model,
-                     schreier_transversal)
+                     rewrite_presentation_reference, schreier_transversal, wide)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -151,6 +151,59 @@ def test_schreier_counts_on_enumerated_tables(case):
     raw = rewrite_presentation(p, t)
     assert raw.n_generators == t.n_cosets * (p.n_generators - 1) + 1
     assert raw.n_relators <= t.n_cosets * p.n_relators
+
+
+# finite groups whose relators are proper powers; a quotient of one stays
+# finite, so Todd-Coxeter closes over any subgroup of it
+FINITE_BASES = [
+    coxeter_symmetric(3),
+    coxeter_symmetric(4),
+    parse_presentation("< a, b | a^2, b^3, (a b)^4 >"),
+    parse_presentation("< a, b | a^2, b^3, (a b)^5 >"),
+    parse_presentation("< a, b | a^2, b^2, (a b)^6 >"),
+    parse_presentation("< a | a^12 >"),
+]
+
+
+@st.composite
+def power_quotients(draw):
+    """A finite base group with extra relators w^k, w a random word (not
+    always cyclically reduced), and a subgroup on random words: trivial,
+    non-normal or normal."""
+    base = draw(st.sampled_from(FINITE_BASES))
+    n = base.n_generators
+    word = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+                    min_size=1, max_size=4).map(Word)
+    powers = draw(st.lists(st.tuples(word, st.integers(1, 5)), max_size=3))
+    rels = list(base.relators) + [w ** k for w, k in powers]
+    order = draw(st.permutations(range(len(rels))))
+    p = GroupPresentation(base.generator_names, [rels[i] for i in order])
+    return p, draw(st.lists(word, max_size=2))
+
+
+def assert_matches_reference(p, t):
+    got = rewrite_presentation(p, t)
+    ref = rewrite_presentation_reference(p, t)
+    assert got.generator_names == ref.generator_names
+    assert got.relators == ref.relators
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_quotients())
+def test_rewrite_matches_every_coset_reference(case):
+    p, sub = case
+    assert_matches_reference(p, todd_coxeter(p, sub))
+
+
+@pytest.mark.parametrize("p,sub", [
+    (make("triangle", (12, 12, 12)), None),
+    (make("fuchsian", (0, (4, 4, 4, 4))), None),
+    (wide(10), None),
+    (coxeter_symmetric(5), [A, B]),  # the parabolic S3 = <s1, s2>, index 20
+], ids=["triangle-12-12-12", "fuchsian-0-4444", "wide-10", "s5-parabolic"])
+def test_rewrite_matches_reference_on_pinned_tables(p, sub):
+    t = todd_coxeter(p, sub) if sub else commutator_coset_table(p)
+    assert_matches_reference(p, t)
 
 
 S3_ROT = parse_presentation("< a, b | a^2, b^3, (a b)^2 >")
