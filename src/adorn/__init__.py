@@ -12,7 +12,7 @@ from .abelian import (AbelianInvariants, IntMatrix, abelianization,
 from .alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                         NotKnotLike, alexander_polynomial, fox_derivative,
                         knot_adorability_report)
-from .cosets import (CapExceeded, CosetTable, IncompleteTable, InfiniteIndex,
+from .cosets import (CapExceeded, CosetTable, InfiniteIndex,
                      commutator_coset_table, todd_coxeter)
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                       AdorabilityWitness, ChainNotNested, FiltrationError,

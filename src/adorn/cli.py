@@ -28,7 +28,7 @@ import time
 from .abelian import abelianization
 from .alexander import AlexanderError, knot_adorability_report
 from .derived import INCONCLUSIVE, derived_series
-from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
+from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
                       PresentationSyntaxError, format_presentation,
                       parse_presentation)
 from .zoo import FAMILIES, SeifertData, classify_seifert, make
@@ -294,6 +294,15 @@ def _corpus_input(entry: dict):
     raise CliError(f"corpus entry {entry.get('name')!r}: bad input field")
 
 
+def _unless_stopped(check):
+    """The check's result, or ``Inconclusive`` when a limit stopped it, as
+    a stopped series check reports."""
+    try:
+        return check()
+    except CapExceeded:
+        return INCONCLUSIVE
+
+
 def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]]:
     expect = entry.get("expect", {})
     unknown = set(expect) - _EXPECT_KEYS
@@ -313,12 +322,13 @@ def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]
                            f"needs a seifert input")
         got["seifert_branch"] = classify_seifert(subject).branch
     if "abelianization" in expect:
-        got["abelianization"] = str(abelianization(subject, budget))
+        got["abelianization"] = _unless_stopped(lambda: str(abelianization(subject, budget)))
     if "verdict" in expect or "doa" in expect:
         _, verdict = derived_series(subject, budget)
         got["verdict"], got["doa"] = verdict.kind, verdict.doa
     if "alexander" in expect:
-        got["alexander"] = str(knot_adorability_report(subject, budget).polynomial)
+        got["alexander"] = _unless_stopped(
+            lambda: str(knot_adorability_report(subject, budget).polynomial))
     return [(key, str(expect[key]), str(value), value == expect[key])
             for key, value in got.items() if key in expect]
 

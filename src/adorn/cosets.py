@@ -11,6 +11,10 @@ Columns are the int letter codes of :class:`adorn.fpgroup.Word`: column
 of column ``x``, so a word acts by indexing ``rows[c][x]`` with its
 ``letters`` directly.  Coset 0 is always the subgroup itself and numbering
 follows first definition, so tables are reproducible.
+
+Both producers fill every entry, so a :class:`CosetTable` is complete by
+construction: each entry is a coset and each generator column is a
+permutation of the cosets.  Nothing downstream handles a missing entry.
 """
 
 from __future__ import annotations
@@ -26,33 +30,33 @@ class InfiniteIndex(ValueError):
     """The requested subgroup has infinite index (positive abelianization rank)."""
 
 
-class IncompleteTable(ValueError):
-    """Operation requires a complete coset table."""
-
-
 CHECK_EVERY = 4096  # deductions between two reads of the budget's clock
 
 
 class CosetTable:
-    """Permutation action of the generators on the cosets of a subgroup."""
+    """Permutation action of the generators on the cosets of a subgroup.
 
-    __slots__ = ("n_cosets", "n_generators", "rows", "complete")
+    ``rows[c][x]`` is the coset that column ``x`` takes coset ``c`` to.
+    Every entry is a coset: the table is complete by construction, so
+    ``complete`` is the constant True.  The constructor checks the row
+    width only; it does not validate entries.
+    """
 
-    def __init__(self, n_generators: int, rows: Sequence[Sequence[int | None]],
-                 complete: bool = True):
+    __slots__ = ("n_cosets", "n_generators", "rows")
+
+    complete = True
+
+    def __init__(self, n_generators: int, rows: Sequence[Sequence[int]]):
         self.n_generators = n_generators
         self.rows = tuple(tuple(r) for r in rows)
         self.n_cosets = len(self.rows)
-        self.complete = complete
         for r in self.rows:
             if len(r) != 2 * n_generators:
                 raise ValueError("row width does not match generator count")
 
-    def word_act(self, coset: int, w: Word) -> int | None:
+    def word_act(self, coset: int, w: Word) -> int:
         for x in w.letters:
             coset = self.rows[coset][x]
-            if coset is None:
-                return None
         return coset
 
 
@@ -136,8 +140,7 @@ class _Enumerator:
                     self.deductions.append((nu, col ^ 1))
 
     def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
-        if not cols:
-            return
+        # runs with the deductions drained, so every table entry is live
         f = alpha
         i, j = 0, len(cols) - 1
         b = alpha
@@ -146,7 +149,7 @@ class _Enumerator:
                 d = self.table[f][cols[i]]
                 if d is None:
                     break
-                f = self.rep(d)
+                f = d
                 i += 1
             if i > j:
                 if f != b:
@@ -156,7 +159,7 @@ class _Enumerator:
                 d = self.table[b][cols[j] ^ 1]
                 if d is None:
                     break
-                b = self.rep(d)
+                b = d
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -233,7 +236,7 @@ class _Enumerator:
             row = self.table[c]
             assert None not in row
             rows.append(tuple([index[x] for x in row]))  # entries are live
-        return CosetTable(self.ncols // 2, rows, complete=True)
+        return CosetTable(self.ncols // 2, rows)
 
 
 def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
@@ -272,12 +275,18 @@ def commutator_coset_table(p: GroupPresentation,
     inverse column as its mirror edge, ``rows[f][2g+1] = c``; adding an
     image is a bijection, so every inverse entry is set exactly once.  The
     budget's clock is read once per block of 1,024 cosets after the first.
+
+    Raises :class:`CapExceeded` before building anything when the quotient
+    has more than ``max_cosets`` elements.
     """
     data = abelianization_data(p, budget)
     inv = data.invariants
     if inv.rank > 0:
         raise InfiniteIndex(
             f"abelianization has rank {inv.rank}; commutator subgroup has infinite index")
+    if inv.order() > budget.max_cosets:
+        raise CapExceeded(f"coset limit {budget.max_cosets} reached",
+                          "commutator_coset_table")
     moduli = inv.torsion
     weights = [1] * len(moduli)
     for i in range(len(moduli) - 2, -1, -1):
@@ -294,4 +303,4 @@ def commutator_coset_table(p: GroupPresentation,
             f = sum(((a + x) % m) * w for a, x, m, w in zip(coords, img, moduli, weights))
             row[2 * g] = f
             rows[f][2 * g + 1] = c
-    return CosetTable(p.n_generators, rows, complete=True)
+    return CosetTable(p.n_generators, rows)

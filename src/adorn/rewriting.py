@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cosets import CosetTable, IncompleteTable
+from .cosets import CosetTable
 from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
                       Simplified, Word, free_reduce, tietze_simplify)
 
@@ -33,8 +33,6 @@ def _schreier_labels(t: CosetTable) -> tuple[list[list[int]], int]:
     """The edge labelling and the number of Schreier generators: generator
     k is the k-th non-tree edge (coset a, column 2g) in (a, g) order, and
     crossing it backwards reads its inverse."""
-    if not t.complete:
-        raise IncompleteTable("Schreier rewriting requires a complete coset table")
     rows = t.rows
     ncols = 2 * t.n_generators
     labels = [[None] * ncols for _ in range(t.n_cosets)]

@@ -230,6 +230,24 @@ def test_verify_corpus_detects_mismatch(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_corpus_prints_one_row_per_stopped_check(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps([
+        {"name": "sl2z", "input": {"zoo": "sl2z"},
+         "expect": {"abelianization": "Z/12", "verdict": "NonAdorableCertified"}},
+        {"name": "trefoil", "input": "< a, b | a b a b^-1 a^-1 b^-1 >",
+         "expect": {"abelianization": "Z", "alexander": "t^2 - t + 1"}}]))
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus)])
+    assert (code, out.count("pass")) == (0, 4)
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus), "--timeout", "1e-9"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL sl2z: abelianization expected 'Z/12' got 'Inconclusive'",
+        "FAIL sl2z: verdict expected 'NonAdorableCertified' got 'Inconclusive'",
+        "FAIL trefoil: abelianization expected 'Z' got 'Inconclusive'",
+        "FAIL trefoil: alexander expected 't^2 - t + 1' got 'Inconclusive'"]
+
+
 def test_verify_corpus_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([

@@ -93,6 +93,23 @@ def test_commutator_table_infinite_index():
         commutator_coset_table(parse_presentation("< a, b | >"))
 
 
+def test_commutator_table_honours_coset_cap():
+    # Z12 x Z12 has 144 cosets: a cap of 144 lets it build, 10 stops it
+    p = parse_presentation("< a, b | a^12, b^12, a b a^-1 b^-1 >")
+    assert commutator_coset_table(p, Budget(max_cosets=144)).n_cosets == 144
+    with pytest.raises(CapExceeded, match="coset limit 10 reached") as info:
+        commutator_coset_table(p, Budget(max_cosets=10))
+    assert info.value.layer == "commutator_coset_table"
+
+
+def test_table_is_complete_by_construction():
+    t = CosetTable(1, [[1, 1], [0, 0]])
+    assert t.complete is True
+    assert t.word_act(0, A * A * A) == 1
+    with pytest.raises(ValueError, match="row width"):
+        CosetTable(2, [[0, 0]])
+
+
 @pytest.mark.parametrize("pres,comm_words", [
     (S3, [A * B * A.inverse() * B.inverse()]),
     (make("dihedral_inf"), [A * B * A.inverse() * B.inverse()]),
@@ -138,12 +155,6 @@ def test_deterministic_numbering():
     t1 = todd_coxeter(S3, [A])
     t2 = todd_coxeter(S3, [A])
     assert t1.rows == t2.rows
-
-
-def test_incomplete_table_construction():
-    t = CosetTable(1, [[None, None]], complete=False)
-    assert not t.complete
-    assert t.word_act(0, A) is None
 
 
 def _enumeration(p, sub, caps=Budget()):

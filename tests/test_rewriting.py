@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
-from adorn.cosets import CosetTable, IncompleteTable, commutator_coset_table, todd_coxeter
+from adorn.cosets import CosetTable, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import GroupPresentation, Word, free_reduce, parse_presentation
 from adorn.rewriting import (_rewrite, _schreier_labels, reidemeister_schreier,
                              rewrite_presentation, subgroup_words)
@@ -43,12 +43,6 @@ def test_transversal_prefix_closed():
     for w in words:
         for k in range(len(w)):
             assert Word(list(w)[:k]) in reps
-
-
-def test_transversal_requires_complete():
-    t = CosetTable(1, [[None, None]], complete=False)
-    with pytest.raises(IncompleteTable):
-        rewrite_presentation(parse_presentation("< a | a^2 >"), t)
 
 
 def test_schreier_generator_count():
@@ -110,7 +104,7 @@ def random_subgroup_table(rng, n_gens, degree) -> CosetTable | None:
             row.append(order[images[g][x]])
             row.append(order[inverses[g][x]])
         rows.append(row)
-    return CosetTable(n_gens, rows, complete=True)
+    return CosetTable(n_gens, rows)
 
 
 def test_nielsen_schreier_rank_formula():
