@@ -12,6 +12,15 @@ of column ``x``, so a word acts by indexing ``rows[c][x]`` with its
 ``letters`` directly.  Coset 0 is always the subgroup itself and numbering
 follows first definition, so tables are reproducible.
 
+Inside the enumerator an involution, a generator ``g`` whose ``g^2`` is a
+relator, has one self-inverse column in place of the two ``CosetTable``
+columns ``2*g`` and ``2*g + 1``: its ``g^2`` then holds by construction and
+is never scanned, and an edge is written once.  Subgroup words are scanned
+on the ``CosetTable`` columns, and the involutions are folded after their
+deductions are drained, when both columns of each are already equal.
+``run`` writes the folded column out twice, so rows are the same as
+without folding.
+
 Both producers fill every entry, so a :class:`CosetTable` is complete by
 construction: each entry is a coset and each generator column is a
 permutation of the cosets.  Nothing downstream handles a missing entry.
@@ -60,22 +69,48 @@ class CosetTable:
         return coset
 
 
+def _is_square(r: Word) -> bool:
+    """Whether ``r`` is ``g^2`` or ``g^-2``: then ``g`` is an involution."""
+    return len(r) == 2 and r.letters[0] == r.letters[1]
+
+
 class _Enumerator:
     def __init__(self, n_gens: int, relators: Sequence[Word], budget: Budget):
-        self.ncols = 2 * n_gens
+        self.n_gens = n_gens
+        self.relators = relators
+        self.involutions = {r.letters[0] >> 1 for r in relators if _is_square(r)}
         self.budget = budget
-        self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p = [0]  # union-find over cosets; rep is the least member
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
         self.check_at = CHECK_EVERY
-        # scans indexed by leading column: (rotation, last index), each
-        # distinct rotation of the relators once, in first-occurrence order
-        self.edp: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(self.ncols)]
-        rots = dict.fromkeys(r.letters[i:] + r.letters[:i]
-                             for r in relators for i in range(len(r)))
+
+    def set_columns(self, fold: bool) -> None:
+        # with ``fold`` each involution gets one self-inverse column, and
+        # any other generator a column and its inverse: phys[x] is the
+        # column of letter x and inv[c] the inverse of column c
+        phys: list[int] = []
+        inv: list[int] = []
+        for g in range(self.n_gens):
+            c = len(inv)
+            if fold and g in self.involutions:
+                phys += (c, c)
+                inv.append(c)
+            else:
+                phys += (c, c + 1)
+                inv += (c + 1, c)
+        self.phys, self.inv, self.ncols = phys, inv, len(inv)
+        # scans indexed by leading column: (rotation, inverse of each of its
+        # columns, last index), each distinct rotation of the relators once,
+        # in first-occurrence order.  A self-inverse column satisfies its
+        # g^2 by construction, so that relator has no scan.
+        self.edp: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [
+            [] for _ in range(self.ncols)]
+        words = [tuple(map(phys.__getitem__, r.letters)) for r in dict.fromkeys(self.relators)
+                 if not (fold and _is_square(r))]
+        rots = dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w)))
         for rot in rots:
-            self.edp[rot[0]].append((rot, len(rot) - 1))
+            self.edp[rot[0]].append((rot, tuple(map(inv.__getitem__, rot)), len(rot) - 1))
 
     def rep(self, c: int) -> int:
         p = self.p
@@ -96,10 +131,17 @@ class _Enumerator:
         self.set_edge(alpha, col, beta)
 
     def set_edge(self, a: int, col: int, b: int) -> None:
-        self.table[a][col] = b
-        self.table[b][col ^ 1] = a
-        self.deductions.append((a, col))
-        self.deductions.append((b, col ^ 1))
+        # push a filled slot only when a rotation starts at its column; a
+        # fixed point of a self-inverse column is one slot, pushed once
+        table, edp, deductions = self.table, self.edp, self.deductions
+        table[a][col] = b
+        if edp[col]:
+            deductions.append((a, col))
+        icol = self.inv[col]
+        if a != b or icol != col:
+            table[b][icol] = a
+            if edp[icol]:
+                deductions.append((b, icol))
 
     def merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -123,24 +165,23 @@ class _Enumerator:
                 if delta is None:
                     continue
                 # detach the mirror edge before re-rooting
-                if self.table[delta][col ^ 1] == dead:
-                    self.table[delta][col ^ 1] = None
+                icol = self.inv[col]
+                if self.table[delta][icol] == dead:
+                    self.table[delta][icol] = None
                 row[col] = None
                 mu, nu = self.rep(dead), self.rep(delta)
                 target = self.table[mu][col]
-                back = self.table[nu][col ^ 1]
+                back = self.table[nu][icol]
                 if target is not None:
                     self.merge(nu, target, queue)
                 elif back is not None:
                     self.merge(mu, back, queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
-                    self.deductions.append((mu, col))
-                    self.deductions.append((nu, col ^ 1))
+                    self.set_edge(mu, col, nu)
 
     def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
         # runs with the deductions drained, so every table entry is live
+        inv = self.inv
         f = alpha
         i, j = 0, len(cols) - 1
         b = alpha
@@ -156,7 +197,7 @@ class _Enumerator:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                d = self.table[b][cols[j] ^ 1]
+                d = self.table[b][inv[cols[j]]]
                 if d is None:
                     break
                 b = d
@@ -183,7 +224,7 @@ class _Enumerator:
                 a = rep(a)
             if table[a][col] is None:
                 continue  # edge removed by a coincidence
-            for cols, last in edp[col]:
+            for cols, back, last in edp[col]:
                 # scan cols at a: forward from the left, back from the right.
                 # Table entries are live cosets: every edge is stored with its
                 # mirror and coincidence() clears both for a dead coset.
@@ -200,7 +241,7 @@ class _Enumerator:
                         coincidence(f, b)
                 else:
                     while j >= i:
-                        d = table[b][cols[j] ^ 1]
+                        d = table[b][back[j]]
                         if d is None:
                             break
                         b = d
@@ -216,9 +257,21 @@ class _Enumerator:
                     break
 
     def run(self, subgroup_gens: Sequence[Word]) -> CosetTable:
+        # A word's scan drains only at its end, and until then an
+        # involution's two columns can differ.  Scanned on the CosetTable
+        # columns, a word defines the same cosets as without folding, so
+        # max_cosets stops the enumeration at the same point.
+        self.set_columns(not subgroup_gens)
+        self.table: list[list[int | None]] = [[None] * self.ncols]
         for w in subgroup_gens:
             self.scan_and_fill(0, w.letters)
             self.process_deductions()
+        if subgroup_gens and self.involutions:
+            # drained: both columns of an involution are equal, since the
+            # drain scanned its g^2 at every edge, so keep the first
+            self.set_columns(True)
+            keep = [self.phys.index(c) for c in range(self.ncols)]
+            self.table = [[row[x] for x in keep] for row in self.table]
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] == alpha:
@@ -235,8 +288,10 @@ class _Enumerator:
         for c in live:
             row = self.table[c]
             assert None not in row
-            rows.append(tuple([index[x] for x in row]))  # entries are live
-        return CosetTable(self.ncols // 2, rows)
+            # entries are live; an involution's column fills both of its
+            # CosetTable columns
+            rows.append(tuple([index[row[x]] for x in self.phys]))
+        return CosetTable(self.n_gens, rows)
 
 
 def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
@@ -251,10 +306,14 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     Raises :class:`CapExceeded` when the enumeration does not close within
     ``max_cosets`` (infinite index, or the cap too small), or when its
     clock, checked every ``CHECK_EVERY`` deductions, runs out.  The coset
-    cap bounds the deductions too: one is pushed per empty slot of a live
-    coset filled, a coset is defined with ``2 * gens`` empty slots, and a
-    live slot empties again only as one of the ``2 * gens`` mirror entries
-    a dying coset clears, so there are at most ``4 * gens * max_cosets``.
+    cap bounds the deductions too.  At most one is pushed per empty slot of
+    a live coset filled, and none when no rotation starts at the slot's
+    column.  A coset is defined with one empty slot per column of the
+    enumerator, ``ncols``: ``2 * gens`` while subgroup words are scanned,
+    one fewer per involution after.  A live slot empties again only as the
+    mirror of one of the slots a dying coset clears.  So the deductions are
+    at most twice the slots of the cosets defined, ``2 * ncols`` a coset,
+    and never more than ``4 * gens * max_cosets``.
     """
     for w in subgroup_gens:
         if w.max_generator() >= p.n_generators:

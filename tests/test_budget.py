@@ -181,12 +181,13 @@ def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
 
 
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):
-    s6 = parse_presentation(  # 720 cosets, 7200 deductions
-        "< a, b, c, d, e | a^2, b^2, c^2, d^2, e^2, (a b)^3, (b c)^3, (c d)^3,"
-        " (d e)^3, (a c)^2, (a d)^2, (a e)^2, (b d)^2, (b e)^2, (c e)^2 >")
-    assert todd_coxeter(s6, (), Budget().start()).n_cosets == 720
+    s7 = parse_presentation(  # 5040 cosets, 30240 deductions
+        "< a, b, c, d, e, f | a^2, b^2, c^2, d^2, e^2, f^2, (a b)^3, (b c)^3,"
+        " (c d)^3, (d e)^3, (e f)^3, (a c)^2, (a d)^2, (a e)^2, (a f)^2, (b d)^2,"
+        " (b e)^2, (b f)^2, (c e)^2, (c f)^2, (d f)^2 >")
+    assert todd_coxeter(s7, (), Budget().start()).n_cosets == 5040
     expire_after(monkeypatch, 1)  # the start
-    e = _Enumerator(s6.n_generators, s6.relators, Budget().start())
+    e = _Enumerator(s7.n_generators, s7.relators, Budget().start())
     with pytest.raises(CapExceeded) as info:
         e.run(())
     assert info.value.layer == "todd_coxeter"

@@ -207,8 +207,44 @@ def test_todd_coxeter_matches_reference(case):
         assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
 
 
+@st.composite
+def involution_inputs(draw):
+    # each generator is an involution with probability 1/2, its square
+    # written g^2 or g^-2; the other relators and the subgroup words use
+    # its inverse letter as well, which the enumerator maps onto one column
+    n = draw(st.integers(1, 4))
+    rels = [Word.gen(g, draw(st.sampled_from((1, -1)))) ** 2
+            for g in range(n) if draw(st.booleans())]
+    rels = draw(st.permutations(rels + draw(st.lists(_words(n, 8, min_size=1), max_size=4))))
+    sub = draw(st.lists(_words(n, 6), max_size=2))
+    return GroupPresentation([f"x{i}" for i in range(n)], rels), sub
+
+
 @settings(max_examples=300, deadline=None)
-@given(enumeration_inputs())
+@given(involution_inputs())
+# under cap 40 the reference raises here, by the cosets its subgroup word
+# walk defines before the drain that finds them equal
+@example((parse_presentation("< x0, x1, x2 | x0 x1^-2 x2 x1 x2^2, x0^2,"
+                             " x0 x1^-1 x0 x2 x0^-1 x2 >"),
+          [Word([(1, 1), (1, -1)]), Word([(0, 1), (2, 1), (1, -1), (2, -1), (0, 1)])]))
+def test_folded_involutions_match_reference(case):
+    p, sub = case
+    for caps in (Budget(max_cosets=300), Budget(max_cosets=40)):
+        assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_subgroup_words_meet_the_cap_where_the_reference_does(cap):
+    # before its drain, the walk of a^4 sees neither (0.a).a nor 0.a^-1,
+    # so it defines 3 cosets where one self-inverse column needs 1: words
+    # are scanned before the fold, and raise under caps 2 and 3 as well
+    p = parse_presentation("< a | a^2 >")
+    caps = Budget(max_cosets=cap)
+    assert _enumeration(p, [A ** 4], caps) == _reference_enumeration(p, [A ** 4], caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(enumeration_inputs(), involution_inputs()))
 @example(REPEATED_RELATOR)
 def test_deductions_are_bounded_by_the_cosets_defined(case):
     # the bound in todd_coxeter's docstring that lets max_cosets stand for
@@ -219,11 +255,11 @@ def test_deductions_are_bounded_by_the_cosets_defined(case):
         e.run(sub)
     except CapExceeded:
         pass
-    assert e.deductions_done <= 2 * e.ncols * len(e.table)
+    assert e.deductions_done <= 4 * p.n_generators * len(e.table)
 
 
 @pytest.mark.parametrize("case,done,reference_done", [
-    (REPEATED_RELATOR, 12, 14),
+    (REPEATED_RELATOR, 9, 14),
     ((parse_presentation("< x0, x1 | x0^3 x1 x0^-1 x1^-1, x0^3 x1 x0^-1 x1^-1,"
                          " x0^2 x1^-1 x0 x1^-1, x0^2 x1^-1 x0 x1^-1 >"), []), 38, 36),
 ])
@@ -235,6 +271,78 @@ def test_deduction_count_after_coincidence(case, done, reference_done):
     rows = e.run(sub).rows
     assert e.deductions_done == done
     assert todd_coxeter_reference(p, sub, Budget()) == (rows, reference_done)
+
+
+class PushLog(list):
+    """Deduction stack that records each push, and whether a rotation
+    starts at its column when it is pushed."""
+
+    def __init__(self, e):
+        super().__init__()
+        self.e = e
+        self.pushed = []
+
+    def append(self, deduction):
+        self.pushed.append((deduction, bool(self.e.edp[deduction[1]])))
+        super().append(deduction)
+
+
+def _logged_run(p, sub):
+    e = _Enumerator(p.n_generators, p.relators, Budget())
+    e.deductions = log = PushLog(e)
+    rows = e.run(sub).rows
+    assert rows == todd_coxeter_reference(p, sub, Budget())[0]
+    assert all(scans for _, scans in log.pushed)
+    return e, [d for d, _ in log.pushed]
+
+
+def test_subgroup_fixed_point_is_pushed_once():
+    # < a | a^2 > over <a>: the subgroup word sets 0.a = 0 before the fold,
+    # and only the column that starts a rotation (a a) is pushed
+    e, pushed = _logged_run(parse_presentation("< a | a^2 >"), [A])
+    assert pushed == [(0, 0)]
+    assert e.deductions_done == 1 and e.ncols == 1
+
+
+def test_folded_fixed_point_is_pushed_once():
+    # Z2 x Z2 over <b>: scanning (a b)^2 at 0 after 0.a = 1 finds 1.b = 1,
+    # one slot of b's self-inverse column, pushed once
+    e, pushed = _logged_run(parse_presentation("< a, b | a^2, b^2, (a b)^2 >"), [B])
+    b = e.phys[2]
+    assert e.ncols == 2 and b == e.inv[b]
+    assert pushed.count((1, b)) == 1
+    assert e.table[1][b] == 1
+
+
+@pytest.mark.parametrize("text,folded", [
+    ("< a | a^2, a^2 >", True),  # a repeated square folds once
+    ("< a | a^4 >", False),  # a^4 does not make a an involution
+    ("< a | a^-2 >", True),
+])
+def test_only_a_square_relator_folds(text, folded):
+    p = parse_presentation(text)
+    for sub in ([], [A], [A * A.inverse() * A.inverse()]):
+        e, _ = _logged_run(p, sub)
+        assert e.ncols == (1 if folded else 2)
+        assert bool(e.edp[0]) is not folded  # a folded square is never scanned
+
+
+@pytest.mark.parametrize("sub", [[], [A], [B], [A.inverse() * B], [B * A.inverse() * A.inverse()]])
+def test_inverse_letter_of_an_involution(sub):
+    # a^-1 maps onto a's self-inverse column, in a relator and a subgroup word
+    p = parse_presentation("< a, b | a^2, b^3, a b^-1 a^-1 b^-1 >")
+    e, _ = _logged_run(p, sub)
+    assert e.ncols == 3 and e.phys[:2] == [0, 0]
+
+
+def test_nothing_skipped_or_folded_matches_reference_count():
+    # Q8 on two aperiodic relators: no involution, no repeated rotation, and
+    # a rotation starts at every column, so every filled slot is pushed and
+    # the count of processed deductions is the reference's
+    p = parse_presentation("< a, b | a b a b^-1, b a b a^-1 >")
+    e, pushed = _logged_run(p, [])
+    assert all(e.edp)
+    assert e.deductions_done == len(pushed) == todd_coxeter_reference(p, [], Budget())[1] == 32
 
 
 def coxeter_symmetric(n, perm=None, signs=None):
