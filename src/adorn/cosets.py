@@ -18,8 +18,14 @@ columns ``2*g`` and ``2*g + 1``: its ``g^2`` then holds by construction and
 is never scanned, and an edge is written once.  Subgroup words are scanned
 on the ``CosetTable`` columns, and the involutions are folded after their
 deductions are drained, when both columns of each are already equal.
-``run`` writes the folded column out twice, so rows are the same as
-without folding.
+
+The enumerator stores its table by column: ``cols[c][coset]``, one list per
+column, each grown by one entry per coset defined.  A relator rotation's
+scan entry in ``edp`` holds the column lists it reads, bound when the
+layout is set, so a scan step is one subscript ``column[coset]``.  The fold
+re-binds the surviving column lists and copies no rows.  ``run`` builds the
+``CosetTable`` rows from the columns at the end, writing an involution's
+column out twice, so rows are the same as without folding.
 
 Both producers fill every entry, so a :class:`CosetTable` is complete by
 construction: each entry is a coset and each generator column is a
@@ -80,15 +86,17 @@ class _Enumerator:
         self.relators = relators
         self.involutions = {r.letters[0] >> 1 for r in relators if _is_square(r)}
         self.budget = budget
+        self.n = 1  # cosets defined; coset 0 is the subgroup
         self.p = [0]  # union-find over cosets; rep is the least member
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
         self.check_at = CHECK_EVERY
 
-    def set_columns(self, fold: bool) -> None:
+    def set_columns(self, fold: bool, by_letter: list[list[int | None]]) -> None:
         # with ``fold`` each involution gets one self-inverse column, and
         # any other generator a column and its inverse: phys[x] is the
-        # column of letter x and inv[c] the inverse of column c
+        # column of letter x, inv[c] the inverse of column c, and cols[c]
+        # its entries, the list of the first letter mapped onto it
         phys: list[int] = []
         inv: list[int] = []
         for g in range(self.n_gens):
@@ -99,18 +107,21 @@ class _Enumerator:
             else:
                 phys += (c, c + 1)
                 inv += (c + 1, c)
-        self.phys, self.inv, self.ncols = phys, inv, len(inv)
-        # scans indexed by leading column: (rotation, inverse of each of its
-        # columns, last index), each distinct rotation of the relators once,
-        # in first-occurrence order.  A self-inverse column satisfies its
-        # g^2 by construction, so that relator has no scan.
-        self.edp: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [
+        cols = [by_letter[phys.index(c)] for c in range(len(inv))]
+        self.phys, self.inv, self.cols, self.ncols = phys, inv, cols, len(inv)
+        # scans indexed by leading column: (rotation, its column lists for
+        # the forward scan, the inverse column list of each of its columns
+        # for the backward scan, last index), each distinct rotation of the
+        # relators once, in first-occurrence order.  A self-inverse column
+        # satisfies its g^2 by construction, so that relator has no scan.
+        self.edp: list[list[tuple[tuple[int, ...], tuple[list, ...], tuple[list, ...], int]]] = [
             [] for _ in range(self.ncols)]
         words = [tuple(map(phys.__getitem__, r.letters)) for r in dict.fromkeys(self.relators)
                  if not (fold and _is_square(r))]
         rots = dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w)))
         for rot in rots:
-            self.edp[rot[0]].append((rot, tuple(map(inv.__getitem__, rot)), len(rot) - 1))
+            self.edp[rot[0]].append((rot, tuple(map(cols.__getitem__, rot)),
+                                     tuple(cols[inv[c]] for c in rot), len(rot) - 1))
 
     def rep(self, c: int) -> int:
         p = self.p
@@ -122,24 +133,26 @@ class _Enumerator:
         return root
 
     def define(self, alpha: int, col: int) -> None:
-        if len(self.table) >= self.budget.max_cosets:
+        if self.n >= self.budget.max_cosets:
             raise CapExceeded(f"coset limit {self.budget.max_cosets} reached",
                               "todd_coxeter")
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        beta = self.n
+        self.n += 1
+        for column in self.cols:
+            column.append(None)
         self.p.append(beta)
         self.set_edge(alpha, col, beta)
 
     def set_edge(self, a: int, col: int, b: int) -> None:
         # push a filled slot only when a rotation starts at its column; a
         # fixed point of a self-inverse column is one slot, pushed once
-        table, edp, deductions = self.table, self.edp, self.deductions
-        table[a][col] = b
+        cols, edp, deductions = self.cols, self.edp, self.deductions
+        cols[col][a] = b
         if edp[col]:
             deductions.append((a, col))
         icol = self.inv[col]
         if a != b or icol != col:
-            table[b][icol] = a
+            cols[icol][b] = a
             if edp[icol]:
                 deductions.append((b, icol))
 
@@ -153,25 +166,26 @@ class _Enumerator:
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
+        cols, inv = self.cols, self.inv
         queue: list[int] = []
         self.merge(a, b, queue)
         qi = 0
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            row = self.table[dead]
             for col in range(self.ncols):
-                delta = row[col]
+                column = cols[col]
+                delta = column[dead]
                 if delta is None:
                     continue
                 # detach the mirror edge before re-rooting
-                icol = self.inv[col]
-                if self.table[delta][icol] == dead:
-                    self.table[delta][icol] = None
-                row[col] = None
+                back_column = cols[inv[col]]
+                if back_column[delta] == dead:
+                    back_column[delta] = None
+                column[dead] = None
                 mu, nu = self.rep(dead), self.rep(delta)
-                target = self.table[mu][col]
-                back = self.table[nu][icol]
+                target = column[mu]
+                back = back_column[nu]
                 if target is not None:
                     self.merge(nu, target, queue)
                 elif back is not None:
@@ -179,15 +193,15 @@ class _Enumerator:
                 else:
                     self.set_edge(mu, col, nu)
 
-    def scan_and_fill(self, alpha: int, cols: tuple[int, ...]) -> None:
+    def scan_and_fill(self, alpha: int, word: tuple[int, ...]) -> None:
         # runs with the deductions drained, so every table entry is live
-        inv = self.inv
+        cols, inv = self.cols, self.inv
         f = alpha
-        i, j = 0, len(cols) - 1
+        i, j = 0, len(word) - 1
         b = alpha
         while True:
             while i <= j:
-                d = self.table[f][cols[i]]
+                d = cols[word[i]][f]
                 if d is None:
                     break
                 f = d
@@ -197,7 +211,7 @@ class _Enumerator:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                d = self.table[b][inv[cols[j]]]
+                d = cols[inv[word[j]]][b]
                 if d is None:
                     break
                 b = d
@@ -206,12 +220,12 @@ class _Enumerator:
                 self.coincidence(f, b)
                 return
             if j == i:
-                self.set_edge(f, cols[i], b)
+                self.set_edge(f, word[i], b)
                 return
-            self.define(f, cols[i])
+            self.define(f, word[i])
 
     def process_deductions(self) -> None:
-        table, p, edp, deductions = self.table, self.p, self.edp, self.deductions
+        p, cols, edp, deductions = self.p, self.cols, self.edp, self.deductions
         rep, coincidence, set_edge = self.rep, self.coincidence, self.set_edge
         check_at = self.check_at
         while deductions:
@@ -222,76 +236,82 @@ class _Enumerator:
             a, col = deductions.pop()
             if p[a] != a:
                 a = rep(a)
-            if table[a][col] is None:
+            column = cols[col]
+            if column[a] is None:
                 continue  # edge removed by a coincidence
-            for cols, back, last in edp[col]:
-                # scan cols at a: forward from the left, back from the right.
-                # Table entries are live cosets: every edge is stored with its
-                # mirror and coincidence() clears both for a dead coset.
-                f = b = a
-                i, j = 0, last
-                while i <= j:
-                    d = table[f][cols[i]]
+            for rot, fw, bw, last in edp[col]:
+                # scan the rotation at a: forward from the left, back from
+                # the right.  Entries are live cosets: every edge is stored
+                # with its mirror and coincidence() clears both for a dead
+                # coset.
+                f, i = a, 0
+                for c in fw:
+                    d = c[f]
                     if d is None:
                         break
                     f = d
                     i += 1
-                if i > j:
-                    if f != b:
-                        coincidence(f, b)
                 else:
-                    while j >= i:
-                        d = table[b][back[j]]
-                        if d is None:
-                            break
-                        b = d
-                        j -= 1
-                    if j < i:
-                        coincidence(f, b)
-                    elif j == i:
-                        set_edge(f, cols[i], b)
-                    # gap of length >= 2: no information
-                if p[a] != a:
-                    a = rep(a)
-                if table[a][col] is None:
-                    break
+                    if f == a:
+                        continue  # the rotation closes at a
+                # closed at f != a, with i past the end, or scan back
+                b, j = a, last
+                while j >= i:
+                    d = bw[j][b]
+                    if d is None:
+                        break
+                    b = d
+                    j -= 1
+                if j < i:
+                    coincidence(f, b)
+                    # only a coincidence moves a or clears its slot
+                    if p[a] != a:
+                        a = rep(a)
+                    if column[a] is None:
+                        break
+                elif j == i:
+                    set_edge(f, rot[i], b)
+                # gap of length >= 2: no information
 
     def run(self, subgroup_gens: Sequence[Word]) -> CosetTable:
         # A word's scan drains only at its end, and until then an
         # involution's two columns can differ.  Scanned on the CosetTable
         # columns, a word defines the same cosets as without folding, so
         # max_cosets stops the enumeration at the same point.
-        self.set_columns(not subgroup_gens)
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.set_columns(not subgroup_gens, [[None] for _ in range(2 * self.n_gens)])
         for w in subgroup_gens:
             self.scan_and_fill(0, w.letters)
             self.process_deductions()
         if subgroup_gens and self.involutions:
             # drained: both columns of an involution are equal, since the
-            # drain scanned its g^2 at every edge, so keep the first
-            self.set_columns(True)
-            keep = [self.phys.index(c) for c in range(self.ncols)]
-            self.table = [[row[x] for x in keep] for row in self.table]
+            # drain scanned its g^2 at every edge, so keep the first.  The
+            # unfolded columns are indexed by letter.
+            self.set_columns(True, self.cols)
+        p, cols = self.p, self.cols
         alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
+        while alpha < self.n:
+            if p[alpha] == alpha:
                 col = 0
-                while col < self.ncols and self.p[alpha] == alpha:
-                    if self.table[alpha][col] is None:
+                while col < self.ncols and p[alpha] == alpha:
+                    if cols[col][alpha] is None:
                         self.define(alpha, col)
                         self.process_deductions()
                     col += 1
             alpha += 1
-        live = [c for c in range(len(self.table)) if self.p[c] == c]
-        index = {c: i for i, c in enumerate(live)}
-        rows = []
-        for c in live:
-            row = self.table[c]
-            assert None not in row
-            # entries are live; an involution's column fills both of its
-            # CosetTable columns
-            rows.append(tuple([index[row[x]] for x in self.phys]))
-        return CosetTable(self.n_gens, rows)
+        live = [c for c in range(self.n) if p[c] == c]
+        index = [0] * self.n  # new numbers, read only for live cosets
+        for i, c in enumerate(live):
+            index[c] = i
+        renumbered = []
+        for column in cols:
+            entries = [column[c] for c in live]
+            assert None not in entries  # and every entry is live
+            renumbered.append([index[d] for d in entries])
+        # an involution's column fills both of its CosetTable columns.  With
+        # no generator the one coset has an empty row, which transposing no
+        # columns would lose.
+        columns = [renumbered[x] for x in self.phys]
+        return CosetTable(self.n_gens, zip(*columns) if columns else [()] * len(live))
 
 
 def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
@@ -303,17 +323,21 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     the same rotation adds nothing to that closure, so scanning each
     distinct rotation once makes the same definitions, numbering and rows.
 
+    The table is stored by column (see the module docstring): a scan reads
+    the column lists bound in its rotation's ``edp`` entry, and the fold
+    after the subgroup words re-binds column lists without copying rows.
+
     Raises :class:`CapExceeded` when the enumeration does not close within
     ``max_cosets`` (infinite index, or the cap too small), or when its
     clock, checked every ``CHECK_EVERY`` deductions, runs out.  The coset
     cap bounds the deductions too.  At most one is pushed per empty slot of
     a live coset filled, and none when no rotation starts at the slot's
-    column.  A coset is defined with one empty slot per column of the
-    enumerator, ``ncols``: ``2 * gens`` while subgroup words are scanned,
-    one fewer per involution after.  A live slot empties again only as the
-    mirror of one of the slots a dying coset clears.  So the deductions are
-    at most twice the slots of the cosets defined, ``2 * ncols`` a coset,
-    and never more than ``4 * gens * max_cosets``.
+    column.  A coset is defined with one empty slot in each column of the
+    enumerator, ``ncols`` of them: ``2 * gens`` while subgroup words are
+    scanned, one fewer per involution after.  A live slot empties again
+    only as the mirror of one of the slots a dying coset clears.  So the
+    deductions are at most twice the slots of the cosets defined,
+    ``2 * ncols`` a coset, and never more than ``4 * gens * max_cosets``.
     """
     for w in subgroup_gens:
         if w.max_generator() >= p.n_generators:

@@ -303,10 +303,7 @@ def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
             f"cannot certify (non-)triviality of {p.name or p}: {exc}") from exc
 
 
-def _certified_order_two(p: GroupPresentation, inv: AbelianInvariants,
-                         budget: Budget) -> bool:
-    if inv.rank != 0 or inv.torsion != (2,):
-        return False
+def _certified_order_two(p: GroupPresentation, budget: Budget) -> bool:
     try:
         return todd_coxeter(p, (), budget).n_cosets == 2
     except CapExceeded as exc:
@@ -345,7 +342,10 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
             "PerfectProduct", 0,
             "free product of perfect groups is perfect (doa 0)",
             SeriesVerdict(ADORABLE, doa=0))
-    if all(_certified_order_two(q, inv, budget) for q, inv in factors):
+    # Z2 abelianizes to Z2: every factor's invariants are tested before
+    # any factor is enumerated, so one that rules Z2 out spares the others
+    if (all(inv.rank == 0 and inv.torsion == (2,) for _, inv in factors)
+            and all(_certified_order_two(q, budget) for q, _ in factors)):
         return FreeProductVerdict(
             "Dinfty", 2,
             "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",

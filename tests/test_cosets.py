@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,11 @@ def test_index_multiplicativity(pres, sub, sub_order):
     rewritten, _ = reidemeister_schreier(pres, t)
     assert todd_coxeter(rewritten, []).n_cosets == sub_order
     assert whole == t.n_cosets * sub_order
+
+
+def test_no_generators_one_coset():
+    t = todd_coxeter(parse_presentation("< | >"))
+    assert t.n_cosets == 1 and t.rows == ((),)
 
 
 def test_cap_exceeded_infinite_index():
@@ -255,7 +262,7 @@ def test_deductions_are_bounded_by_the_cosets_defined(case):
         e.run(sub)
     except CapExceeded:
         pass
-    assert e.deductions_done <= 4 * p.n_generators * len(e.table)
+    assert e.deductions_done <= 4 * p.n_generators * e.n
 
 
 @pytest.mark.parametrize("case,done,reference_done", [
@@ -311,7 +318,7 @@ def test_folded_fixed_point_is_pushed_once():
     b = e.phys[2]
     assert e.ncols == 2 and b == e.inv[b]
     assert pushed.count((1, b)) == 1
-    assert e.table[1][b] == 1
+    assert e.cols[b][1] == 1
 
 
 @pytest.mark.parametrize("text,folded", [
@@ -370,6 +377,37 @@ def test_todd_coxeter_matches_reference_on_symmetric_groups(n, perm, signs, sub_
     rows = _enumeration(p, sub)
     assert rows == _reference_enumeration(p, sub)
     assert len(rows) == index
+
+
+@pytest.mark.parametrize("n,index,done", [(5, 120, 480), (6, 720, 3600), (7, 5040, 30240)])
+def test_symmetric_group_deduction_counts(n, index, done):
+    # no coincidence: every slot of the n - 1 folded columns is filled
+    # and pushed once, so a change that pushes a slot twice or does not
+    # fold moves the count
+    p, _ = coxeter_symmetric(n)
+    e = _Enumerator(p.n_generators, p.relators, Budget())
+    assert e.run([]).n_cosets == index
+    assert e.deductions_done == done
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("blocks", list(_compositions(6)), ids=str)
+def test_young_subgroups_of_s6_match_reference(blocks):
+    # the Young subgroup permutes each block of consecutive points, and is
+    # generated by the adjacent transpositions inside the blocks
+    p, s = coxeter_symmetric(6)
+    starts = [sum(blocks[:k]) for k in range(len(blocks))]
+    sub = [s[i] for start, size in zip(starts, blocks) for i in range(start, start + size - 1)]
+    rows = _enumeration(p, sub)
+    assert rows == _reference_enumeration(p, sub)
+    assert len(rows) == math.factorial(6) // math.prod(map(math.factorial, blocks))
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adorn import abelian
+from adorn import abelian, zoo
 from adorn.abelian import AbelianInvariants, abelianization
 from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
@@ -157,6 +157,28 @@ def test_free_product_abelianizes_each_factor_once(monkeypatch, factors):
     # each under the caller's budget, with its clock started
     assert all(b == Budget(wall_clock_seconds=30) and b.deadline < math.inf
                for b in budgets)
+
+
+S5 = parse_presentation("< a, b, c, d | a^2, b^2, c^2, d^2, (a b)^3, (b c)^3, (c d)^3,"
+                        " (a c)^2, (a d)^2, (b d)^2 >")
+
+
+@pytest.mark.parametrize("pa,pb", [(S5, make("cyclic", (3,))), (make("cyclic", (3,)), S5)],
+                         ids=["S5*Z3", "Z3*S5"])
+def test_free_product_enumerates_no_factor_that_z3_rules_out(monkeypatch, pa, pb):
+    # S5 abelianizes to Z2, so only its order, by enumeration, could tell
+    # it from Z2; Z3's invariants already rule Dinfty out
+    calls = []
+    real = zoo.todd_coxeter
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zoo, "todd_coxeter", counting)
+    v = free_product_verdict(pa, pb)
+    assert v.kind == "NonAdorable" and v.doa is None
+    assert calls == []
 
 
 def test_free_product_rejects_trivial_factor():
