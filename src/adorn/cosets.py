@@ -3,8 +3,9 @@
 ``todd_coxeter`` is a deduction-stack (Felsch-style) enumerator with full
 coincidence handling; a deduction scans each distinct relator rotation that
 starts with its column once (``(s t)^3`` has two, a repeated relator adds
-none).  ``commutator_coset_table`` builds the table of the commutator
-subgroup directly from a finite abelianization, without enumeration.
+none), and on a self-inverse column also each such rotation's reflection.
+``commutator_coset_table`` builds the table of the commutator subgroup
+directly from a finite abelianization, without enumeration.
 
 Columns are the int letter codes of :class:`adorn.fpgroup.Word`: column
 ``2*g`` is the action of generator ``g`` and column ``x ^ 1`` is the inverse
@@ -15,9 +16,13 @@ follows first definition, so tables are reproducible.
 Inside the enumerator an involution, a generator ``g`` whose ``g^2`` is a
 relator, has one self-inverse column in place of the two ``CosetTable``
 columns ``2*g`` and ``2*g + 1``: its ``g^2`` then holds by construction and
-is never scanned, and an edge is written once.  Subgroup words are scanned
-on the ``CosetTable`` columns, and the involutions are folded after their
-deductions are drained, when both columns of each are already equal.
+is never scanned.  An edge ``a -g- b`` of that column is pushed once, as
+``(a, g)``.  The scan of a rotation ``g w`` at ``b`` walks the same cycle
+as the scan of its reflection ``g w^-1`` at ``a``, only backwards, so the
+column's scan list holds the reflections of its rotations as well; a
+Coxeter relator ``(g h)^m`` is its own reflection.  Subgroup words are
+scanned on the ``CosetTable`` columns, and the involutions are folded after
+their deductions are drained, when both columns of each are already equal.
 
 The enumerator stores its table by column: ``cols[c][coset]``, one list per
 column, each grown by one entry per coset defined.  A relator rotation's
@@ -112,14 +117,18 @@ class _Enumerator:
         # scans indexed by leading column: (rotation, its column lists for
         # the forward scan, the inverse column list of each of its columns
         # for the backward scan, last index), each distinct rotation of the
-        # relators once, in first-occurrence order.  A self-inverse column
-        # satisfies its g^2 by construction, so that relator has no scan.
+        # relators once, in first-occurrence order, then on a self-inverse
+        # column each reflection that is not already there.  A self-inverse
+        # column satisfies its g^2 by construction, so that relator has no
+        # scan.
         self.edp: list[list[tuple[tuple[int, ...], tuple[list, ...], tuple[list, ...], int]]] = [
             [] for _ in range(self.ncols)]
         words = [tuple(map(phys.__getitem__, r.letters)) for r in dict.fromkeys(self.relators)
                  if not (fold and _is_square(r))]
-        rots = dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w)))
-        for rot in rots:
+        rots = list(dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w))))
+        rots += [(rot[0],) + tuple(inv[x] for x in reversed(rot[1:]))
+                 for rot in rots if inv[rot[0]] == rot[0]]
+        for rot in dict.fromkeys(rots):
             self.edp[rot[0]].append((rot, tuple(map(cols.__getitem__, rot)),
                                      tuple(cols[inv[c]] for c in rot), len(rot) - 1))
 
@@ -144,17 +153,17 @@ class _Enumerator:
         self.set_edge(alpha, col, beta)
 
     def set_edge(self, a: int, col: int, b: int) -> None:
-        # push a filled slot only when a rotation starts at its column; a
-        # fixed point of a self-inverse column is one slot, pushed once
+        # push a filled slot only when a rotation starts at its column, and
+        # an edge of a self-inverse column from a alone: its scan list holds
+        # the reflections that b's scans would walk (set_columns)
         cols, edp, deductions = self.cols, self.edp, self.deductions
         cols[col][a] = b
         if edp[col]:
             deductions.append((a, col))
         icol = self.inv[col]
-        if a != b or icol != col:
-            cols[icol][b] = a
-            if edp[icol]:
-                deductions.append((b, icol))
+        cols[icol][b] = a
+        if icol != col and edp[icol]:
+            deductions.append((b, icol))
 
     def merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -322,6 +331,9 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     deduction closure of the definitions made so far.  Repeating a scan of
     the same rotation adds nothing to that closure, so scanning each
     distinct rotation once makes the same definitions, numbering and rows.
+    Nor does scanning a cycle from the other end: an edge of a
+    self-inverse column is pushed from one end, whose scans include the
+    reflections that walk the other end's cycles.
 
     The table is stored by column (see the module docstring): a scan reads
     the column lists bound in its rotation's ``edp`` entry, and the fold
@@ -331,8 +343,9 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     ``max_cosets`` (infinite index, or the cap too small), or when its
     clock, checked every ``CHECK_EVERY`` deductions, runs out.  The coset
     cap bounds the deductions too.  At most one is pushed per empty slot of
-    a live coset filled, and none when no rotation starts at the slot's
-    column.  A coset is defined with one empty slot in each column of the
+    a live coset filled, none when no rotation starts at the slot's
+    column, and one for both slots of an edge of a self-inverse column.
+    A coset is defined with one empty slot in each column of the
     enumerator, ``ncols`` of them: ``2 * gens`` while subgroup words are
     scanned, one fewer per involution after.  A live slot empties again
     only as the mirror of one of the slots a dying coset clears.  So the

@@ -32,6 +32,9 @@ the representatives found so far.
 The reference raw Reidemeister–Schreier rewrite is the library's as it was
 before it walked one coset per orbit of a periodic relator: every ambient
 relator is walked from every coset.
+The drain check ``open_relator_scans`` scans every rotation of every
+relator at every live coset of the enumerator's table, whatever scan lists
+the enumerator queues from.
 """
 
 from __future__ import annotations
@@ -504,6 +507,35 @@ class _ReferenceEnumerator:
             assert all(x is not None for x in row)
             rows.append([index[self.rep(x)] for x in row])
         return tuple(tuple(r) for r in rows)
+
+
+def open_relator_scans(e) -> list[tuple[int, tuple[int, ...]]]:
+    """The relator scans a drained Felsch enumeration has left open.
+
+    Reads the table of an ``adorn.cosets._Enumerator`` between its
+    drains, and none of the scan lists it queues from.  Every rotation of
+    every relator, in the enumerator's columns, is scanned at every live
+    coset, forward from the left and back from the right.  A scan that
+    reads at least one entry and leaves a gap of one letter is a deduction
+    not made; one that closes on two different cosets is a coincidence not
+    found.  Returns each such ``(coset, rotation)``."""
+    cols, inv = e.cols, e.inv
+    words = dict.fromkeys(tuple(e.phys[x] for x in r.letters) for r in e.relators)
+    rots = dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w)))
+    found = []
+    for alpha in range(e.n):
+        if e.p[alpha] != alpha:
+            continue
+        for w in rots:
+            f, i = alpha, 0
+            while i < len(w) and cols[w[i]][f] is not None:
+                f, i = cols[w[i]][f], i + 1
+            b, j = alpha, len(w)  # w[i:j] is unread
+            while j > i and cols[inv[w[j - 1]]][b] is not None:
+                b, j = cols[inv[w[j - 1]]][b], j - 1
+            if (j == i and f != b) or (j == i + 1 and (i > 0 or j < len(w))):
+                found.append((alpha, w))
+    return found
 
 
 def todd_coxeter_reference(p, subgroup_gens, caps):

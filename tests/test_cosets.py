@@ -12,7 +12,8 @@ from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
 from oracles import (check_model, closure, commutator_coset_table_reference,
-                     quaternion_model, todd_coxeter_reference, verify_table)
+                     open_relator_scans, quaternion_model, todd_coxeter_reference,
+                     verify_table)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -265,6 +266,29 @@ def test_deductions_are_bounded_by_the_cosets_defined(case):
     assert e.deductions_done <= 4 * p.n_generators * e.n
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(enumeration_inputs(), involution_inputs()))
+# x0's folded column scans x0 x1 and its reflection x0 x1^-1: pushed from
+# one end and scanning only x0 x1, 0.x1 = 1 would be left undeduced
+@example((parse_presentation("< x0, x1 | x0^2, x0 x1, x0^2 >"), []))
+def test_every_drain_leaves_no_relator_scan_open(case):
+    # each drain must leave the deduction closure: no deduction pending
+    # and no coincidence unfound, at any live coset, by a full rescan
+    p, sub = case
+    e = _Enumerator(p.n_generators, p.relators, Budget(max_cosets=60))
+    drain = e.process_deductions
+
+    def checked_drain():
+        drain()
+        assert open_relator_scans(e) == []
+
+    e.process_deductions = checked_drain
+    try:
+        e.run(sub)
+    except CapExceeded:
+        pass
+
+
 @pytest.mark.parametrize("case,done,reference_done", [
     (REPEATED_RELATOR, 9, 14),
     ((parse_presentation("< x0, x1 | x0^3 x1 x0^-1 x1^-1, x0^3 x1 x0^-1 x1^-1,"
@@ -379,15 +403,41 @@ def test_todd_coxeter_matches_reference_on_symmetric_groups(n, perm, signs, sub_
     assert len(rows) == index
 
 
-@pytest.mark.parametrize("n,index,done", [(5, 120, 480), (6, 720, 3600), (7, 5040, 30240)])
+@pytest.mark.parametrize("n,index,done", [(5, 120, 240), (6, 720, 1800), (7, 5040, 15120)])
 def test_symmetric_group_deduction_counts(n, index, done):
-    # no coincidence: every slot of the n - 1 folded columns is filled
-    # and pushed once, so a change that pushes a slot twice or does not
-    # fold moves the count
+    # no coincidence: each coset has an edge in each of the n - 1 folded
+    # columns, n! (n - 1) / 2 edges in all, and each edge is pushed once,
+    # from one end, so a change that pushes both ends or does not fold
+    # moves the count
     p, _ = coxeter_symmetric(n)
     e = _Enumerator(p.n_generators, p.relators, Budget())
     assert e.run([]).n_cosets == index
     assert e.deductions_done == done
+
+
+PSL27 = parse_presentation("< a, b | a^2, b^3, (a b)^7, (a b a b^-1)^4 >")
+
+
+@pytest.mark.parametrize("p", [coxeter_symmetric(5)[0], PSL27], ids=["S5", "PSL27"])
+def test_self_inverse_edge_is_pushed_from_one_end(p):
+    e, pushed = _logged_run(p, [])
+    cols, inv = e.cols, e.inv
+    # no coset dies, so each pushed edge is still in the table
+    assert all(e.p[c] == c for c in range(e.n))
+    edges = [(c, frozenset((a, cols[c][a]))) for a, c in pushed if inv[c] == c]
+    assert edges and len(set(edges)) == len(edges)
+
+
+def test_folded_column_scans_each_rotation_with_its_reflection():
+    # (a b)^7 reflects to (a b^-1)^7, which is no rotation of a relator;
+    # (a b a b^-1)^4 is its own reflection
+    e, _ = _logged_run(PSL27, [])
+    a, inv = e.phys[0], e.inv
+    scans = {rot for rot, *_ in e.edp[a]}
+    words = [tuple(e.phys[x] for x in r.letters) for r in PSL27.relators]
+    rotations = {w[i:] + w[:i] for w in words for i in range(len(w)) if w[i] == a} - {(a, a)}
+    assert inv[a] == a and rotations < scans
+    assert all((r[0],) + tuple(inv[x] for x in reversed(r[1:])) in scans for r in scans)
 
 
 def _compositions(n):
