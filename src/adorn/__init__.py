@@ -12,14 +12,14 @@ from .abelian import (AbelianInvariants, IntMatrix, abelianization,
 from .alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                         NotKnotLike, alexander_polynomial, fox_derivative,
                         knot_adorability_report)
-from .cosets import (CapExceeded, CosetTable, InfiniteIndex,
-                     commutator_coset_table, todd_coxeter)
+from .cosets import (CosetTable, InfiniteIndex, commutator_coset_table,
+                     todd_coxeter)
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                       AdorabilityWitness, ChainNotNested, FiltrationError,
                       NormalityFails, QuotientNotAbelian, SeriesVerdict,
                       StageReport, TerminalNotPerfect, derived_series, doa,
                       verify_filtration)
-from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
+from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
                       PresentationSyntaxError, Word, cyclically_reduce,
                       free_reduce, format_presentation, format_word,
                       parse_presentation, tietze_simplify)

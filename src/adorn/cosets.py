@@ -144,7 +144,7 @@ class _Enumerator:
     def define(self, alpha: int, col: int) -> None:
         if self.n >= self.budget.max_cosets:
             raise CapExceeded(f"coset limit {self.budget.max_cosets} reached",
-                              "todd_coxeter")
+                              "todd_coxeter", "max_cosets")
         beta = self.n
         self.n += 1
         for column in self.cols:
@@ -382,7 +382,7 @@ def commutator_coset_table(p: GroupPresentation,
             f"abelianization has rank {inv.rank}; commutator subgroup has infinite index")
     if inv.order() > budget.max_cosets:
         raise CapExceeded(f"coset limit {budget.max_cosets} reached",
-                          "commutator_coset_table")
+                          "commutator_coset_table", "max_cosets")
     moduli = inv.torsion
     weights = [1] * len(moduli)
     for i in range(len(moduli) - 2, -1, -1):

@@ -12,8 +12,9 @@ producing one report per stage and a verdict:
 * ``HaltedInfiniteAbelianization`` — a stage has positive first-Betti rank,
   so its commutator subgroup has infinite index and the iteration cannot
   continue by coset enumeration.
-* ``Inconclusive`` — a resource limit was hit first; for ``wall_clock``,
-  ``reason`` names the layer that stopped (``smith_normal_form``,
+* ``Inconclusive`` — a resource limit was hit first.  When a layer raised
+  :class:`CapExceeded`, ``limits_hit`` names the limit the exception carries
+  and ``reason`` the layer that stopped (``smith_normal_form``,
   ``commutator_coset_table``, ``rewrite_presentation``, ``tietze_simplify``).
 
 Soundness rule: "manifestly free" and "manifestly trivial" mean zero
@@ -206,7 +207,7 @@ def derived_series(p: GroupPresentation,
             depth += 1
     except CapExceeded as exc:
         return SeriesResult(tuple(stages), SeriesVerdict(
-            INCONCLUSIVE, stage=depth, reason=exc.layer, limits_hit=("wall_clock",)))
+            INCONCLUSIVE, stage=depth, reason=exc.layer, limits_hit=(exc.limit,)))
 
 
 def doa(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> int | None:
@@ -270,8 +271,9 @@ def _certify_abelian(pres: GroupPresentation, budget: Budget) -> bool:
         return False
     try:
         table = todd_coxeter(simplified, (), budget)
-    except CapExceeded:
-        budget.check("todd_coxeter")  # out of time is no answer either way
+    except CapExceeded as exc:
+        if exc.limit != "max_cosets":
+            raise  # out of time is no answer either way
         return False
     return table.n_cosets == order
 

@@ -219,11 +219,13 @@ class GroupPresentation:
 
 
 class CapExceeded(RuntimeError):
-    """A :class:`Budget` limit was reached; ``layer`` names where."""
+    """A :class:`Budget` limit was reached: ``layer`` names where, ``limit``
+    which, spelled as in ``limits_hit`` (``wall_clock`` or ``max_cosets``)."""
 
-    def __init__(self, message: str, layer: str | None = None):
+    def __init__(self, message: str, layer: str, limit: str):
         super().__init__(message)
         self.layer = layer
+        self.limit = limit
 
 
 clock = time.monotonic  # every deadline is read from this clock
@@ -258,8 +260,8 @@ class Budget:
 
     def check(self, layer: str) -> None:
         if clock() > self.deadline:
-            raise CapExceeded(
-                f"wall clock limit {self.wall_clock_seconds}s reached", layer)
+            raise CapExceeded(f"wall clock limit {self.wall_clock_seconds}s reached",
+                              layer, "wall_clock")
 
 
 DEFAULT_BUDGET = Budget()

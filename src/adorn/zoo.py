@@ -296,16 +296,12 @@ def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
     cones = _sphere_orbifold_cones(p)
     if cones is not None and len(cones) >= 3:
         return True  # sphere orbifold group with >= 3 cone points has order >= 3
-    try:
-        return todd_coxeter(p, (), budget).n_cosets >= 2
-    except CapExceeded as exc:
-        raise CannotCertifyFactorTriviality(
-            f"cannot certify (non-)triviality of {p.name or p}: {exc}") from exc
+    return _enumerated_order(p, budget) >= 2
 
 
-def _certified_order_two(p: GroupPresentation, budget: Budget) -> bool:
+def _enumerated_order(p: GroupPresentation, budget: Budget) -> int:
     try:
-        return todd_coxeter(p, (), budget).n_cosets == 2
+        return todd_coxeter(p, (), budget).n_cosets
     except CapExceeded as exc:
         raise CannotCertifyFactorTriviality(
             f"cannot certify order of {p.name or p}: {exc}") from exc
@@ -345,7 +341,7 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
     # Z2 abelianizes to Z2: every factor's invariants are tested before
     # any factor is enumerated, so one that rules Z2 out spares the others
     if (all(inv.rank == 0 and inv.torsion == (2,) for _, inv in factors)
-            and all(_certified_order_two(q, budget) for q, _ in factors)):
+            and all(_enumerated_order(q, budget) == 2 for q, _ in factors)):
         return FreeProductVerdict(
             "Dinfty", 2,
             "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",

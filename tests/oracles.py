@@ -364,7 +364,8 @@ class _ReferenceEnumerator:
 
     def define(self, alpha: int, col: int) -> None:
         if self.defined >= self.caps.max_cosets:
-            raise CapExceeded(f"coset limit {self.caps.max_cosets} reached")
+            raise CapExceeded(f"coset limit {self.caps.max_cosets} reached",
+                              "todd_coxeter", "max_cosets")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)

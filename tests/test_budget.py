@@ -4,8 +4,10 @@ The layer tests replace the clock ``Budget`` reads by one that passes the
 deadline after a fixed number of reads, so where a run stops is
 deterministic."""
 
+import ast
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -14,7 +16,8 @@ from adorn.abelian import IntMatrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
                           todd_coxeter)
-from adorn.derived import INCONCLUSIVE, derived_series, step_cache_key, verify_filtration
+from adorn.derived import (INCONCLUSIVE, QuotientNotAbelian, derived_series,
+                           step_cache_key, verify_filtration)
 from adorn.fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, parse_presentation,
                            tietze_simplify)
 from adorn.rewriting import rewrite_presentation
@@ -76,6 +79,36 @@ def test_cap_exceeded_is_one_exception():
     with pytest.raises(CapExceeded, match="coset limit 50 reached") as info:
         todd_coxeter(make("free", (2,)), [], Budget(max_cosets=50))
     assert info.value.layer == "todd_coxeter"
+    assert info.value.limit == "max_cosets"
+
+
+LIMITS = {"wall_clock", "max_cosets"}  # the spellings of ``limits_hit``
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "adorn"
+
+
+def _cap_exceeded_calls():
+    """Each ``CapExceeded(...)`` call in the package, with its file."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "CapExceeded"):
+                yield path.name, node
+
+
+def test_every_cap_exceeded_names_its_limit():
+    sites = []
+    for name, call in _cap_exceeded_calls():
+        args = dict(zip(("message", "layer", "limit"), call.args))
+        args.update((k.arg, k.value) for k in call.keywords)
+        where = f"{name}:{call.lineno}"
+        assert "layer" in args, f"{where} raises CapExceeded without a layer"
+        limit = args.get("limit")
+        assert isinstance(limit, ast.Constant) and limit.value in LIMITS, (
+            f"{where} raises CapExceeded without a literal limit in {sorted(LIMITS)}")
+        sites.append(where)
+    # Budget.check, the Todd-Coxeter coset cap, the commutator table's cap:
+    # a new raise site must be looked at, and this count raised with it
+    assert len(sites) == 3, sites
 
 
 def test_step_cache_key_covers_only_what_shapes_a_step():
@@ -93,6 +126,7 @@ def test_smith_normal_form_checks_each_pivot(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         smith_normal_form(m, Budget().start())
     assert info.value.layer == "smith_normal_form"
+    assert info.value.limit == "wall_clock"
 
 
 def test_rewrite_checks_each_relator(monkeypatch):
@@ -102,6 +136,7 @@ def test_rewrite_checks_each_relator(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         rewrite_presentation(p, table, Budget().start())
     assert info.value.layer == "rewrite_presentation"
+    assert info.value.limit == "wall_clock"
 
 
 def test_rewrite_checks_each_block_of_orbits(monkeypatch):
@@ -117,6 +152,7 @@ def test_rewrite_checks_each_block_of_orbits(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         rewrite_presentation(p, table, Budget().start())
     assert info.value.layer == "rewrite_presentation"
+    assert info.value.limit == "wall_clock"
     assert info.traceback[-2].locals["walks"] == INDEX_BLOCK
 
 
@@ -127,6 +163,7 @@ def test_commutator_table_checks_each_block_after_the_first(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         commutator_coset_table(wide(11), Budget().start())
     assert info.value.layer == "commutator_coset_table"
+    assert info.value.limit == "wall_clock"
 
 
 def test_tietze_checks_each_elimination(monkeypatch):
@@ -136,6 +173,7 @@ def test_tietze_checks_each_elimination(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(raw, Budget().start())
     assert info.value.layer == "tietze_simplify"
+    assert info.value.limit == "wall_clock"
 
 
 def test_tietze_checks_each_blocked_candidate(monkeypatch):
@@ -147,6 +185,7 @@ def test_tietze_checks_each_blocked_candidate(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(raw, Budget(max_total_relator_length=321).start())
     assert info.value.layer == "tietze_simplify"
+    assert info.value.limit == "wall_clock"
     assert info.traceback[-2].name == "tietze_simplify"
     assert info.traceback[-2].locals["hit"]
 
@@ -161,6 +200,7 @@ def test_tietze_checks_each_pass(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(p, Budget().start())
     assert info.value.layer == "tietze_simplify"
+    assert info.value.limit == "wall_clock"
     assert info.traceback[-2].name == "tietze_simplify"
 
 
@@ -176,6 +216,7 @@ def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
     with pytest.raises(CapExceeded) as info:
         tietze_simplify(raw, Budget().start())
     assert info.value.layer == "tietze_simplify"
+    assert info.value.limit == "wall_clock"
     indexing = next(e for e in info.traceback if e.name == "tietze_simplify")
     assert "removed" not in indexing.locals  # the pass loop never began
 
@@ -191,6 +232,7 @@ def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         e.run(())
     assert info.value.layer == "todd_coxeter"
+    assert info.value.limit == "wall_clock"
     assert e.deductions_done == 4097
 
 
@@ -219,6 +261,16 @@ def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         verify_filtration(p, [[]])
     assert info.value.layer == "todd_coxeter"
+    assert info.value.limit == "wall_clock"
+
+
+def test_filtration_over_the_coset_cap_is_a_failed_witness():
+    # the clock twin above: Z/40 x Z/40 has 1,600 elements, so under a cap
+    # of 100 cosets the terminal level cannot be certified abelian, and
+    # that is a failed witness, not a stopped run
+    p = parse_presentation("< a, b | a^40, b^40, a b a^-1 b^-1 >")
+    with pytest.raises(QuotientNotAbelian):
+        verify_filtration(p, [[]], Budget(max_cosets=100))
 
 
 FACTOR_CALLS = pytest.mark.parametrize("call", [
@@ -238,6 +290,7 @@ def test_factor_certification_is_bounded_by_the_clock(monkeypatch, call):
     cause = info.value.__cause__
     assert isinstance(cause, CapExceeded)
     assert cause.layer == "todd_coxeter"
+    assert cause.limit == "wall_clock"
     assert "wall clock" in str(cause)
 
 
@@ -247,6 +300,7 @@ def test_factor_abelianization_is_bounded_by_the_clock(monkeypatch, call):
     with pytest.raises(CapExceeded) as info:
         call(Budget())
     assert info.value.layer == "smith_normal_form"
+    assert info.value.limit == "wall_clock"
 
 
 @pytest.mark.parametrize("expect", [{"abelianization": "Z"}, {"alexander": "t^2 - t + 1"}])

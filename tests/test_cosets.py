@@ -108,6 +108,7 @@ def test_commutator_table_honours_coset_cap():
     with pytest.raises(CapExceeded, match="coset limit 10 reached") as info:
         commutator_coset_table(p, Budget(max_cosets=10))
     assert info.value.layer == "commutator_coset_table"
+    assert info.value.limit == "max_cosets"
 
 
 def test_table_is_complete_by_construction():

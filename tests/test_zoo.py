@@ -189,9 +189,11 @@ def test_free_product_rejects_trivial_factor():
 def test_free_product_cannot_certify():
     # sl3z is perfect and infinite, and is not of sphere-orbifold shape, so
     # tiny caps leave non-triviality uncertified
-    with pytest.raises(CannotCertifyFactorTriviality):
+    with pytest.raises(CannotCertifyFactorTriviality) as info:
         free_product_verdict(make("sl3z"), make("cyclic", (2,)),
                              budget=Budget(max_cosets=30))
+    assert isinstance(info.value.__cause__, CapExceeded)
+    assert info.value.__cause__.limit == "max_cosets"
 
 
 def test_certify_nontrivial_routes():
