@@ -4,7 +4,7 @@ classifier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -24,8 +24,12 @@ class UnknownSolvabilityStep(ValueError):
 
 
 class CannotCertifyFactorTriviality(RuntimeError):
-    """Neither abelianization, enumeration, nor structure certified the
-    factor as (non-)trivial within caps."""
+    """Neither abelianization nor structure decided the factor, and no
+    enumeration bounded its order within caps: the subgroup on all but the
+    last generator did not close at an index large enough, and the whole
+    group did not close over the trivial subgroup.  The ``CapExceeded``
+    that stopped an enumeration is the ``__cause__``; after the clock stops
+    one, no other runs."""
 
 
 def _letters(n: int) -> tuple[str, ...]:
@@ -282,7 +286,10 @@ def certify_nontrivial(p: GroupPresentation,
                        budget: Budget = DEFAULT_BUDGET) -> bool:
     """True/False when (non-)triviality is certified; raises
     CannotCertifyFactorTriviality when no route works within caps.  The
-    budget's clock starts here unless it has started already."""
+    routes, in order: a non-trivial abelianization; a sphere-orbifold shape
+    with >= 3 cone points; a subgroup on all but the last generator whose
+    enumeration closes at index >= 2; the enumeration of the whole group.
+    The budget's clock starts here unless it has started already."""
     budget = budget.start()
     return _certified_nontrivial(p, abelianization(p, budget), budget)
 
@@ -296,12 +303,31 @@ def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
     cones = _sphere_orbifold_cones(p)
     if cones is not None and len(cones) >= 3:
         return True  # sphere orbifold group with >= 3 cone points has order >= 3
-    return _enumerated_order(p, budget) >= 2
+    return _order_exceeds(p, 1, budget)
 
 
-def _enumerated_order(p: GroupPresentation, budget: Budget) -> int:
+_PROBE_COSETS = 1000  # coset cap of the subgroup probe in _order_exceeds
+
+
+def _order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
+    """Whether ``|p| > k``.  A subgroup's index is a lower bound on the
+    order, so the subgroup on all but the last generator is enumerated
+    first, under at most ``_PROBE_COSETS`` cosets; only a closed
+    enumeration of index over k is proof.  Otherwise, or when the probe
+    fills its cap, the whole group is enumerated over the trivial subgroup.
+    Running out of time in either raises CannotCertifyFactorTriviality."""
     try:
-        return todd_coxeter(p, (), budget).n_cosets
+        if p.n_generators >= 2:
+            probe = replace(budget, max_cosets=min(budget.max_cosets, _PROBE_COSETS))
+            object.__setattr__(probe, "deadline", budget.deadline)  # replace resets it
+            keep = [_gen(i) for i in range(p.n_generators - 1)]
+            try:
+                if todd_coxeter(p, keep, probe).n_cosets > k:
+                    return True
+            except CapExceeded as exc:
+                if exc.limit != "max_cosets":
+                    raise  # out of time is no answer either way
+        return todd_coxeter(p, (), budget).n_cosets > k
     except CapExceeded as exc:
         raise CannotCertifyFactorTriviality(
             f"cannot certify order of {p.name or p}: {exc}") from exc
@@ -339,9 +365,12 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
             "free product of perfect groups is perfect (doa 0)",
             SeriesVerdict(ADORABLE, doa=0))
     # Z2 abelianizes to Z2: every factor's invariants are tested before
-    # any factor is enumerated, so one that rules Z2 out spares the others
+    # any factor is enumerated, so one that rules Z2 out spares the others.
+    # A factor that abelianizes to Z2 has order >= 2, so it is Z2 unless its
+    # order exceeds 2: shown by a subgroup of index > 2, or failing that by
+    # enumerating the whole factor
     if (all(inv.rank == 0 and inv.torsion == (2,) for _, inv in factors)
-            and all(_enumerated_order(q, budget) == 2 for q, _ in factors)):
+            and not any(_order_exceeds(q, 2, budget) for q, _ in factors)):
         return FreeProductVerdict(
             "Dinfty", 2,
             "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",

@@ -1058,6 +1058,17 @@ def wide(n: int) -> GroupPresentation:
                              [Word.gen(i) ** 2 for i in range(n)])
 
 
+def symmetric(n: int, last: int | None = None) -> GroupPresentation:
+    """S_n on its adjacent transpositions s1 .. s{n-1}, in that order but
+    with ``s{last}`` moved to the end when ``last`` is given."""
+    order = [i for i in range(1, n) if i != last] + ([last] if last else [])
+    s = {i: Word.gen(k) for k, i in enumerate(order)}
+    rels = [s[i] ** 2 for i in range(1, n)]
+    rels += [(s[i] * s[i + 1]) ** 3 for i in range(1, n - 1)]
+    rels += [(s[i] * s[j]) ** 2 for i in range(1, n) for j in range(i + 2, n)]
+    return GroupPresentation([f"s{i}" for i in order], rels, name=f"S{n}")
+
+
 def quaternion_model() -> tuple[list[Perm], "object"]:
     """Q8 in its regular representation, with generators i and j."""
     # elements 0..7 = +1, -1, +i, -i, +j, -j, +k, -k

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from adorn import fpgroup
+from adorn import fpgroup, zoo
 from adorn.abelian import IntMatrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
@@ -24,7 +24,7 @@ from adorn.rewriting import rewrite_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
                        free_product_verdict, make)
 
-from oracles import wide
+from oracles import symmetric, wide
 
 SETTINGS = ("max_depth", "max_cosets", "max_generators", "max_total_relator_length",
             "wall_clock_seconds")
@@ -292,6 +292,47 @@ def test_factor_certification_is_bounded_by_the_clock(monkeypatch, call):
     assert cause.layer == "todd_coxeter"
     assert cause.limit == "wall_clock"
     assert "wall clock" in str(cause)
+
+
+def probe_budgets(monkeypatch):
+    """Record (subgroup words, budget) of every enumeration the zoo runs."""
+    calls = []
+    real = zoo.todd_coxeter
+
+    def recording(p, subgroup_gens, budget):
+        calls.append((tuple(subgroup_gens), budget))
+        return real(p, subgroup_gens, budget)
+
+    monkeypatch.setattr(zoo, "todd_coxeter", recording)
+    return calls
+
+
+def test_order_probe_out_of_time_is_no_verdict(monkeypatch):
+    # S12 with s6 written last: the probe keeps S6 x S6, of index 924, and
+    # reads the clock after 4096 of its 7392 deductions.  The 23 reads
+    # before it are the start and 22 SNF steps over both factors.
+    # Out of time there is neither "not order two" nor a fallback.
+    calls = probe_budgets(monkeypatch)
+    expire_after(monkeypatch, 23)
+    with pytest.raises(CannotCertifyFactorTriviality) as info:
+        free_product_verdict(symmetric(12, last=6), make("cyclic", (2,)))
+    cause = info.value.__cause__
+    assert isinstance(cause, CapExceeded)
+    assert cause.layer == "todd_coxeter"
+    assert cause.limit == "wall_clock"
+    assert [len(words) for words, _ in calls] == [10]  # the probe only
+
+
+def test_order_probe_keeps_the_callers_deadline(monkeypatch):
+    calls = probe_budgets(monkeypatch)
+    budget = Budget(wall_clock_seconds=30, max_cosets=5000).start()
+    assert free_product_verdict(symmetric(7), make("cyclic", (2,)), budget).kind == "NonAdorable"
+    ((words, probe),) = calls
+    assert len(words) == 5
+    assert probe.deadline == budget.deadline
+    # the coset cap is lowered and every other limit kept
+    assert probe.max_cosets == min(budget.max_cosets, zoo._PROBE_COSETS)
+    assert probe == Budget(wall_clock_seconds=30, max_cosets=probe.max_cosets)
 
 
 @FACTOR_CALLS

@@ -8,14 +8,14 @@ from adorn import abelian, zoo
 from adorn.abelian import AbelianInvariants, abelianization
 from adorn.cosets import CapExceeded, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
-from adorn.fpgroup import Budget, GroupPresentation, parse_presentation
+from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
                        SplittingDecl, UnknownSolvabilityStep,
                        UnsupportedOrbifold, certify_nontrivial,
                        FAMILIES, _pairwise_coprime, classify_seifert,
                        free_product_verdict, make, splitting_verdict)
 
-from oracles import is_perfect, minor_gcd_diagonal
+from oracles import is_perfect, minor_gcd_diagonal, symmetric
 
 
 def test_family_order():
@@ -159,6 +159,19 @@ def test_free_product_abelianizes_each_factor_once(monkeypatch, factors):
                for b in budgets)
 
 
+def enumerations(monkeypatch):
+    """Record (factor, subgroup words) of every enumeration the zoo runs."""
+    calls = []
+    real = zoo.todd_coxeter
+
+    def counting(p, subgroup_gens, budget):
+        calls.append((p, tuple(subgroup_gens)))
+        return real(p, subgroup_gens, budget)
+
+    monkeypatch.setattr(zoo, "todd_coxeter", counting)
+    return calls
+
+
 S5 = parse_presentation("< a, b, c, d | a^2, b^2, c^2, d^2, (a b)^3, (b c)^3, (c d)^3,"
                         " (a c)^2, (a d)^2, (b d)^2 >")
 
@@ -168,17 +181,107 @@ S5 = parse_presentation("< a, b, c, d | a^2, b^2, c^2, d^2, (a b)^3, (b c)^3, (c
 def test_free_product_enumerates_no_factor_that_z3_rules_out(monkeypatch, pa, pb):
     # S5 abelianizes to Z2, so only its order, by enumeration, could tell
     # it from Z2; Z3's invariants already rule Dinfty out
-    calls = []
-    real = zoo.todd_coxeter
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(zoo, "todd_coxeter", counting)
+    calls = enumerations(monkeypatch)
     v = free_product_verdict(pa, pb)
     assert v.kind == "NonAdorable" and v.doa is None
     assert calls == []
+
+
+Z2 = make("cyclic", (2,))
+
+
+@pytest.mark.parametrize("n,z2_first", [(7, False), (7, True), (6, True), (6, False)],
+                         ids=["S7*Z2", "Z2*S7", "Z2*S6", "S6*Z2"])
+def test_free_product_bounds_symmetric_order_by_a_subgroup_index(monkeypatch, n, z2_first):
+    # S_n abelianizes to Z2; <s1 .. s{n-2}> = S_{n-1} has index n > 2,
+    # which proves S_n is not Z2 without enumerating its n! elements
+    sn = symmetric(n)
+    calls = enumerations(monkeypatch)
+    v = free_product_verdict(*((Z2, sn) if z2_first else (sn, Z2)))
+    assert v.kind == "NonAdorable" and v.doa is None
+    keep = tuple(Word.gen(i) for i in range(n - 2))
+    assert [c for c in calls if c[0] is sn] == [(sn, keep)]
+    # Z2, tested first, is enumerated whole: its one generator leaves no probe
+    assert [c for c in calls if c[0] is Z2] == ([(Z2, ())] if z2_first else [])
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("< b, a | a^2, b^3, (a b)^2 >", "NonAdorable"),  # S3: <b> has index 2
+    ("< a, b | a^2, b a^-1 >", "Dinfty"),  # Z2: <a> has index 1
+])
+def test_free_product_falls_back_when_the_subgroup_index_is_at_most_two(monkeypatch,
+                                                                         text, kind):
+    q = parse_presentation(text)
+    calls = enumerations(monkeypatch)
+    assert free_product_verdict(q, Z2).kind == kind
+    assert [c for c in calls if c[0] is q] == [(q, (Word.gen(0),)), (q, ())]
+
+
+def test_free_product_decides_a_factor_over_the_coset_cap():
+    # S8 has 40,320 elements, over the default cap of 20,000 cosets; the
+    # subgroup S7 has index 8
+    s8 = symmetric(8)
+    with pytest.raises(CapExceeded):
+        todd_coxeter(s8, ())
+    v = free_product_verdict(s8, Z2)
+    assert v.kind == "NonAdorable" and v.doa is None
+
+
+def _relabelled(draw, p: GroupPresentation) -> GroupPresentation:
+    # generators permuted and some inverted (an automorphism of the free
+    # group), relators shuffled
+    n = p.n_generators
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rels = [Word((perm[g], s * signs[g]) for g, s in r) for r in p.relators]
+    return GroupPresentation([f"g{i}" for i in range(n)], draw(st.permutations(rels)))
+
+
+@st.composite
+def small_orders(draw):
+    """A relabelled presentation of a small finite group, and its order:
+    S3 to S5 on Coxeter generators, an odd dihedral group, triangle(2,3,5),
+    or Z2 or the trivial group with redundant generators."""
+    kind = draw(st.sampled_from(["symmetric", "dihedral", "triangle", "redundant"]))
+    if kind == "symmetric":
+        n = draw(st.integers(3, 5))
+        p, order = symmetric(n), math.factorial(n)
+    elif kind == "dihedral":
+        n = draw(st.sampled_from((3, 5, 7, 9, 15, 21)))
+        p, order = parse_presentation(f"< a, b | a^2, b^{n}, (a b)^2 >"), 2 * n
+    elif kind == "triangle":
+        p, order = make("triangle", (2, 3, 5)), 60
+    else:
+        # a of order 1 or 2, and each further generator a word in the ones
+        # before it
+        order = draw(st.sampled_from((1, 2)))
+        rels = [Word.gen(0) ** order]
+        for g in range(1, draw(st.integers(2, 4))):
+            letters = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+            w = Word(draw(st.lists(letters, max_size=4)))
+            rels.append(Word.gen(g).inverse() * w)
+        p = GroupPresentation([f"x{i}" for i in range(len(rels))], rels)
+    return _relabelled(draw, p), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_orders(), k=st.sampled_from((1, 2)),
+       max_cosets=st.sampled_from((2, 5, 12, 40, 150, 20000)))
+def test_order_exceeds_agrees_with_full_enumeration(case, k, max_cosets):
+    p, order = case
+    caps = Budget(max_cosets=max_cosets)
+    try:
+        full = todd_coxeter(p, (), caps).n_cosets > k
+    except CapExceeded:
+        full = None
+    try:
+        fast = zoo._order_exceeds(p, k, caps)
+    except CannotCertifyFactorTriviality as exc:
+        assert full is None  # raises only where the full route raises too
+        assert exc.__cause__.limit == "max_cosets"
+    else:
+        assert fast == (order > k)
+        assert full in (None, fast)
 
 
 def test_free_product_rejects_trivial_factor():
@@ -199,8 +302,13 @@ def test_free_product_cannot_certify():
 def test_certify_nontrivial_routes():
     assert certify_nontrivial(make("cyclic", (5,)))          # abelianization
     assert certify_nontrivial(make("triangle", (2, 3, 7)))   # structure
-    assert certify_nontrivial(make("triangle", (2, 3, 5)))   # structure or enumeration
-    assert not certify_nontrivial(parse_presentation("< a | a >"))  # enumeration
+    assert certify_nontrivial(make("triangle", (2, 3, 5)))   # structure
+    # A5 off the triangle shape: <a> has index 30
+    assert certify_nontrivial(parse_presentation("< a, b | a^2, b^3, (b a)^5 >"))
+    # A5 with c = a b: <a, b> has index 1, so the whole group is enumerated
+    assert certify_nontrivial(parse_presentation("< a, b, c | a^2, b^3, (b a)^5, c^-1 a b >"))
+    # one generator leaves no subgroup to try: the whole group is enumerated
+    assert not certify_nontrivial(parse_presentation("< a | a >"))
     assert not certify_nontrivial(parse_presentation("< | >"))
 
 
