@@ -20,8 +20,8 @@ class IntMatrix:
     that entry; zero entries are never stored, and the dicts are not to be
     mutated.  Relator exponent matrices are almost all zeros, so this is
     the only storage: :func:`relator_matrix` builds it from the relator
-    words, and ``from_rows``/``to_rows`` convert from and to dense lists
-    of rows.
+    words, one column per distinct relator, and ``from_rows``/``to_rows``
+    convert from and to dense lists of rows.
     """
 
     rows: int
@@ -122,7 +122,11 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
     later step reports follow from that numbering.  So the output must
     depend on the pivot rule alone: the pivots, the operations and (d, u)
     are those of the plain dense elimination (``smith_normal_form_reference``
-    in the tests).  Two early exits remain, and both skip only work whose
+    in the tests).  The contract holds for the matrix it is given: from a
+    presentation, :func:`relator_matrix` gives one column per distinct
+    relator, so ``u`` is that of the matrix without repeated columns, and
+    it differs from the one-column-per-occurrence ``u`` only when a
+    relator repeats.  Two early exits remain, and both skip only work whose
     result is fixed in advance: the pivot search stops after the first row
     holding an entry of absolute value 1, which no later entry can beat
     under the strict comparison; and a pivot of 1 divides everything, so
@@ -262,10 +266,22 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
 
 def relator_matrix(p: GroupPresentation) -> IntMatrix:
     """Exponent-sum matrix, one row per generator and one column per
-    relator: entry (g, r) is the exponent sum of generator g in relator r.
-    Built from the relator words' letters, without a dense pass."""
+    distinct relator, in first-occurrence order: entry (g, r) is the
+    exponent sum of generator g in the r-th distinct relator.  Built from
+    the relator words' letters, without a dense pass.
+
+    A repeated relator is a repeated column, which spans no new relation,
+    so dropping it leaves the relation lattice, and with it every
+    invariant, unchanged (Havas, Holt and Rees, *Linear Algebra Appl.* 192
+    (1993)).  Relators are stored canonically, so a rotation or inverse of
+    a relator is the same word and is dropped too.  A raw
+    Reidemeister-Schreier rewrite gives every coset of an orbit its
+    leader's word, so most of its relators are repeats.  For a presentation
+    whose relators are pairwise distinct the matrix is the one-column-per-
+    relator matrix, column for column."""
+    distinct = dict.fromkeys(p.relators)
     rows: list[dict[int, int]] = [{} for _ in range(p.n_generators)]
-    for r, rel in enumerate(p.relators):
+    for r, rel in enumerate(distinct):
         for x in rel.letters:
             row = rows[x >> 1]
             e = row.get(r, 0) + (-1 if x & 1 else 1)
@@ -273,7 +289,7 @@ def relator_matrix(p: GroupPresentation) -> IntMatrix:
                 row[r] = e
             else:
                 del row[r]
-    return IntMatrix(p.n_generators, p.n_relators, tuple(rows))
+    return IntMatrix(p.n_generators, len(distinct), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -298,6 +314,11 @@ class AbelianizationData:
 
 def abelianization_data(p: GroupPresentation,
                         budget: Budget = DEFAULT_BUDGET) -> AbelianizationData:
+    """H1 of ``p`` and the rows of ``u`` from the Smith normal form of
+    :func:`relator_matrix`, which has one column per distinct relator.
+    The output is that of the relators with every repeat dropped, in
+    first-occurrence order, so appending a repeat of a relator changes
+    nothing, and for pairwise distinct relators nothing is dropped."""
     d, u = smith_normal_form(relator_matrix(p), budget)
     diag = list(d) + [0] * (p.n_generators - len(d))
     free_rows = tuple(row for row, x in zip(u, diag) if x == 0)

@@ -43,7 +43,8 @@ from itertools import product
 from typing import Sequence
 
 from .abelian import abelianization_data
-from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
+from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word,
+                      period)
 
 
 class InfiniteIndex(ValueError):
@@ -118,14 +119,15 @@ class _Enumerator:
         # the forward scan, the inverse column list of each of its columns
         # for the backward scan, last index), each distinct rotation of the
         # relators once, in first-occurrence order, then on a self-inverse
-        # column each reflection that is not already there.  A self-inverse
-        # column satisfies its g^2 by construction, so that relator has no
-        # scan.
+        # column each reflection that is not already there.  The rotations
+        # of a column word s^k are those of s, the first period(w) ones.  A
+        # self-inverse column satisfies its g^2 by construction, so that
+        # relator has no scan.
         self.edp: list[list[tuple[tuple[int, ...], tuple[list, ...], tuple[list, ...], int]]] = [
             [] for _ in range(self.ncols)]
         words = [tuple(map(phys.__getitem__, r.letters)) for r in dict.fromkeys(self.relators)
                  if not (fold and _is_square(r))]
-        rots = list(dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w))))
+        rots = list(dict.fromkeys(w[i:] + w[:i] for w in words for i in range(period(w))))
         rots += [(rot[0],) + tuple(inv[x] for x in reversed(rot[1:]))
                  for rot in rots if inv[rot[0]] == rot[0]]
         for rot in dict.fromkeys(rots):
@@ -366,7 +368,11 @@ def commutator_coset_table(p: GroupPresentation,
     elements of the abelian quotient, numbered in mixed-radix order over
     the torsion coordinates (last coordinate fastest); generator g acts by
     adding its image, read from the torsion rows of ``u``
-    (``AbelianizationData.torsion_rows``).  Only the forward column is
+    (``AbelianizationData.torsion_rows``).  Those rows come from the
+    relator matrix with one column per distinct relator, so a repeated
+    relator leaves the numbering as it is without the repeat; it differs
+    from a one-column-per-occurrence numbering only for a presentation
+    with a repeated relator.  Only the forward column is
     computed: ``rows[c][2g] = f`` is filled from c's coordinates, and the
     inverse column as its mirror edge, ``rows[f][2g+1] = c``; adding an
     image is a bijection, so every inverse entry is set exactly once.  The

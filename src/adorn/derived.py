@@ -115,10 +115,13 @@ class StepCache(Protocol):
 
 def step_cache_key(p: GroupPresentation, budget: Budget) -> str:
     """A step (coset table, rewrite, Tietze) never enumerates, so of the
-    budget only the Tietze caps shape it."""
+    budget only the Tietze caps shape it.  The tag names the meaning of an
+    entry: under ``step-v5`` the commutator cosets of a stage with a
+    repeated relator are numbered from the relator matrix without the
+    repeats, so a ``step-v4`` entry for such a stage is not read."""
     import hashlib
 
-    text = "|".join(["step-v4", format_presentation(p), repr((
+    text = "|".join(["step-v5", format_presentation(p), repr((
         budget.max_generators, budget.max_total_relator_length))])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -29,7 +29,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class PresentationSyntaxError(ValueError):
@@ -133,6 +133,14 @@ def cyclically_reduce(w: Word) -> Word:
         i += 1
         j -= 1
     return Word.of(letters[i:j])
+
+
+def period(letters: Sequence[int]) -> int:
+    """Length of the primitive root ``s`` of a non-empty word ``s^k``: the
+    rotations of ``s^k`` are exactly the first ``period`` ones."""
+    n = len(letters)
+    return next(p for p in range(1, n + 1)
+                if not n % p and letters[:n - p] == letters[p:])
 
 
 def canonical_relator(w: Word) -> Word:

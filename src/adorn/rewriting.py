@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .cosets import CosetTable
 from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
-                      Simplified, Word, free_reduce, tietze_simplify)
+                      Simplified, Word, free_reduce, period, tietze_simplify)
 
 
 def _schreier_labels(t: CosetTable) -> tuple[list[list[int]], int]:
@@ -68,13 +68,6 @@ def _rewrite(t: CosetTable, labels: list[list[int]], w: Word, start: int) -> Wor
     return Word.of(out)
 
 
-def _period(letters: tuple[int, ...]) -> int:
-    """Length of the primitive root ``s`` of a non-empty word ``s^k``."""
-    n = len(letters)
-    return next(p for p in range(1, n + 1)
-                if not n % p and letters[:n - p] == letters[p:])
-
-
 def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                          budget: Budget = DEFAULT_BUDGET) -> GroupPresentation:
     """Raw subgroup presentation on Schreier generators, before
@@ -88,7 +81,7 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
     relators = []
     for r in p.relators:
         budget.check("rewrite_presentation")
-        root = r.letters[:_period(r.letters)]
+        root = r.letters[:period(r.letters)]
         powers = range(len(r) // len(root))
         out = [None] * t.n_cosets
         walks = 0

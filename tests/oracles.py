@@ -22,10 +22,12 @@ matrix, folded by the primitive Euclidean algorithm in Z[t, 1/t].  Its
 minors, and the reference for the library's Kronecker-substitution
 determinant, come from the cofactor expansion the library used before:
 a Laplace expansion along the rows, memoised over column subsets.
+The reference relator matrix is the library's as it was before it dropped
+repeated relators: one column per relator occurrence.
 The reference commutator coset table is the library's as it was before it
 read the torsion rows of ``u``: a dense table of generator images taken
-from the reference Smith normal form, and both columns of every row
-computed from the coset's coordinates.
+from the reference Smith normal form of the reference relator matrix, and
+both columns of every row computed from the coset's coordinates.
 The Schreier transversal is found without the library's labelling: level
 by level, each new coset takes the shortlex-least one-letter extension of
 the representatives found so far.
@@ -34,7 +36,10 @@ before it walked one coset per orbit of a periodic relator: every ambient
 relator is walked from every coset.
 The drain check ``open_relator_scans`` scans every rotation of every
 relator at every live coset of the enumerator's table, whatever scan lists
-the enumerator queues from.
+the enumerator queues from.  ``scan_entries_reference`` is the
+enumerator's scan-list build as it was before it took only the first
+period of rotations of a periodic relator: every rotation of every
+relator, deduplicated.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
-from adorn.abelian import abelianization, abelianization_data, relator_matrix
+from adorn.abelian import IntMatrix, abelianization, abelianization_data
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
@@ -309,11 +314,23 @@ def rewrite_presentation_reference(p, table) -> GroupPresentation:
                              name=f"[{p.name or 'G'} : index {table.n_cosets}]")
 
 
+def relator_matrix_reference(p) -> IntMatrix:
+    """Exponent-sum matrix with one row per generator and one column per
+    relator occurrence, a repeated relator included."""
+    rows = [[0] * p.n_relators for _ in range(p.n_generators)]
+    for r, rel in enumerate(p.relators):
+        for g, s in rel:
+            rows[g][r] += s
+    return IntMatrix(p.n_generators, p.n_relators,
+                     tuple({j: x for j, x in enumerate(row) if x} for row in rows))
+
+
 def commutator_coset_table_reference(p) -> tuple[tuple[int, ...], ...]:
     """Rows of the coset table of the commutator subgroup, cosets numbered
-    in ``itertools.product`` order over the torsion coordinates.  Requires
-    a finite abelianization."""
-    a, u, _ = smith_normal_form_reference(relator_matrix(p))
+    in ``itertools.product`` order over the torsion coordinates, from the
+    one-column-per-occurrence relator matrix.  Requires a finite
+    abelianization."""
+    a, u, _ = smith_normal_form_reference(relator_matrix_reference(p))
     n = p.n_generators
     diag = [a[i][i] if i < p.n_relators else 0 for i in range(n)]
     assert 0 not in diag, "abelianization is infinite"
@@ -537,6 +554,27 @@ def open_relator_scans(e) -> list[tuple[int, tuple[int, ...]]]:
             if (j == i and f != b) or (j == i + 1 and (i > 0 or j < len(w))):
                 found.append((alpha, w))
     return found
+
+
+def scan_entries_reference(e, fold: bool) -> list[list[tuple]]:
+    """The scan lists of an ``adorn.cosets._Enumerator`` whose columns are
+    set with ``fold``, built from every rotation of every relator, a folded
+    involution's square left out: per leading column,
+    ``(rotation, forward column lists, backward column lists, last index)``
+    for each distinct rotation in first-occurrence order, then on a
+    self-inverse column each reflection not already there.  A column list
+    is given by its ``id``, so the entries compare by identity."""
+    cols, inv = e.cols, e.inv
+    words = [tuple(e.phys[x] for x in r.letters) for r in dict.fromkeys(e.relators)
+             if not (fold and len(r) == 2 and r.letters[0] == r.letters[1])]
+    rots = list(dict.fromkeys(w[i:] + w[:i] for w in words for i in range(len(w))))
+    rots += [(rot[0],) + tuple(inv[x] for x in reversed(rot[1:]))
+             for rot in rots if inv[rot[0]] == rot[0]]
+    edp = [[] for _ in range(e.ncols)]
+    for rot in dict.fromkeys(rots):
+        edp[rot[0]].append((rot, tuple(id(cols[c]) for c in rot),
+                            tuple(id(cols[inv[c]]) for c in rot), len(rot) - 1))
+    return edp
 
 
 def todd_coxeter_reference(p, subgroup_gens, caps):

@@ -1,20 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import (AbelianInvariants, IntMatrix, abelianization,
                            abelianization_data, relator_matrix,
                            smith_normal_form)
 from adorn.cosets import commutator_coset_table
-from adorn.fpgroup import parse_presentation
+from adorn.derived import derived_series
+from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
 from oracles import (det, exterior_square_rank, is_perfect, mat_mul,
-                     minor_gcd_diagonal, smith_normal_form_reference,
-                     word_exponent_images)
+                     minor_gcd_diagonal, relator_matrix_reference,
+                     smith_normal_form_reference, word_exponent_images)
 
 
 def dense(u, n):
@@ -155,14 +156,30 @@ def _raw_rewrite(p):
     return rewrite_presentation(p, commutator_coset_table(p))
 
 
+RAW_REWRITES = [
+    make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))),
+    make("fuchsian", (0, (4, 4, 4, 4))),
+]
+
+
 def test_snf_equals_reference_on_raw_rewrite():
-    for p, shape in [
-        (make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))), (49, 96)),
-        (make("fuchsian", (0, (4, 4, 4, 4))), (193, 320)),
-    ]:
-        m = relator_matrix(_raw_rewrite(p))
+    # the full raw matrices, one column per relator occurrence
+    for p, shape in zip(RAW_REWRITES, [(49, 96), (193, 320)]):
+        m = relator_matrix_reference(_raw_rewrite(p))
         assert (m.rows, m.cols) == shape
         assert _snf_rows(m) == _reference_rows(m)
+
+
+def test_relator_matrix_of_raw_rewrite_has_one_column_per_distinct_relator():
+    # every coset of an orbit has its leader's word, so most columns of
+    # the full raw matrix are repeats, which change no invariant
+    for p, shape in zip(RAW_REWRITES, [(49, 14), (193, 128)]):
+        raw = _raw_rewrite(p)
+        m = relator_matrix(raw)
+        assert (m.rows, m.cols) == shape == (raw.n_generators, len(set(raw.relators)))
+        full = relator_matrix_reference(raw)
+        assert ([x for x in smith_normal_form(m)[0] if x]
+                == [x for x in smith_normal_form(full)[0] if x])
 
 
 def test_raw_rewrite_h1_of_genus_zero_orbifold():
@@ -211,6 +228,69 @@ def test_relator_matrix_orientation():
     p = parse_presentation("< a, b | a^4, a^2 b^-3 >")
     # one row per generator, one column per relator
     assert relator_matrix(p).to_rows() == [[4, 2], [0, -3]]
+    # a rotation or inverse of a relator is the same stored relator, and
+    # has no column of its own
+    q = parse_presentation("< a, b | a^2 b^-3, a^4, b^-1 a^2 b^-2, b^3 a^-2, a^4 >")
+    assert relator_matrix(q).to_rows() == [[2, 4], [-3, 0]]
+    assert relator_matrix_reference(q).cols == 5
+
+
+def _words(n_gens, max_size):
+    letters = st.tuples(st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+    return st.lists(letters, min_size=1, max_size=max_size).map(Word)
+
+
+@st.composite
+def repeated_relators(draw):
+    # a presentation with pairwise distinct relators, and the same one with
+    # repeats appended: each a rotation of a relator or of its inverse,
+    # appended one to three times
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(n)]
+    rels = draw(st.lists(_words(n, 7), min_size=1, max_size=n + 2))
+    p = GroupPresentation(names, dict.fromkeys(GroupPresentation(names, rels).relators))
+    assume(p.relators)
+    extra = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.sampled_from(p.relators)).letters
+        k = draw(st.integers(0, len(r) - 1))
+        w = Word.of(r[k:] + r[:k])
+        if draw(st.booleans()):
+            w = w.inverse()
+        extra += [w] * draw(st.integers(1, 3))
+    return p, GroupPresentation(names, p.relators + tuple(extra))
+
+
+def _data_reference(p):
+    """``AbelianizationData`` read off the reference Smith normal form of
+    the one-column-per-occurrence relator matrix."""
+    d, u, _v = smith_normal_form_reference(relator_matrix_reference(p))
+    diag = [d[i][i] if i < p.n_relators else 0 for i in range(p.n_generators)]
+    free = tuple({g: x for g, x in enumerate(row) if x} for row, e in zip(u, diag) if e == 0)
+    torsion = tuple({g: y for g, x in enumerate(row) if (y := x % e)}
+                    for row, e in zip(u, diag) if e >= 2)
+    return free, torsion, tuple(e for e in diag if e >= 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_relators())
+@example((parse_presentation("< a, b | a^2, b^3 >"),
+          parse_presentation("< a, b | a^2, b^3, a^-2, b^3, b^3 >")))
+def test_repeated_relators_change_nothing(case):
+    p, q = case
+    assert list(dict.fromkeys(q.relators)) == list(p.relators) != list(q.relators)
+    data = abelianization_data(p)
+    # p's relators are distinct: the output is the one-column-per-relator one
+    assert (data.free_rows, data.torsion_rows, data.invariants.torsion) == _data_reference(p)
+    assert abelianization(q) == abelianization(p)
+    assert abelianization_data(q) == data
+    inv = data.invariants
+    if inv.rank == 0 and inv.order() <= 500:
+        # the repeats come after their first occurrences, so the coset
+        # numbering is kept
+        assert commutator_coset_table(q).rows == commutator_coset_table(p).rows
+    budget = Budget(max_depth=2, max_cosets=200)
+    assert derived_series(q, budget).verdict == derived_series(p, budget).verdict
 
 
 def test_exterior_square_rank():

@@ -12,8 +12,8 @@ from adorn.rewriting import reidemeister_schreier
 from adorn.zoo import make
 
 from oracles import (check_model, closure, commutator_coset_table_reference,
-                     open_relator_scans, quaternion_model, todd_coxeter_reference,
-                     verify_table)
+                     open_relator_scans, quaternion_model, scan_entries_reference,
+                     todd_coxeter_reference, verify_table)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -240,6 +240,32 @@ def test_folded_involutions_match_reference(case):
     p, sub = case
     for caps in (Budget(max_cosets=300), Budget(max_cosets=40)):
         assert _enumeration(p, sub, caps) == _reference_enumeration(p, sub, caps)
+
+
+@st.composite
+def periodic_inputs(draw):
+    # relators raised to powers, repeated, and beside involution squares
+    n = draw(st.integers(1, 3))
+    rels = [Word.gen(g, draw(st.sampled_from((1, -1)))) ** 2
+            for g in range(n) if draw(st.booleans())]
+    for w in draw(st.lists(_words(n, 6, min_size=1), max_size=4)):
+        w = w ** draw(st.integers(1, 5))
+        rels += [w] * draw(st.integers(1, 2))
+    return GroupPresentation([f"x{i}" for i in range(n)], draw(st.permutations(rels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(periodic_inputs(), enumeration_inputs().map(lambda case: case[0])))
+@example(parse_presentation("< a, b | a^2, b^12, (a b)^2, (a b^-1 a b)^3 >"))
+def test_scan_entries_equal_the_every_rotation_build(p):
+    # set_columns takes only the first period(w) rotations of a column word
+    # w; a folded involution can shorten the period of its column word
+    for fold in (False, True):
+        e = _Enumerator(p.n_generators, p.relators, Budget())
+        e.set_columns(fold, [[None] for _ in range(2 * p.n_generators)])
+        scans = [[(rot, tuple(map(id, fw)), tuple(map(id, bw)), last)
+                  for rot, fw, bw, last in column] for column in e.edp]
+        assert scans == scan_entries_reference(e, fold)
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4])
@@ -475,6 +501,9 @@ def finite_h1_presentations(draw):
 @given(finite_h1_presentations())
 @example(Q8)
 @example(parse_presentation("< a, b | a^6 b^4, a^-2 b^6 >"))
+# a repeat ahead of a later relator: one column per occurrence numbers
+# these 4 cosets otherwise
+@example(parse_presentation("< x0, x1 | x0^3 x1^2, x0^3 x1^2, x0^3 x1^-2, x0^2 >"))
 def test_commutator_table_from_torsion_rows(p):
     data = abelianization_data(p)
     for row, d in zip(data.torsion_rows, data.invariants.torsion):
@@ -482,5 +511,8 @@ def test_commutator_table_from_torsion_rows(p):
     t = commutator_coset_table(p)
     assert t.n_cosets == data.invariants.order()
     verify_table(t, p)
-    # the numbering fixes every later stage shape: it must not move
-    assert t.rows == commutator_coset_table_reference(p)
+    # the numbering fixes every later stage shape: it must not move.  The
+    # reference has one matrix column per relator occurrence, so it reads
+    # the relators with repeats dropped, p's own when they are distinct
+    distinct = GroupPresentation(p.generator_names, dict.fromkeys(p.relators))
+    assert t.rows == commutator_coset_table_reference(distinct)

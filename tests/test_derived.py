@@ -1,11 +1,13 @@
+import hashlib
+
 import pytest
 
 from adorn.derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                            ChainNotNested, FLAG_FREE, FLAG_PARTIAL,
                            FLAG_TRIVIAL, NormalityFails, QuotientNotAbelian,
                            TerminalNotPerfect, derived_series,
-                           doa, verify_filtration)
-from adorn.fpgroup import Budget, Word, parse_presentation
+                           doa, step_cache_key, verify_filtration)
+from adorn.fpgroup import Budget, Word, format_presentation, parse_presentation
 from adorn.zoo import make
 
 from oracles import derived_series_quotients, perm_doa, quaternion_model
@@ -280,3 +282,22 @@ def test_step_cache_bad_entry_is_a_miss(entry):
     assert warm == cold
     assert cache.data[key] == good  # recomputed and overwritten
 
+
+def test_step_cache_entry_under_the_old_tag_is_not_read():
+    # a repeated relator now leaves the commutator coset numbering as it
+    # is without the repeat, so an entry stored under step-v4 for such a
+    # stage may hold a next stage this code does not compute
+    sl2z = make("sl2z")
+    p = sl2z.with_relators(sl2z.relators[:1])
+    budget = Budget()
+    old = hashlib.sha256("|".join(["step-v4", format_presentation(p), repr((
+        budget.max_generators, budget.max_total_relator_length))]).encode()).hexdigest()
+    cache = DictCache()
+    # well-formed with the right index: read, it would end the run at Z
+    cache.data[old] = {"next": "< x | >", "hit_caps": False, "index": 12}
+    read = []
+    cache.get = lambda key: read.append(key) or cache.data.get(key)
+    warm, cold = derived_series(p, budget, step_cache=cache), derived_series(sl2z, budget)
+    assert warm.stages[1:] == cold.stages[1:] and warm.verdict == cold.verdict
+    assert warm.verdict.kind == NON_ADORABLE
+    assert read == [step_cache_key(p, budget)] != [old]
