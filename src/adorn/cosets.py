@@ -6,6 +6,8 @@ starts with its column once (``(s t)^3`` has two, a repeated relator adds
 none), and on a self-inverse column also each such rotation's reflection.
 ``commutator_coset_table`` builds the table of the commutator subgroup
 directly from a finite abelianization, without enumeration.
+``order_exceeds`` is the one order proof by enumeration: a subgroup's
+index first, then the whole group.
 
 Columns are the int letter codes of :class:`adorn.fpgroup.Word`: column
 ``2*g`` is the action of generator ``g`` and column ``x ^ 1`` is the inverse
@@ -39,6 +41,7 @@ permutation of the cosets.  Nothing downstream handles a missing entry.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from typing import Sequence
 
@@ -358,6 +361,34 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
         if w.max_generator() >= p.n_generators:
             raise ValueError("subgroup generator uses an unknown generator")
     return _Enumerator(p.n_generators, p.relators, budget).run(tuple(subgroup_gens))
+
+
+_PROBE_COSETS = 1000  # coset cap of the subgroup probe in order_exceeds
+
+
+def order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
+    """Whether ``|p| > k``, proved by enumeration.  A subgroup's index is a
+    lower bound on the order, so the subgroup on all but the last generator
+    is enumerated first, under at most ``_PROBE_COSETS`` cosets and the
+    caller's deadline; only a closed enumeration of index over k is proof.
+    Otherwise, or when the probe fills its cap, the whole group is
+    enumerated over the trivial subgroup.
+
+    Raises :class:`CapExceeded` when the whole group does not close within
+    ``max_cosets``, or when the clock stops either enumeration: out of time
+    is no answer either way.
+    """
+    if p.n_generators >= 2:
+        probe = replace(budget, max_cosets=min(budget.max_cosets, _PROBE_COSETS))
+        object.__setattr__(probe, "deadline", budget.deadline)  # replace resets it
+        keep = [Word.gen(i) for i in range(p.n_generators - 1)]
+        try:
+            if todd_coxeter(p, keep, probe).n_cosets > k:
+                return True
+        except CapExceeded as exc:
+            if exc.limit != "max_cosets":
+                raise
+    return todd_coxeter(p, (), budget).n_cosets > k
 
 
 def commutator_coset_table(p: GroupPresentation,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 from .abelian import AbelianInvariants, abelianization
-from .cosets import CosetTable, commutator_coset_table, todd_coxeter
+from .cosets import CosetTable, commutator_coset_table, order_exceeds, todd_coxeter
 from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
                       Simplified, Word, format_presentation, parse_presentation,
                       tietze_simplify)
@@ -264,21 +264,24 @@ class AdorabilityWitness:
     terminal_trivial: bool
 
 
-def _certify_abelian(pres: GroupPresentation, budget: Budget) -> bool:
-    simplified, hit = tietze_simplify(pres, budget)
-    if simplified.n_generators <= 1:
-        return True  # cyclic
+def _certified_abelian(pres: GroupPresentation,
+                       budget: Budget) -> AbelianInvariants | None:
+    """The invariants of ``pres`` when it is certified abelian, else None:
+    cyclic after Tietze, or of finite abelianization whose order no
+    enumeration exceeds.  Tietze keeps the group, so the invariants are
+    those of ``pres``.  The clock re-raises; the coset cap is no
+    certificate."""
+    simplified, _ = tietze_simplify(pres, budget)
     inv = abelianization(simplified, budget)
     order = inv.order()
-    if order is None:
-        return False
     try:
-        table = todd_coxeter(simplified, (), budget)
+        if simplified.n_generators <= 1 or (
+                order and not order_exceeds(simplified, order, budget)):
+            return inv  # cyclic, or no larger than its abelianization
     except CapExceeded as exc:
         if exc.limit != "max_cosets":
             raise  # out of time is no answer either way
-        return False
-    return table.n_cosets == order
+    return None
 
 
 def verify_filtration(p: GroupPresentation,
@@ -287,9 +290,10 @@ def verify_filtration(p: GroupPresentation,
     """Check an abelian-quotient filtration ending in a perfect subgroup.
 
     ``chain[k]`` lists generator words (over the full group's generators)
-    for level k+1; level 0 is the whole group.  A terminal empty list
-    denotes the trivial subgroup, which needs no enumeration but requires
-    the penultimate level to be certified abelian.
+    for level k+1; level 0 is the whole group, whose coset table has one
+    coset.  A terminal empty list denotes the trivial subgroup, which needs
+    no enumeration but requires the penultimate level to be certified
+    abelian.
 
     Raises ChainNotNested / NormalityFails / QuotientNotAbelian /
     TerminalNotPerfect / CapExceeded when the witness fails; the budget's
@@ -297,10 +301,10 @@ def verify_filtration(p: GroupPresentation,
     """
     budget = budget.start()
     levels: list[LevelCertificate] = []
+    n = p.n_generators
     prev_pres = p  # raw presentation of the previous level
-    prev_table: CosetTable | None = None
-    prev_index = 1
-    prev_gens: list[Word] = [Word.gen(i) for i in range(p.n_generators)]
+    prev_table = CosetTable(n, [[0] * (2 * n)])
+    prev_gens: list[Word] = [Word.gen(i) for i in range(n)]
 
     for k, raw_words in enumerate(chain, start=1):
         words = list(raw_words)
@@ -309,24 +313,24 @@ def verify_filtration(p: GroupPresentation,
                 raise FiltrationError(
                     "empty generator list (trivial subgroup) is only supported "
                     "as the terminal level", level=k)
-            if not _certify_abelian(prev_pres, budget):
+            inv = _certified_abelian(prev_pres, budget)
+            if inv is None:
                 raise QuotientNotAbelian(
                     f"cannot certify that level {k - 1} is abelian over the "
                     f"trivial terminal subgroup", level=k)
-            levels.append(LevelCertificate(k, 0, 0, abelianization(prev_pres, budget)))
+            levels.append(LevelCertificate(k, 0, 0, inv))
             return AdorabilityWitness(tuple(levels), terminal_trivial=True)
 
         for w in words:
-            if w.max_generator() >= p.n_generators:
+            if w.max_generator() >= n:
                 raise ValueError("chain word uses an unknown generator")
         table = todd_coxeter(p, words, budget)
 
-        if prev_table is not None:
-            for w in words:
-                if prev_table.word_act(0, w) != 0:
-                    raise ChainNotNested(
-                        f"level {k} generator does not lie in level {k - 1}",
-                        level=k)
+        for w in words:
+            if prev_table.word_act(0, w) != 0:
+                raise ChainNotNested(
+                    f"level {k} generator does not lie in level {k - 1}",
+                    level=k)
 
         for u in prev_gens:
             for w in words:
@@ -336,17 +340,9 @@ def verify_filtration(p: GroupPresentation,
                             f"conjugate of a level-{k} generator leaves the "
                             f"subgroup", level=k)
 
-        if table.n_cosets % prev_index:
-            raise ChainNotNested(
-                f"index {table.n_cosets} at level {k} is not a multiple of "
-                f"{prev_index}", level=k)
-        ratio = table.n_cosets // prev_index
-
-        if prev_table is None:
-            rewritten = words
-        else:
-            rewritten = subgroup_words(prev_table, words)
-        quotient = prev_pres.with_relators(rewritten)
+        # nested, so [G : H_k] = [G : H_{k-1}] [H_{k-1} : H_k] (Lagrange)
+        ratio = table.n_cosets // prev_table.n_cosets
+        quotient = prev_pres.with_relators(subgroup_words(prev_table, words))
         inv = abelianization(quotient, budget)
         if inv.order() != ratio:
             raise QuotientNotAbelian(
@@ -356,7 +352,6 @@ def verify_filtration(p: GroupPresentation,
 
         prev_pres = rewrite_presentation(p, table, budget)
         prev_table = table
-        prev_index = table.n_cosets
         prev_gens = words
 
     terminal = abelianization(prev_pres, budget)

@@ -137,10 +137,16 @@ def cyclically_reduce(w: Word) -> Word:
 
 def period(letters: Sequence[int]) -> int:
     """Length of the primitive root ``s`` of a non-empty word ``s^k``: the
-    rotations of ``s^k`` are exactly the first ``period`` ones."""
+    rotations of ``s^k`` are exactly the first ``period`` ones.  Each letter
+    occurs k times as often in ``s^k`` as in ``s``, so k divides both the
+    length and the count of the first letter.  k is the greatest divisor of
+    their gcd for which the word is a power; most words have a gcd of 1."""
     n = len(letters)
-    return next(p for p in range(1, n + 1)
-                if not n % p and letters[:n - p] == letters[p:])
+    g = math.gcd(n, letters.count(letters[0]))
+    for k in range(g, 1, -1):
+        if not g % k and letters[:n - n // k] == letters[n // k:]:
+            return n // k
+    return n
 
 
 def canonical_relator(w: Word) -> Word:
@@ -149,15 +155,18 @@ def canonical_relator(w: Word) -> Word:
     Relators are only defined up to cyclic rotation and inversion, so this
     canonical representative makes duplicate detection a plain equality test.
     The least rotation begins with the least letter code of ``w`` and
-    ``w^-1``, so only the rotations starting there are compared.
+    ``w^-1``, so only the rotations starting there are compared, and of a
+    power ``s^k`` (or its inverse, of the same period) only those within
+    the first period.
     """
     a = cyclically_reduce(w).letters
     if not a:
         return EMPTY_WORD
     b = tuple(x ^ 1 for x in reversed(a))
     m = min(min(a), min(b))
+    p = period(a)
     return Word.of(min(base[i:] + base[:i] for base in (a, b)
-                       for i, x in enumerate(base) if x == m))
+                       for i in range(p) if base[i] == m))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")

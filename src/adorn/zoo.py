@@ -4,13 +4,13 @@ classifier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .abelian import AbelianInvariants, abelianization
-from .cosets import todd_coxeter
+from .cosets import order_exceeds
 from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
 from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
 
@@ -306,28 +306,11 @@ def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
     return _order_exceeds(p, 1, budget)
 
 
-_PROBE_COSETS = 1000  # coset cap of the subgroup probe in _order_exceeds
-
-
 def _order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
-    """Whether ``|p| > k``.  A subgroup's index is a lower bound on the
-    order, so the subgroup on all but the last generator is enumerated
-    first, under at most ``_PROBE_COSETS`` cosets; only a closed
-    enumeration of index over k is proof.  Otherwise, or when the probe
-    fills its cap, the whole group is enumerated over the trivial subgroup.
-    Running out of time in either raises CannotCertifyFactorTriviality."""
+    """:func:`adorn.cosets.order_exceeds`, with the limit that stops it
+    raised as CannotCertifyFactorTriviality."""
     try:
-        if p.n_generators >= 2:
-            probe = replace(budget, max_cosets=min(budget.max_cosets, _PROBE_COSETS))
-            object.__setattr__(probe, "deadline", budget.deadline)  # replace resets it
-            keep = [_gen(i) for i in range(p.n_generators - 1)]
-            try:
-                if todd_coxeter(p, keep, probe).n_cosets > k:
-                    return True
-            except CapExceeded as exc:
-                if exc.limit != "max_cosets":
-                    raise  # out of time is no answer either way
-        return todd_coxeter(p, (), budget).n_cosets > k
+        return order_exceeds(p, k, budget)
     except CapExceeded as exc:
         raise CannotCertifyFactorTriviality(
             f"cannot certify order of {p.name or p}: {exc}") from exc

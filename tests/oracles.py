@@ -40,6 +40,9 @@ the enumerator queues from.  ``scan_entries_reference`` is the
 enumerator's scan-list build as it was before it took only the first
 period of rotations of a periodic relator: every rotation of every
 relator, deduplicated.
+The reference canonical relator is the library's as it was before it took
+only the rotations within the first period of a power: every rotation of
+the word and of its inverse that starts at the least letter.
 """
 
 from __future__ import annotations
@@ -621,6 +624,18 @@ def canonical_relator_pairs(pairs) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # Tietze simplification by full rescans
+
+
+def canonical_relator_reference(w):
+    """Least of the rotations of the cyclic reduction of ``w`` and ``w^-1``
+    that start at the least letter code, every one of them compared."""
+    a = cyclically_reduce(w).letters
+    if not a:
+        return Word()
+    b = tuple(x ^ 1 for x in reversed(a))
+    m = min(min(a), min(b))
+    return Word.of(min(base[i:] + base[:i] for base in (a, b)
+                       for i, x in enumerate(base) if x == m))
 
 
 def canonical_relator_all_rotations(w):

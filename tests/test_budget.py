@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from adorn import fpgroup, zoo
+from adorn import cosets, fpgroup
 from adorn.abelian import IntMatrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
@@ -74,7 +74,6 @@ def test_start_never_extends_a_deadline(monkeypatch):
 
 def test_cap_exceeded_is_one_exception():
     import adorn
-    from adorn import cosets
     assert adorn.CapExceeded is cosets.CapExceeded is fpgroup.CapExceeded
     with pytest.raises(CapExceeded, match="coset limit 50 reached") as info:
         todd_coxeter(make("free", (2,)), [], Budget(max_cosets=50))
@@ -109,6 +108,31 @@ def test_every_cap_exceeded_names_its_limit():
     # Budget.check, the Todd-Coxeter coset cap, the commutator table's cap:
     # a new raise site must be looked at, and this count raised with it
     assert len(sites) == 3, sites
+
+
+def _todd_coxeter_callers():
+    """``module.function`` for each ``todd_coxeter(...)`` call in the
+    package, once per function that encloses the call."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "todd_coxeter"):
+                        yield f"{path.stem}.{func.name}"
+
+
+def test_order_proofs_share_one_enumeration_route():
+    # every order bound goes through cosets.order_exceeds (its subgroup
+    # probe, then the whole group); the filtration witness enumerates its
+    # levels; the zoo neither enumerates nor narrows a budget itself
+    assert sorted(_todd_coxeter_callers()) == [
+        "cosets.order_exceeds", "cosets.order_exceeds", "derived.verify_filtration"]
+    zoo_tree = ast.parse((PACKAGE / "zoo.py").read_text())
+    imported = {alias.name for node in ast.walk(zoo_tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"replace", "todd_coxeter"}
 
 
 def test_step_cache_key_covers_only_what_shapes_a_step():
@@ -295,15 +319,15 @@ def test_factor_certification_is_bounded_by_the_clock(monkeypatch, call):
 
 
 def probe_budgets(monkeypatch):
-    """Record (subgroup words, budget) of every enumeration the zoo runs."""
+    """Record (subgroup words, budget) of every enumeration an order proof runs."""
     calls = []
-    real = zoo.todd_coxeter
+    real = cosets.todd_coxeter
 
     def recording(p, subgroup_gens, budget):
         calls.append((tuple(subgroup_gens), budget))
         return real(p, subgroup_gens, budget)
 
-    monkeypatch.setattr(zoo, "todd_coxeter", recording)
+    monkeypatch.setattr(cosets, "todd_coxeter", recording)
     return calls
 
 
@@ -331,7 +355,7 @@ def test_order_probe_keeps_the_callers_deadline(monkeypatch):
     assert len(words) == 5
     assert probe.deadline == budget.deadline
     # the coset cap is lowered and every other limit kept
-    assert probe.max_cosets == min(budget.max_cosets, zoo._PROBE_COSETS)
+    assert probe.max_cosets == min(budget.max_cosets, cosets._PROBE_COSETS)
     assert probe == Budget(wall_clock_seconds=30, max_cosets=probe.max_cosets)
 
 

@@ -225,6 +225,43 @@ def test_filtration_a4_chain():
     assert str(w.levels[0].quotient) == "Z/3"
 
 
+def test_filtration_first_level_quotient_not_abelian():
+    # <a^2> is trivial in S3: the quotient by it is S3 itself, of order 6,
+    # whose abelianization is Z/2
+    with pytest.raises(QuotientNotAbelian) as info:
+        verify_filtration(S3, [[A * A]])
+    assert info.value.level == 1
+
+
+S4 = parse_presentation("< s1, s2, s3 | s1^2, s2^2, s3^2, (s1 s2)^3, (s2 s3)^3, (s1 s3)^2 >")
+T1, T2, T3 = (Word.gen(i) for i in range(3))  # the Coxeter generators of S4
+A4_IN_S4 = [T1 * T2, T2 * T3]
+
+
+def test_filtration_second_level_quotient_not_abelian():
+    # level 2 is <s1^2>, trivial: A4 over it is A4, of order 12, whose
+    # abelianization, read through the Schreier generators of A4, is Z/3
+    with pytest.raises(QuotientNotAbelian) as info:
+        verify_filtration(S4, [A4_IN_S4, [T1 ** 2]])
+    assert info.value.level == 2
+
+
+def test_filtration_s4_chain():
+    v4 = [T1 * T3, T1 * T2 * T1 * T2 * T3 * T2]
+    w = verify_filtration(S4, [A4_IN_S4, v4, []])
+    assert w.terminal_trivial
+    assert [(lvl.index_in_group, lvl.quotient_order, str(lvl.quotient))
+            for lvl in w.levels] == [(2, 2, "Z/2"), (6, 3, "Z/3"), (0, 0, "Z/2 ⊕ Z/2")]
+
+
+def test_filtration_infinite_abelian_group_is_not_certified():
+    # Z^2 is abelian, but the trivial terminal level needs a finite order
+    # that enumeration can match
+    with pytest.raises(QuotientNotAbelian) as info:
+        verify_filtration(parse_presentation("< a, b | a b a^-1 b^-1 >"), [[]])
+    assert info.value.level == 1
+
+
 def test_step_cache_roundtrip():
     calls = {}
 

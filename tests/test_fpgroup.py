@@ -11,11 +11,12 @@ from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            PresentationSyntaxError, Word,
                            _subword_replacement, canonical_relator, cyclically_reduce,
                            format_presentation, free_reduce,
-                           parse_presentation, tietze_simplify)
+                           parse_presentation, period, tietze_simplify)
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
-from oracles import canonical_relator_pairs, tietze_simplify_reference, wide
+from oracles import (canonical_relator_pairs, canonical_relator_reference,
+                     tietze_simplify_reference, wide)
 
 
 def W(*letters):
@@ -240,6 +241,35 @@ def test_canonical_relator_matches_pair_reference(pairs):
     # the int letter order must be the (g, 0|1) pair order, or canonical
     # relators (and so every stage shape) would change
     assert tuple(canonical_relator(Word(pairs))) == canonical_relator_pairs(pairs)
+
+
+@given(pair_words(min_size=1), st.integers(1, 6), st.integers(min_value=0))
+@example([(0, 1)], 6, 0)
+@example([(0, 1), (1, -1), (0, 1), (1, 1)], 3, 5)
+def test_canonical_relator_matches_every_rotation_reference(pairs, k, shift):
+    # a power s^k, rotated, has its canonical form among the rotations
+    # within its first period
+    letters = (Word(pairs) ** k).letters
+    shift %= len(letters)
+    w = Word.of(letters[shift:] + letters[:shift])
+    assert canonical_relator(w) == canonical_relator_reference(w)
+    assert canonical_relator(w.inverse()) == canonical_relator_reference(w.inverse())
+
+
+@given(pair_words(n_gens=2, min_size=1, max_size=6), st.integers(1, 8))
+def test_period_is_the_length_of_the_primitive_root(pairs, k):
+    letters = (Word(pairs) ** k).letters
+    n = len(letters)
+    assert period(letters) == next(p for p in range(1, n + 1)
+                                   if not n % p and letters[:n - p] == letters[p:])
+
+
+def test_parse_long_power():
+    # b^15001 is its own canonical form: each of its 15,001 rotations
+    # starts at the least letter, and only the one within its period is
+    # compared
+    p = parse_presentation("< a, b | a^2, b^15001, (a b)^2 >")
+    assert p.relators[1] == Word.gen(1) ** 15001
 
 
 @given(pair_words(min_size=1), st.integers(min_value=0))

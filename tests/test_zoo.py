@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adorn import abelian, zoo
+from adorn import abelian, cosets
 from adorn.abelian import AbelianInvariants, abelianization
-from adorn.cosets import CapExceeded, todd_coxeter
+from adorn.cosets import CapExceeded, order_exceeds, todd_coxeter
 from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
 from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
@@ -102,6 +102,12 @@ def test_klein_bottle_abelianization():
     assert str(abelianization(make("klein_bottle"))) == "Z ⊕ Z/2"
 
 
+def test_direct_product_abelianization():
+    # Z/4 x Z/6 is Z/2 x Z/12 in invariant factors
+    p = make("direct_product", (make("cyclic", (4,)), make("cyclic", (6,))))
+    assert str(abelianization(p)) == "Z/2 ⊕ Z/12"
+
+
 def test_sl3z_perfect():
     assert is_perfect(make("sl3z"))
 
@@ -160,15 +166,15 @@ def test_free_product_abelianizes_each_factor_once(monkeypatch, factors):
 
 
 def enumerations(monkeypatch):
-    """Record (factor, subgroup words) of every enumeration the zoo runs."""
+    """Record (factor, subgroup words) of every enumeration an order proof runs."""
     calls = []
-    real = zoo.todd_coxeter
+    real = cosets.todd_coxeter
 
     def counting(p, subgroup_gens, budget):
         calls.append((p, tuple(subgroup_gens)))
         return real(p, subgroup_gens, budget)
 
-    monkeypatch.setattr(zoo, "todd_coxeter", counting)
+    monkeypatch.setattr(cosets, "todd_coxeter", counting)
     return calls
 
 
@@ -215,6 +221,15 @@ def test_free_product_falls_back_when_the_subgroup_index_is_at_most_two(monkeypa
     calls = enumerations(monkeypatch)
     assert free_product_verdict(q, Z2).kind == kind
     assert [c for c in calls if c[0] is q] == [(q, (Word.gen(0),)), (q, ())]
+
+
+def test_free_product_recognizes_a_sphere_orbifold_without_enumeration(monkeypatch):
+    # fuchsian(0, [2, 3, 5, 7]) is perfect; its x_1 x_2 x_3 x_4 shape has
+    # four cone points, so it is non-trivial
+    calls = enumerations(monkeypatch)
+    v = free_product_verdict(make("fuchsian", (0, [2, 3, 5, 7])), Z2)
+    assert v.kind == "NonAdorable" and v.doa is None
+    assert calls == []
 
 
 def test_free_product_decides_a_factor_over_the_coset_cap():
@@ -275,10 +290,10 @@ def test_order_exceeds_agrees_with_full_enumeration(case, k, max_cosets):
     except CapExceeded:
         full = None
     try:
-        fast = zoo._order_exceeds(p, k, caps)
-    except CannotCertifyFactorTriviality as exc:
+        fast = order_exceeds(p, k, caps)
+    except CapExceeded as exc:
         assert full is None  # raises only where the full route raises too
-        assert exc.__cause__.limit == "max_cosets"
+        assert exc.limit == "max_cosets"
     else:
         assert fast == (order > k)
         assert full in (None, fast)
