@@ -50,9 +50,11 @@ class Word:
     as ``2*g + (s < 0)``, so ``x ^ 1`` is the inverse of ``x`` and ``x`` is
     also the letter's column in a coset table.  Coset enumeration, the
     Reidemeister--Schreier rewrite and Tietze simplification all walk these
-    codes directly; construction from and iteration over ``(g, s)`` pairs is
-    the public interface and the only place where the two forms meet.  The
-    int order matches the order of the pairs ``(g, 0 if s > 0 else 1)``.
+    codes directly, and Tietze holds its relators as bare letter tuples,
+    making a ``Word`` only for its output; construction from and iteration
+    over ``(g, s)`` pairs is the public interface and the only place where
+    the two forms meet.  The int order matches the order of the pairs
+    ``(g, 0 if s > 0 else 1)``.
 
     Multiplication concatenates without reducing; use :func:`free_reduce`
     when a reduced representative is needed.
@@ -77,7 +79,7 @@ class Word:
         return Word(((index, sign),))
 
     def inverse(self) -> "Word":
-        return Word.of(x ^ 1 for x in reversed(self.letters))
+        return Word.of(_inverse(self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.of(self.letters + other.letters)
@@ -107,18 +109,28 @@ class Word:
         return f"Word({list(self)!r})"
 
 
-EMPTY_WORD = Word()
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancel all adjacent ``g g^-1`` pairs.  Idempotent, length-non-increasing."""
+def _freely_reduced(letters: Iterable[int]) -> list[int]:
     out: list[int] = []
-    for x in w.letters:
+    for x in letters:
         if out and out[-1] == x ^ 1:
             out.pop()
         else:
             out.append(x)
-    return Word.of(out)
+    return out
+
+
+def _cyclically_reduced(letters: Iterable[int]) -> tuple[int, ...]:
+    out = _freely_reduced(letters)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == out[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(out[i:j])
+
+
+def free_reduce(w: Word) -> Word:
+    """Cancel all adjacent ``g g^-1`` pairs.  Idempotent, length-non-increasing."""
+    return Word.of(_freely_reduced(w.letters))
 
 
 def cyclically_reduce(w: Word) -> Word:
@@ -127,12 +139,7 @@ def cyclically_reduce(w: Word) -> Word:
     The result is conjugate to the input and both freely and cyclically
     reduced.
     """
-    letters = free_reduce(w).letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == letters[j - 1] ^ 1:
-        i += 1
-        j -= 1
-    return Word.of(letters[i:j])
+    return Word.of(_cyclically_reduced(w.letters))
 
 
 def period(letters: Sequence[int]) -> int:
@@ -149,24 +156,50 @@ def period(letters: Sequence[int]) -> int:
     return n
 
 
+def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
+    """Letter codes of the inverse word."""
+    return tuple([x ^ 1 for x in reversed(letters)])
+
+
+def _canonical(letters: Iterable[int]) -> tuple[int, ...]:
+    """The canonical relator of a word given by its letter codes, as codes:
+    freely reduced, cyclically reduced and rotated to the least rotation of
+    the word or its inverse, in one pass over the letters and with no
+    intermediate :class:`Word`.
+
+    The least rotation begins with ``m``, the least letter code of the word
+    and its inverse: a code ``x`` and its inverse ``x ^ 1`` are both at
+    least ``x & -2``, so ``m`` is the word's least code with the low bit
+    cleared.  Only the rotations starting at an ``m`` are compared: those
+    of the inverse only when the word holds ``m ^ 1`` (the inverse holds
+    ``m`` only then), and of a power ``s^k`` (or its inverse, of the same
+    period) only those within the first period.
+    """
+    a = _cyclically_reduced(letters)
+    if not a:
+        return a
+    m = min(a) & -2
+    p = period(a)
+    best = None
+    for base in (a, _inverse(a)) if m ^ 1 in a else (a,):
+        k = -1
+        for _ in range(base.count(m) * p // len(a)):  # the m's of the first period
+            k = base.index(m, k + 1)
+            rot = base[k:] + base[:k]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
 def canonical_relator(w: Word) -> Word:
     """Cyclically reduce and rotate to the least rotation of ``w`` or ``w^-1``.
 
     Relators are only defined up to cyclic rotation and inversion, so this
-    canonical representative makes duplicate detection a plain equality test.
-    The least rotation begins with the least letter code of ``w`` and
-    ``w^-1``, so only the rotations starting there are compared, and of a
-    power ``s^k`` (or its inverse, of the same period) only those within
-    the first period.
+    canonical representative makes duplicate detection a plain equality
+    test.  The work is done on the letter codes by :func:`_canonical`, the
+    one kernel the parser, the step-cache reader and Tietze share.
     """
-    a = cyclically_reduce(w).letters
-    if not a:
-        return EMPTY_WORD
-    b = tuple(x ^ 1 for x in reversed(a))
-    m = min(min(a), min(b))
-    p = period(a)
-    return Word.of(min(base[i:] + base[:i] for base in (a, b)
-                       for i in range(p) if base[i] == m))
+    return Word.of(_canonical(w.letters))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -179,7 +212,8 @@ class GroupPresentation:
     Relators are stored freely and cyclically reduced in canonical rotation;
     words that reduce to the identity are dropped at construction.  Each
     distinct input word is range-checked and canonicalised once, however
-    often it repeats.
+    often it repeats: the memo is keyed by the letter tuple, so equal words
+    share an entry whatever object carries them.
     """
 
     generator_names: tuple[str, ...]
@@ -194,16 +228,16 @@ class GroupPresentation:
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise ValueError(f"invalid generator name: {nm!r}")
-        canonical: dict[Word, Word] = {}
+        canonical: dict[tuple[int, ...], Word] = {}
         rels = []
         for r in relators:
-            c = canonical.get(r)
+            c = canonical.get(r.letters)
             if c is None:
                 if r.max_generator() >= len(names):
                     raise ValueError(
                         f"relator uses generator index {r.max_generator()} "
                         f"but presentation has {len(names)} generators")
-                c = canonical[r] = canonical_relator(r)
+                c = canonical[r.letters] = canonical_relator(r)
             if len(c):
                 rels.append(c)
         object.__setattr__(self, "generator_names", names)
@@ -457,64 +491,53 @@ def format_presentation(p: GroupPresentation) -> str:
 # Tietze simplification
 
 
-def _substitute(w: Word, x: int, repl: Word) -> Word:
-    """Replace letter ``x`` by ``repl`` and its inverse ``x ^ 1`` by ``repl^-1``."""
-    out: list[int] = []
-    fwd, inv = repl.letters, repl.inverse().letters
-    for y in w.letters:
-        if y == x:
-            out.extend(fwd)
-        elif y == x ^ 1:
-            out.extend(inv)
-        else:
-            out.append(y)
-    return Word.of(out)
-
-
 INDEX_BLOCK = 4096  # relators or generators indexed between two clock reads
 
 
-def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]:
+def _subword_sources(s: tuple[int, ...], length: int
+                     ) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
     """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
-    mapped to the inverse of their cyclic complement (a shorter equivalent)."""
-    out: dict[tuple[int, ...], Word] = {}
-    n = len(s)
-    for base in (s.letters, s.inverse().letters):
-        doubled = base + base
-        for i in range(n):
-            u = doubled[i:i + length]
-            if u not in out:
-                out[u] = Word.of(doubled[i + length:i + n]).inverse()
+    each mapped to its first ``(base, start)``: ``base`` is ``s`` or ``s^-1``
+    written twice and the subword is ``base[start:start + length]``, so its
+    cyclic complement is ``base[start + length:start + len(s)]``."""
+    out: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for base in (s + s, _inverse(s) * 2):
+        for i in range(len(s)):
+            out.setdefault(base[i:i + length], (base, i))
     return out
 
 
-def _subword_replacement(rels: list[Word | None],
-                         budget: Budget) -> tuple[int, Word] | None:
+def _subword_replacement(rels: list[tuple[int, ...] | None],
+                         budget: Budget) -> tuple[int, tuple[int, ...]] | None:
     """The first replacement, scanning the live ids of ``rels`` in the order
     ``(relator, source, length, position)``, of a subword of relator ``ri``
     (length >= 3, and more than half of a source relator no longer than
-    ``ri``) by the shorter complement.  Returns ``ri`` and its new canonical
-    word, possibly empty, or ``None``.  Each (source, length) table is
-    built once, alone in memory, and matched only against the relators
-    before the best found so far; the clock is read once per such match."""
+    ``ri``) by the inverse of its shorter cyclic complement.  Relators are
+    letter tuples.  Returns ``ri`` and its new canonical letters, possibly
+    empty, or ``None``.  Each (source, length) table is built once, alone in
+    memory, and matched only against the relators before the best found so
+    far; the complement is built only on a match, and the clock is read once
+    per relator matched against a table."""
     live = [i for i, r in enumerate(rels) if r is not None]
-    best: tuple[int, Word] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     for sj in live:
-        n = len(rels[sj])
+        s = rels[sj]
+        n = len(s)
         for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
             subs = None
             for ri in live:
-                r = rels[ri].letters
+                r = rels[ri]
                 if best and ri >= best[0]:
                     break
                 if n > len(r) or sj == ri:
                     continue
                 budget.check("tietze_simplify")
-                subs = subs or _cyclic_subword_sources(rels[sj], length)
+                subs = subs or _subword_sources(s, length)
                 i = next((i for i in range(len(r) - length + 1) if r[i:i + length] in subs), -1)
                 if i >= 0:
-                    best = ri, canonical_relator(
-                        Word.of(r[:i] + subs[r[i:i + length]].letters + r[i + length:]))
+                    base, j = subs[r[i:i + length]]
+                    complement = _inverse(base[j + length:j + n])
+                    best = ri, _canonical(r[:i] + complement + r[i + length:])
     return best
 
 
@@ -536,10 +559,14 @@ def tietze_simplify(p: GroupPresentation,
     L, so it shortens the total length, and each of the at most one
     elimination per generator leaves it at or below ``max(start, cap)``.
 
-    The occurrence index is built once: per relator, its letter counts, and
-    per generator, its total count and the relators it occurs in.  Relator
-    ids are input positions; a rewritten relator keeps its id, and one equal
-    to another keeps the lower id, so the first occurrence wins.
+    Relators are held as letter tuples from input to output: the dedupe
+    dict ``ids`` is keyed by them, a substitution builds them, and
+    :func:`_canonical` canonicalises them; a :class:`Word` is made only for
+    the output presentation.  The occurrence index is built once: per
+    relator, its letter counts, and per generator, its total count and the
+    relators it occurs in.  Relator ids are input positions; a rewritten
+    relator keeps its id, and one equal to another keeps the lower id, so
+    the first occurrence wins.
     Eliminations are applied in the order of the key ``(cost, len, gen,
     id)``, ``cost = (occurrences elsewhere) * (len - 2) - len``, popped least
     first from one heap: a key is skipped when its relator is gone, its
@@ -550,19 +577,19 @@ def tietze_simplify(p: GroupPresentation,
     pushes back the keys the cap blocked.
     """
     n_gens = p.n_generators
-    rels: list[Word | None] = list(p.relators)
+    rels: list[tuple[int, ...] | None] = [r.letters for r in p.relators]
     size = [0] * len(rels)
     counts: list[dict[int, int] | None] = [None] * len(rels)
     occ = [0] * n_gens
     where: list[set[int]] = [set() for _ in range(n_gens)]
-    ids: dict[Word, int] = {}
+    ids: dict[tuple[int, ...], int] = {}
     total = 0
     moved: dict[int, int] = {}  # the change of each total count in one replace
 
-    def add(i: int, r: Word) -> None:
+    def add(i: int, r: tuple[int, ...]) -> None:
         nonlocal total
         c: dict[int, int] = {}
-        for x in r.letters:
+        for x in r:
             c[x >> 1] = c.get(x >> 1, 0) + 1
         for g, k in c.items():
             occ[g] += k
@@ -592,18 +619,30 @@ def tietze_simplify(p: GroupPresentation,
             if counts[i][g] == 1:
                 heapq.heappush(heap, key(g, i))
 
-    def rewrite(g: int, ri: int) -> tuple[dict[int, Word], int]:
+    def rewrite(g: int, ri: int) -> tuple[dict[int, tuple[int, ...]], int]:
         """Relators other than ``ri`` that contain ``g``, with ``g`` solved
         from relator ``ri`` and substituted; and the total length after."""
-        r = rels[ri].letters
+        r = rels[ri]
         k = next(i for i, x in enumerate(r) if x >> 1 == g)
-        # r[k] * rest = 1, so r[k] = rest^-1
-        repl = Word.of(r[k + 1:] + r[:k]).inverse()
-        new = {i: canonical_relator(_substitute(rels[i], r[k], repl))
-               for i in sorted(where[g]) if i != ri}
+        x = r[k]
+        # x * rest = 1, so x = rest^-1 and x^-1 = rest
+        rest = r[k + 1:] + r[:k]
+        fwd = _inverse(rest)
+        new = {}
+        for i in sorted(where[g]):
+            if i != ri:
+                out: list[int] = []
+                for y in rels[i]:
+                    if y == x:
+                        out += fwd
+                    elif y == x ^ 1:
+                        out += rest
+                    else:
+                        out.append(y)
+                new[i] = _canonical(out)
         return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
 
-    def replace(new: dict[int, Word]) -> None:
+    def replace(new: dict[int, tuple[int, ...]]) -> None:
         """Drop the relators with the ids of ``new``, then add its non-empty
         words in id order; a word equal to a live relator keeps the lower
         id.  Push every key of a generator whose total count moved (one a
@@ -616,7 +655,7 @@ def tietze_simplify(p: GroupPresentation,
         added = []
         for i in sorted(new):
             s = new[i]
-            if not s.letters:
+            if not s:
                 continue
             j = ids.get(s)
             if j is not None:
@@ -669,7 +708,7 @@ def tietze_simplify(p: GroupPresentation,
                 tried.append(k)
                 hit = True  # a legal elimination was blocked by the cap
                 continue
-            new[ri] = EMPTY_WORD
+            new[ri] = ()
             replace(new)
             removed.append(g)
         found = _subword_replacement(rels, budget)
@@ -681,11 +720,10 @@ def tietze_simplify(p: GroupPresentation,
     gone = set(removed)
     alive = [g for g in range(n_gens) if g not in gone]
     remap = {g: i for i, g in enumerate(alive)}
-    final = [Word.of(2 * remap[x >> 1] + (x & 1) for x in r.letters)
-             for r in rels if r is not None]
-    final.sort(key=lambda w: (len(w), w.letters))
-    out = GroupPresentation(tuple(p.generator_names[g] for g in alive), final,
-                            name=p.name)
+    final = [tuple([2 * remap[x >> 1] + (x & 1) for x in r]) for r in rels if r is not None]
+    final.sort(key=lambda r: (len(r), r))
+    out = GroupPresentation(tuple(p.generator_names[g] for g in alive),
+                            map(Word.of, final), name=p.name)
     if out.n_generators > budget.max_generators:
         hit = True
     if out.total_relator_length > budget.max_total_relator_length:

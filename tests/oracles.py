@@ -56,8 +56,7 @@ from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
-                           Simplified, Word, _cyclic_subword_sources,
-                           _substitute, cyclically_reduce, free_reduce)
+                           Simplified, Word, cyclically_reduce, free_reduce)
 from adorn.rewriting import _rewrite, _schreier_labels
 
 Perm = tuple[int, ...]
@@ -645,6 +644,34 @@ def canonical_relator_all_rotations(w):
     b = tuple(x ^ 1 for x in reversed(a))
     return Word.of(min((base[i:] + base[:i] for base in (a, b) for i in range(len(a))),
                        default=()))
+
+
+def _substitute(w: Word, x: int, repl: Word) -> Word:
+    """Replace letter ``x`` by ``repl`` and its inverse ``x ^ 1`` by ``repl^-1``."""
+    out: list[int] = []
+    fwd, inv = repl.letters, repl.inverse().letters
+    for y in w.letters:
+        if y == x:
+            out.extend(fwd)
+        elif y == x ^ 1:
+            out.extend(inv)
+        else:
+            out.append(y)
+    return Word.of(out)
+
+
+def _cyclic_subword_sources(s: Word, length: int) -> dict[tuple[int, ...], Word]:
+    """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
+    mapped to the inverse of their cyclic complement (a shorter equivalent)."""
+    out: dict[tuple[int, ...], Word] = {}
+    n = len(s)
+    for base in (s.letters, s.inverse().letters):
+        doubled = base + base
+        for i in range(n):
+            u = doubled[i:i + length]
+            if u not in out:
+                out[u] = Word.of(doubled[i + length:i + n]).inverse()
+    return out
 
 
 def _elimination_candidates(rels, n_gens: int):

@@ -200,8 +200,12 @@ def test_tietze_deterministic():
 
 
 def test_presentation_canonicalises_each_distinct_word_once(monkeypatch):
+    # equal words repeat both as one object and as distinct objects: the
+    # memo is keyed by the letters, not by the object
     words = [W((0, 1), (1, 1), (0, -1))] * 50 + [W((1, -1), (0, -1))] * 30
     words += [W((0, 1), (0, -1))] * 20 + [W((1, 1), (0, 1))]
+    words += [W((0, 1), (1, 1), (0, -1)) for _ in range(10)]
+    words += [W((1, 1), (0, 1)) for _ in range(10)]
     expected = tuple(c for c in map(canonical_relator, words) if len(c))
     calls = []
 
@@ -211,6 +215,7 @@ def test_presentation_canonicalises_each_distinct_word_once(monkeypatch):
 
     monkeypatch.setattr(fpgroup, "canonical_relator", counted)
     assert GroupPresentation(("a", "b"), words).relators == expected
+    assert len({id(w) for w in words}) == 24
     assert len(calls) == len(set(words)) == 4
 
 
@@ -285,7 +290,8 @@ def test_subword_pass_replaces_shared_subword():
     # elimination applies; "a b a" is 3 > 4/2 letters of a b a b^-1, and
     # equals b there, so a b a b^2 becomes b^3
     p = parse_presentation("< a, b | a b a b^-1, a b a b^2 >")
-    assert _subword_replacement(list(p.relators), DEFAULT_BUDGET) == (1, Word.gen(1) ** 3)
+    rels = [r.letters for r in p.relators]
+    assert _subword_replacement(rels, DEFAULT_BUDGET) == (1, (2, 2, 2))
     out, hit = tietze_simplify(p)
     assert not hit
     assert out.total_relator_length < p.total_relator_length
@@ -361,6 +367,9 @@ def shaped_presentations(draw):
 # ... and that candidate was the last key tried before the replacement
 @example(parse_presentation("< a, b, c | a^2 c^2, a c^-1 b^-2 c^-1, a^2 b^-1, b^3 c^-1 >"))
 @example(parse_presentation("< g0, g1 | g1, g0^6, g0^4 >"))
+# "a^3" occurs twice in the cyclic word a^4 b^-1, with different
+# complements: the first occurrence's replaces it
+@example(parse_presentation("< a, b | a^4 b^-1, a^3 b a^-1 b^2, b^2 >"))
 # 49 subword replacements in a row reach the fixed point < a, b | a^4 >
 @example(parse_presentation("< a, b | a^4, a^100 b a^100 b^-1 >"))
 def test_tietze_matches_full_rescan_reference(p):
@@ -386,6 +395,10 @@ def test_tietze_runs_long_subword_chains_to_their_fixed_point():
     make("free_product", (make("cyclic", (6,)), make("cyclic", (8,)))),
     make("fuchsian", (0, (4, 4, 4, 4))),
     wide(6),  # 321 generators: many tied keys on the heap
+    # the heaviest seed-0 series-deep strata: relators of up to 220
+    # letters reach the subword scan
+    make("triangle", (12, 12, 12)),
+    make("fuchsian", (0, (3, 6, 3, 6))),
 ])
 @pytest.mark.parametrize("caps", [DEFAULT_BUDGET,
                                   Budget(max_total_relator_length=400)])
