@@ -141,13 +141,15 @@ def fox_derivative(w: Word, gen: int, images: tuple[int, ...]) -> LaurentPoly:
     """
     out: dict[int, int] = {}
     e = 0
-    for g, s in w:
-        if s < 0:
-            e -= images[g]
-        if g == gen:
-            out[e] = out.get(e, 0) + s
-        if s > 0:
-            e += images[g]
+    for x in w.letters:
+        if x & 1:
+            e -= images[x >> 1]
+            if x == 2 * gen + 1:
+                out[e] = out.get(e, 0) - 1
+        else:
+            if x == 2 * gen:
+                out[e] = out.get(e, 0) + 1
+            e += images[x >> 1]
     return LaurentPoly(out)
 
 

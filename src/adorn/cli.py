@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--timeout", type=float, default=b.wall_clock_seconds,
                         metavar="SECS")
 
-    sp = sub.add_parser("abelianize", help="print the abelianization")
+    sp = sub.add_parser("abelianize", help="print the abelianization",
+                        description="Print the abelianization.  Runs with no time "
+                                    "limit: there is no --timeout.")
     add_input(sp)
     sp.set_defaults(fn=cmd_abelianize)
 
@@ -400,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 3 when the verdict is Inconclusive")
     sp.set_defaults(fn=cmd_series)
 
-    sp = sub.add_parser("alexander", help="Alexander polynomial and knot verdict")
+    sp = sub.add_parser("alexander", help="Alexander polynomial and knot verdict",
+                        description="Alexander polynomial and knot verdict.  Runs "
+                                    "with no time limit: there is no --timeout.")
     add_input(sp)
     sp.set_defaults(fn=cmd_alexander)
 

@@ -46,15 +46,12 @@ from itertools import product
 from typing import Sequence
 
 from .abelian import abelianization_data
-from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word,
-                      period)
+from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, CapExceeded, GroupPresentation,
+                      Word, period)
 
 
 class InfiniteIndex(ValueError):
     """The requested subgroup has infinite index (positive abelianization rank)."""
-
-
-CHECK_EVERY = 4096  # deductions between two reads of the budget's clock
 
 
 class CosetTable:
@@ -99,7 +96,7 @@ class _Enumerator:
         self.p = [0]  # union-find over cosets; rep is the least member
         self.deductions: list[tuple[int, int]] = []
         self.deductions_done = 0
-        self.check_at = CHECK_EVERY
+        self.check_at = INDEX_BLOCK
 
     def set_columns(self, fold: bool, by_letter: list[list[int | None]]) -> None:
         # with ``fold`` each involution gets one self-inverse column, and
@@ -246,7 +243,7 @@ class _Enumerator:
             self.deductions_done += 1
             if self.deductions_done > check_at:
                 self.budget.check("todd_coxeter")
-                check_at = self.check_at = check_at + CHECK_EVERY
+                check_at = self.check_at = check_at + INDEX_BLOCK
             a, col = deductions.pop()
             if p[a] != a:
                 a = rep(a)
@@ -346,7 +343,7 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
 
     Raises :class:`CapExceeded` when the enumeration does not close within
     ``max_cosets`` (infinite index, or the cap too small), or when its
-    clock, checked every ``CHECK_EVERY`` deductions, runs out.  The coset
+    clock, checked every ``INDEX_BLOCK`` deductions, runs out.  The coset
     cap bounds the deductions too.  At most one is pushed per empty slot of
     a live coset filled, none when no rotation starts at the slot's
     column, and one for both slots of an edge of a self-inverse column.

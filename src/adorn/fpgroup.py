@@ -3,12 +3,16 @@
 A word is a sequence of letters ``(g, s)`` where ``g`` is a generator index
 and ``s`` is +1 or -1.  :class:`Word` stores each letter as the int code
 ``2*g + (s < 0)``, the one letter encoding every layer shares: ``x ^ 1`` is
-the inverse letter and ``x`` is the letter's coset-table column.  Pairs go
-in through ``Word(pairs)`` and come out by iteration; everything else,
-here and in :mod:`adorn.cosets` and :mod:`adorn.rewriting`, works on the
-codes.  Presentations store their relators freely and cyclically reduced,
-rotated to a canonical least rotation (comparing a word against its inverse
-as well), so equal relators compare equal as ``Word`` values.
+the inverse letter and ``x`` is the letter's coset-table column.  The parser
+builds relators as lists of codes and the printer reads runs of equal codes;
+Tietze simplification here, coset enumeration (:mod:`adorn.cosets`), the
+Reidemeister--Schreier rewrite (:mod:`adorn.rewriting`), Fox calculus
+(:mod:`adorn.alexander`) and the standard families (:mod:`adorn.zoo`) all
+work on the codes too.  The ``(g, s)`` pairs are only the public interface:
+``Word(pairs)`` takes them and iteration gives them back.  Presentations
+store their relators freely and cyclically reduced, rotated to a canonical
+least rotation (comparing a word against its inverse as well), so equal
+relators compare equal as ``Word`` values.
 
 The ASCII grammar accepted by :func:`parse_presentation`::
 
@@ -29,7 +33,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class PresentationSyntaxError(ValueError):
@@ -48,13 +52,13 @@ class Word:
 
     ``letters`` is a flat tuple of int codes: the letter ``(g, s)`` is stored
     as ``2*g + (s < 0)``, so ``x ^ 1`` is the inverse of ``x`` and ``x`` is
-    also the letter's column in a coset table.  Coset enumeration, the
-    Reidemeister--Schreier rewrite and Tietze simplification all walk these
-    codes directly, and Tietze holds its relators as bare letter tuples,
-    making a ``Word`` only for its output; construction from and iteration
-    over ``(g, s)`` pairs is the public interface and the only place where
-    the two forms meet.  The int order matches the order of the pairs
-    ``(g, 0 if s > 0 else 1)``.
+    also the letter's column in a coset table.  Every layer of the package,
+    from the parser to the printer, reads and builds these codes directly
+    (:meth:`of` wraps a code sequence), and Tietze holds its relators as bare
+    letter tuples, making a ``Word`` only for its output.  Construction from
+    ``(g, s)`` pairs, iteration and ``repr`` are the public pair interface
+    and the only code that converts between the two forms.  The int order
+    matches the order of the pairs ``(g, 0 if s > 0 else 1)``.
 
     Multiplication concatenates without reducing; use :func:`free_reduce`
     when a reduced representative is needed.
@@ -76,7 +80,7 @@ class Word:
     def gen(index: int, sign: int = 1) -> "Word":
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return Word(((index, sign),))
+        return Word.of((2 * index + (sign < 0),))
 
     def inverse(self) -> "Word":
         return Word.of(_inverse(self.letters))
@@ -327,154 +331,116 @@ class Simplified(NamedTuple):
 # parsing / printing
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>-?\d+)|(?P<sym>[<>,|^()=])")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PresentationSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.gen_index: dict[str, int] = {}
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym: str) -> None:
-        kind, val, pos = self.next()
-        if kind != "sym" or val != sym:
-            raise PresentationSyntaxError(f"expected {sym!r}, found {val or 'end of input'!r}", pos)
-
-    def parse(self) -> GroupPresentation:
-        self.expect_sym("<")
-        names = self.parse_gen_list()
-        self.gen_index = {nm: i for i, nm in enumerate(names)}
-        self.expect_sym("|")
-        relators = self.parse_relator_list(names)
-        self.expect_sym(">")
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise PresentationSyntaxError(f"trailing input {val!r}", pos)
-        return GroupPresentation(names, relators, name=self.text.strip())
-
-    def parse_gen_list(self) -> tuple[str, ...]:
-        names: list[str] = []
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == "|":
-            return ()
-        while True:
-            kind, val, pos = self.next()
-            if kind != "name":
-                raise PresentationSyntaxError(f"expected generator name, found {val!r}", pos)
-            if val in names:
-                raise PresentationSyntaxError(f"duplicate generator name {val!r}", pos)
-            names.append(val)
-            kind, val, pos = self.peek()
-            if kind == "sym" and val == ",":
-                self.next()
-                continue
-            return tuple(names)
-
-    def parse_relator_list(self, names: tuple[str, ...]) -> list[Word]:
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == ">":
-            return []
-        if not names:
-            raise PresentationSyntaxError(
-                "empty generator list with non-empty relator", pos)
-        relators = []
-        while True:
-            relators.append(self.parse_relator())
-            kind, val, pos = self.peek()
-            if kind == "sym" and val == ",":
-                self.next()
-                continue
-            return relators
-
-    def parse_relator(self) -> Word:
-        left = self.parse_word()
-        kind, val, _ = self.peek()
-        if kind == "sym" and val == "=":
-            self.next()
-            right = self.parse_word()
-            return left * right.inverse()
-        return left
-
-    def parse_word(self) -> Word:
-        letters: list[int] = []
-        first = True
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "name" or (kind == "sym" and val == "("):
-                letters.extend(self.parse_term().letters)
-                first = False
-            elif first:
-                raise PresentationSyntaxError(f"expected a word, found {val or 'end of input'!r}", pos)
-            else:
-                return Word.of(letters)
-
-    def parse_term(self) -> Word:
-        kind, val, pos = self.next()
-        if kind == "name":
-            if val not in self.gen_index:
-                raise PresentationSyntaxError(f"undeclared generator {val!r}", pos)
-            base = Word.gen(self.gen_index[val])
-        elif kind == "sym" and val == "(":
-            base = self.parse_word()
-            self.expect_sym(")")
-        else:
-            raise PresentationSyntaxError(f"expected generator or '(', found {val!r}", pos)
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise PresentationSyntaxError(f"expected integer exponent, found {val!r}", pos)
-            return base ** int(val)
-        return base
+_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>-?\d+)"
+                       r"|(?P<sym>[<>,|^()=])|(?P<bad>.)", re.S)
 
 
 def parse_presentation(text: str) -> GroupPresentation:
-    """Parse ``< a, b | a^2, (a b)^3 >`` style presentation text."""
-    return _Parser(text).parse()
+    """Parse ``< a, b | a^2, (a b)^3 >`` style presentation text.
+
+    The whole text is scanned first, so an unexpected character is reported
+    before any syntax error.  Terms are lists of letter codes; each relator
+    becomes one :class:`Word`.  Parentheses are matched with a stack, not by
+    recursion, so no nesting depth is too deep.
+    """
+    tokens = []  # (kind, text, position); a symbol is its own kind
+    for m in _TOKEN_RE.finditer(text):
+        kind, val = m.lastgroup, m.group()
+        if kind == "bad":
+            raise PresentationSyntaxError(f"unexpected character {val!r}", m.start())
+        if kind != "ws":
+            tokens.append((val if kind == "sym" else kind, val, m.start()))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()  # the next token is tokens[-1]
+    index: dict[str, int] = {}  # generator name -> index, in declaration order
+    relators: list[Word] = []
+
+    def expect(sym: str) -> None:
+        kind, val, pos = tokens.pop()
+        if kind != sym:
+            raise PresentationSyntaxError(f"expected {sym!r}, found {val or 'end of input'!r}", pos)
+
+    def listed(item: Callable[[], None], close: str) -> None:  # [item ("," item)*] close
+        if tokens[-1][0] != close:
+            item()
+            while tokens[-1][0] == ",":
+                tokens.pop()
+                item()
+        expect(close)
+
+    def name() -> None:
+        kind, val, pos = tokens.pop()
+        if kind != "name":
+            raise PresentationSyntaxError(f"expected generator name, found {val!r}", pos)
+        if val in index:
+            raise PresentationSyntaxError(f"duplicate generator name {val!r}", pos)
+        index[val] = len(index)
+
+    def word() -> list[int]:
+        groups: list[list[int]] = [[]]  # letters of the word and of each open "("
+        start = len(tokens)  # tokens left when the innermost group began
+        while True:
+            kind, val, pos = tokens[-1]
+            if kind == "(":
+                tokens.pop()
+                groups.append([])
+                start = len(tokens)
+                continue
+            if kind == "name":
+                g = index.get(val)
+                if g is None:
+                    raise PresentationSyntaxError(f"undeclared generator {val!r}", pos)
+                tokens.pop()
+                term = [2 * g]
+            elif len(tokens) == start:
+                raise PresentationSyntaxError(f"expected a word, found {val or 'end of input'!r}", pos)
+            elif len(groups) == 1:
+                return groups[0]
+            else:
+                expect(")")
+                term = groups.pop()
+            if tokens[-1][0] == "^":
+                tokens.pop()
+                kind, val, pos = tokens.pop()
+                if kind != "int":
+                    raise PresentationSyntaxError(f"expected integer exponent, found {val!r}", pos)
+                term = term * n if (n := int(val)) >= 0 else _inverse(term) * -n
+            groups[-1] += term
+
+    def relator() -> None:
+        if not index:
+            raise PresentationSyntaxError("empty generator list with non-empty relator",
+                                          tokens[-1][2])
+        r = word()
+        if tokens[-1][0] == "=":  # u = v is stored as u v^-1
+            tokens.pop()
+            r += _inverse(word())
+        relators.append(Word.of(r))
+
+    expect("<")
+    listed(name, "|")
+    listed(relator, ">")
+    if tokens[-1][0] != "end":
+        raise PresentationSyntaxError(f"trailing input {tokens[-1][1]!r}", tokens[-1][2])
+    return GroupPresentation(tuple(index), relators, name=text.strip())
 
 
 def format_word(w: Word, names: Iterable[str]) -> str:
     """Render a word with exponent-collapsed runs, e.g. ``a^2 b^-1``."""
     names = tuple(names)
-    if not len(w):
+    letters = w.letters
+    if not letters:
         return "1"
     parts = []
-    (run_gen, run_exp), *rest = w
-    for g, s in rest:
-        if g == run_gen and (run_exp > 0) == (s > 0):
-            run_exp += s
-        else:
-            parts.append((run_gen, run_exp))
-            run_gen, run_exp = g, s
-    parts.append((run_gen, run_exp))
-    return " ".join(
-        names[g] if e == 1 else f"{names[g]}^{e}" for g, e in parts)
+    run, e = letters[0], 0
+    for x in letters + (-1,):  # -1 ends the last run
+        if x == run:
+            e += 1
+            continue
+        name = names[run >> 1]
+        parts.append(f"{name}^-{e}" if run & 1 else name if e == 1 else f"{name}^{e}")
+        run, e = x, 1
+    return " ".join(parts)
 
 
 def format_presentation(p: GroupPresentation) -> str:
@@ -491,7 +457,9 @@ def format_presentation(p: GroupPresentation) -> str:
 # Tietze simplification
 
 
-INDEX_BLOCK = 4096  # relators or generators indexed between two clock reads
+# work between two reads of the clock: relators or generators indexed here,
+# orbits walked by adorn.rewriting, deductions made by adorn.cosets
+INDEX_BLOCK = 4096
 
 
 def _subword_sources(s: tuple[int, ...], length: int

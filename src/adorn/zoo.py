@@ -42,10 +42,6 @@ def _comm(x: Word, y: Word) -> Word:
     return x * y * x.inverse() * y.inverse()
 
 
-def _gen(i: int) -> Word:
-    return Word.gen(i)
-
-
 def _free(n: int) -> GroupPresentation:
     return GroupPresentation(_letters(n), (), name=f"free({n})")
 
@@ -53,11 +49,11 @@ def _free(n: int) -> GroupPresentation:
 def _cyclic(n: int) -> GroupPresentation:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
-    return GroupPresentation(("a",), (_gen(0) ** n,), name=f"cyclic({n})")
+    return GroupPresentation(("a",), (Word.gen(0) ** n,), name=f"cyclic({n})")
 
 
 def _dihedral_inf() -> GroupPresentation:
-    return GroupPresentation(("a", "b"), (_gen(0) ** 2, _gen(1) ** 2),
+    return GroupPresentation(("a", "b"), (Word.gen(0) ** 2, Word.gen(1) ** 2),
                              name="dihedral_inf")
 
 
@@ -79,7 +75,7 @@ def _free_product(a: GroupPresentation, b: GroupPresentation) -> GroupPresentati
     names = a.generator_names + _rename_apart(a.generator_names, b.generator_names)
     shift = a.n_generators
     rels = list(a.relators)
-    rels += [Word((g + shift, s) for g, s in r) for r in b.relators]
+    rels += [Word.of([x + 2 * shift for x in r.letters]) for r in b.relators]
     return GroupPresentation(names, rels,
                              name=f"({a.name or 'A'}) * ({b.name or 'B'})")
 
@@ -87,7 +83,7 @@ def _free_product(a: GroupPresentation, b: GroupPresentation) -> GroupPresentati
 def _direct_product(a: GroupPresentation, b: GroupPresentation) -> GroupPresentation:
     p = _free_product(a, b)
     shift = a.n_generators
-    comms = [_comm(_gen(i), _gen(shift + j))
+    comms = [_comm(Word.gen(i), Word.gen(shift + j))
              for i in range(a.n_generators) for j in range(b.n_generators)]
     return GroupPresentation(p.generator_names, p.relators + tuple(comms),
                              name=f"({a.name or 'A'}) x ({b.name or 'B'})")
@@ -99,30 +95,30 @@ def _braid(n: int) -> GroupPresentation:
     names = tuple(f"s{i}" for i in range(1, n))
     rels = []
     for i in range(n - 2):
-        si, sj = _gen(i), _gen(i + 1)
+        si, sj = Word.gen(i), Word.gen(i + 1)
         rels.append(si * sj * si * sj.inverse() * si.inverse() * sj.inverse())
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
-            rels.append(_comm(_gen(i), _gen(j)))
+            rels.append(_comm(Word.gen(i), Word.gen(j)))
     return GroupPresentation(names, rels, name=f"braid({n})")
 
 
 def _torus_knot(p: int, q: int) -> GroupPresentation:
     if p < 2 or q < 2:
         raise ValueError("torus_knot(p, q) needs p, q >= 2")
-    return GroupPresentation(("x", "y"), (_gen(0) ** p * _gen(1) ** (-q),),
+    return GroupPresentation(("x", "y"), (Word.gen(0) ** p * Word.gen(1) ** (-q),),
                              name=f"torus_knot({p},{q})")
 
 
 def _sl2z() -> GroupPresentation:
-    a, b = _gen(0), _gen(1)
+    a, b = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "b"), (a ** 4, a ** 2 * b ** -3), name="sl2z")
 
 
 def _triangle(p: int, q: int, r: int) -> GroupPresentation:
     if min(p, q, r) < 2:
         raise ValueError("triangle indices must be >= 2")
-    a, b = _gen(0), _gen(1)
+    a, b = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "b"), (a ** p, b ** q, (a * b) ** r),
                              name=f"triangle({p},{q},{r})")
 
@@ -133,12 +129,12 @@ def _surface(g: int) -> GroupPresentation:
     names = tuple(x for i in range(1, g + 1) for x in (f"a{i}", f"b{i}"))
     rel = Word()
     for i in range(g):
-        rel = rel * _comm(_gen(2 * i), _gen(2 * i + 1))
+        rel = rel * _comm(Word.gen(2 * i), Word.gen(2 * i + 1))
     return GroupPresentation(names, (rel,) if g else (), name=f"surface({g})")
 
 
 def _klein_bottle() -> GroupPresentation:
-    a, b = _gen(0), _gen(1)
+    a, b = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "b"), (a * b * a * b.inverse(),),
                              name="klein_bottle")
 
@@ -156,12 +152,12 @@ def _fuchsian(g: int, cones: Sequence[int]) -> GroupPresentation:
     names += tuple(f"x{j}" for j in range(1, len(cones) + 1))
     rels = []
     for j, p in enumerate(cones):
-        rels.append(_gen(2 * g + j) ** p)
+        rels.append(Word.gen(2 * g + j) ** p)
     long = Word()
     for i in range(g):
-        long = long * _comm(_gen(2 * i), _gen(2 * i + 1))
+        long = long * _comm(Word.gen(2 * i), Word.gen(2 * i + 1))
     for j in range(len(cones)):
-        long = long * _gen(2 * g + j)
+        long = long * Word.gen(2 * g + j)
     if len(long):
         rels.append(long)
     return GroupPresentation(names, rels,
@@ -171,13 +167,13 @@ def _fuchsian(g: int, cones: Sequence[int]) -> GroupPresentation:
 def _baumslag_solitar(m: int, n: int) -> GroupPresentation:
     if m == 0 or n == 0:
         raise ValueError("baumslag_solitar needs non-zero exponents")
-    a, t = _gen(0), _gen(1)
+    a, t = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "t"), (t * a ** m * t.inverse() * a ** (-n),),
                              name=f"baumslag_solitar({m},{n})")
 
 
 def _trefoil() -> GroupPresentation:
-    a, b = _gen(0), _gen(1)
+    a, b = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "b"),
                              (a * b * a * b.inverse() * a.inverse() * b.inverse(),),
                              name="trefoil")
@@ -185,7 +181,7 @@ def _trefoil() -> GroupPresentation:
 
 def _figure_eight() -> GroupPresentation:
     # two-bridge form: a w = w b with w = b a^-1 b^-1 a
-    a, b = _gen(0), _gen(1)
+    a, b = Word.gen(0), Word.gen(1)
     w = b * a.inverse() * b.inverse() * a
     return GroupPresentation(("a", "b"), (a * w * b.inverse() * w.inverse(),),
                              name="figure_eight")
@@ -196,7 +192,7 @@ def _sl3z() -> GroupPresentation:
     idx = {(i, j): k for k, (i, j) in enumerate(
         [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])}
     names = tuple(f"e{i}{j}" for (i, j) in idx)
-    e = {ij: _gen(k) for ij, k in idx.items()}
+    e = {ij: Word.gen(k) for ij, k in idx.items()}
     rels = []
     pairs = list(idx)
     for x in range(len(pairs)):
@@ -257,28 +253,22 @@ def _sphere_orbifold_cones(p: GroupPresentation) -> tuple[int, ...] | None:
     n = p.n_generators
     powers: dict[int, int] = {}
     others: list[Word] = []
-    for r in p.relators:
-        gens = {g for g, _ in r}
-        if len(gens) == 1:
-            g = next(iter(gens))
-            if all(s == 1 for _, s in r) and g not in powers:
-                powers[g] = len(r)
-                continue
-        others.append(r)
+    for r in p.relators:  # non-empty: a presentation drops empty relators
+        x = r.letters[0]
+        if not x & 1 and x >> 1 not in powers and r.letters.count(x) == len(r):
+            powers[x >> 1] = len(r)
+        else:
+            others.append(r)
     if len(others) != 1:
         return None
-    other = others[0]
+    other = others[0].letters
     if n >= 3 and len(powers) == n and all(k >= 2 for k in powers.values()):
-        seen = [g for g, s in other if s == 1]
-        if (len(other) == n and sorted(seen) == list(range(n))
-                and all(s == 1 for _, s in other)):
+        if sorted(other) == list(range(0, 2 * n, 2)):
             return tuple(powers[g] for g in range(n))
     if n == 2 and len(powers) == 2 and all(k >= 2 for k in powers.values()):
         m = len(other)
-        if m >= 4 and m % 2 == 0:
-            expected = tuple((0, 1) if i % 2 == 0 else (1, 1) for i in range(m))
-            if tuple(other) == expected:
-                return (powers[0], powers[1], m // 2)
+        if m >= 4 and m % 2 == 0 and other == (0, 2) * (m // 2):
+            return (powers[0], powers[1], m // 2)
     return None
 
 

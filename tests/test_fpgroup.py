@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +87,86 @@ def test_parse_print_fixed_point():
     for text in texts:
         p = parse_presentation(text)
         assert parse_presentation(format_presentation(p)) == p
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("< a | a % >", "unexpected character '%'", 8),
+    ("a | >", "expected '<', found 'a'", 0),
+    ("< a >", "expected '|', found '>'", 4),
+    ("< a, b", "expected '|', found 'end of input'", 6),
+    ("< a | a", "expected '>', found 'end of input'", 7),
+    ("< a | a -1 >", "expected '>', found '-1'", 8),
+    ("< a | (a >", "expected ')', found '>'", 9),
+    ("< a | > b", "trailing input 'b'", 8),
+    ("< a, | a^2 >", "expected generator name, found '|'", 5),
+    ("< a,", "expected generator name, found ''", 4),
+    ("< a, b, a | >", "duplicate generator name 'a'", 8),
+    ("< | x >", "empty generator list with non-empty relator", 4),
+    ("< | , >", "empty generator list with non-empty relator", 4),
+    ("< a | a, >", "expected a word, found '>'", 9),
+    ("< a | = a >", "expected a word, found '='", 6),
+    ("< a | a =", "expected a word, found 'end of input'", 9),
+    ("< a | b^2 >", "undeclared generator 'b'", 6),
+    ("< a | a^b >", "expected integer exponent, found 'b'", 8),
+    # an unexpected character is reported before any earlier syntax error
+    ("< a | b $ >", "unexpected character '$'", 8),
+    ("< a | a^ >", "expected integer exponent, found '>'", 9),
+    ("< a | a^", "expected integer exponent, found ''", 8),
+    ("< a | () >", "expected a word, found ')'", 7),
+    ("< a | (a)^() >", "expected integer exponent, found '('", 10),
+])
+def test_parse_error_contract(text, message, position):
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("< x | x^0 >", "< x | >"),
+    ("< a | (a a^-1) >", "< a | >"),
+    ("< a, b | a^0 b, (a a^-1)^3 b^2, a^-0 = b >", "< a, b | b, b^2, b >"),
+])
+def test_parse_zero_letter_terms(text, expected):
+    assert format_presentation(parse_presentation(text)) == expected
+
+
+def test_parse_long_generator_list_in_linear_time():
+    # duplicate names are found by a dict lookup, so the parse is linear in
+    # the number of names; the bound is about twenty times the expected time
+    names = tuple(f"x{i}" for i in range(50000))
+    text = f"< {', '.join(names)} | x49999^2 >"
+    start = time.perf_counter()
+    p = parse_presentation(text)
+    assert time.perf_counter() - start < 2.0
+    assert p.generator_names == names
+    assert p.relators == (Word.gen(49999) ** 2,)
+
+
+names_strategy = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def coded_presentations(draw):
+    # relators are runs of letter codes: empty words, long runs and runs
+    # of inverse letters all occur
+    names = draw(names_strategy)
+    runs = st.lists(st.tuples(st.integers(0, 2 * len(names) - 1), st.integers(1, 40)),
+                    max_size=6)
+    words = draw(st.lists(runs, max_size=5))
+    return GroupPresentation(names, [Word.of([x for x, k in w for _ in range(k)])
+                                     for w in words])
+
+
+@given(coded_presentations())
+@example(GroupPresentation(("a",), [Word.of([1] * 300)]))
+@example(GroupPresentation(("a", "b"), [Word.of(()), Word.of([0, 1, 2, 2, 3])]))
+def test_parse_format_roundtrip(p):
+    text = format_presentation(p)
+    q = parse_presentation(text)
+    assert q == p
+    assert format_presentation(q) == text
 
 
 def test_free_reduce_examples():
