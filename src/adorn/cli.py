@@ -6,6 +6,12 @@ report with the fixed shape {input, command, limits, stages, verdict,
 timings_ms}; exit codes are the only pass/fail channel (0 success, 2 bad
 input, 3 inconclusive under --strict, 1 corpus failures).
 
+``_LIMITS`` is the one map between the five :class:`Budget` fields, their
+flags and their keys in a report's ``limits``: the parser, :func:`_budget`
+and the report all read it.  Zoo input, whether ``--zoo NAME --params CSV``,
+a ``name(csv)`` factor or a corpus ``{"zoo", "params"}`` object, is decoded
+by :func:`_zoo` alone, and :func:`adorn.zoo.make` checks its parameters.
+
 When ``ADORN_CACHE_DIR`` is set, series runs persist each rewrite step as a
 JSON file, making long runs resumable.  The key hashes a schema tag, the
 presentation and the Tietze caps (``--max-gens`` and ``--max-length``), the
@@ -35,9 +41,7 @@ from .zoo import FAMILIES, SeifertData, classify_seifert, make
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Bad input: the run prints the message and exits 2."""
 
 
 class FileStepCache:
@@ -71,65 +75,57 @@ class FileStepCache:
 
 
 def _split_top_level(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    """The non-blank comma-separated items of ``text`` that lie outside
+    parentheses, stripped."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts if p.strip()]
 
 
-def _zoo_cli(family: str, csv: str) -> GroupPresentation:
-    """Zoo group from ``--params``, where fuchsian's cones follow its genus."""
-    params: list = _split_top_level(csv)
-    if family == "fuchsian" and params:
-        params = [params[0], params[1:]]
-    return _zoo_group(family, params)
+_PRODUCTS = ("free_product", "direct_product")
 
 
-def _zoo_group(family: str, params: list) -> GroupPresentation:
-    """Zoo group from parameters shaped as in a corpus file: two factors for
-    a product, ``[genus, [cones]]`` for fuchsian, else integers or their text."""
+def _zoo(x, csv: str | None = None) -> GroupPresentation:
+    """Zoo group from a family name and its ``--params`` CSV, from
+    ``name(csv)`` text, or from a corpus ``{"zoo", "params"}`` object.  The
+    CSV lists a product's two factor expressions, fuchsian's genus and then
+    its cones, or else integers.  This only decodes: :func:`make` checks the
+    parameters."""
     try:
-        if family in ("free_product", "direct_product"):
-            if len(params) != 2:
-                raise CliError(f"{family} needs exactly two factor expressions")
-            return make(family, tuple(_zoo_factor(x) for x in params))
-        if family == "fuchsian":
-            if len(params) != 2 or not isinstance(params[1], list):
-                raise CliError("fuchsian needs genus followed by cone indices")
-            return make(family, (int(params[0]), tuple(int(x) for x in params[1])))
-        return make(family, tuple(int(x) for x in params))
+        if isinstance(x, dict) and "zoo" in x:
+            family, params = x["zoo"], x.get("params", [])
+        elif isinstance(x, str):
+            family = x
+            if csv is None:
+                name, paren, rest = x.strip().partition("(")
+                if paren and not rest.endswith(")"):
+                    raise CliError(f"malformed zoo expression {x.strip()!r}")
+                family, csv = name.strip(), rest[:-1]
+            params = _split_top_level(csv)
+            if family not in _PRODUCTS:
+                params = [int(v) for v in params]
+            if family == "fuchsian" and params:
+                params = [params[0], params[1:]]
+        else:
+            raise CliError(f"bad zoo input {x!r}")
+        if family in _PRODUCTS:
+            params = [_zoo(f) for f in params]
+        return make(family, params)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
 
-def _zoo_factor(x) -> GroupPresentation:
-    """A corpus ``{"zoo": ..}`` object, or ``name`` or ``name(csv)`` text."""
-    if isinstance(x, dict) and "zoo" in x:
-        return _zoo_group(x["zoo"], x.get("params", []))
-    if not isinstance(x, str):
-        raise CliError(f"bad zoo input {x!r}")
-    name, paren, rest = x.strip().partition("(")
-    if paren and not rest.endswith(")"):
-        raise CliError(f"malformed zoo expression {x.strip()!r}")
-    return _zoo_cli(name.strip(), rest[:-1])
-
-
 def _resolve_input(args) -> GroupPresentation:
-    if getattr(args, "zoo", None):
-        if getattr(args, "input", None):
+    if args.zoo:
+        if args.input:
             raise CliError("give either an inline presentation or --zoo, not both")
-        return _zoo_cli(args.zoo, args.params or "")
-    if getattr(args, "input", None):
+        return _zoo(args.zoo, args.params or "")
+    if args.input:
         try:
             return parse_presentation(args.input)
         except PresentationSyntaxError as exc:
@@ -139,68 +135,59 @@ def _resolve_input(args) -> GroupPresentation:
     raise CliError("no input: pass a presentation string or --zoo NAME")
 
 
+# (Budget field, flag, JSON ``limits`` key) of every limit: the one map
+# between the three, read by the parser, by _budget and by the report
+_LIMITS = (
+    ("max_depth", "--max-depth", "max_depth"),
+    ("max_cosets", "--max-cosets", "max_cosets"),
+    ("max_generators", "--max-gens", "max_generators"),
+    ("max_total_relator_length", "--max-length", "max_total_relator_length"),
+    ("wall_clock_seconds", "--timeout", "timeout_seconds"),
+)
+
+
 def _budget(args) -> Budget:
-    try:
-        return Budget(max_depth=args.max_depth, max_cosets=args.max_cosets,
-                      max_generators=args.max_gens,
-                      max_total_relator_length=args.max_length,
-                      wall_clock_seconds=args.timeout)
+    try:  # argparse stores --max-gens as args.max_gens
+        return Budget(**{field: getattr(args, flag[2:].replace("-", "_"))
+                         for field, flag, _ in _LIMITS})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _report(command: str, input_desc: str, limits: dict | None,
-            stages: list, verdict: dict, started: float) -> dict:
-    return {
-        "input": input_desc,
-        "command": command,
-        "limits": limits or {},
-        "stages": stages,
-        "verdict": verdict,
-        "timings_ms": {"total": round(1000 * (time.monotonic() - started), 3)},
-    }
-
-
-def _emit(args, report: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+def _emit(args, subject, verdict: dict, human: str, stages: list = (),
+          budget: Budget | None = None) -> None:
+    """Print ``human``, or with ``--json`` the report of the run, timed from
+    the start of :func:`main`.  ``subject`` is the input presentation or a
+    text describing the input."""
+    if not args.json:
         print(human)
-
-
-def _limits_dict(budget: Budget) -> dict:
-    return {
-        "max_depth": budget.max_depth,
-        "max_cosets": budget.max_cosets,
-        "max_generators": budget.max_generators,
-        "max_total_relator_length": budget.max_total_relator_length,
-        "timeout_seconds": budget.wall_clock_seconds,
+        return
+    if isinstance(subject, GroupPresentation):
+        subject = subject.name or format_presentation(subject)
+    report = {
+        "input": subject,
+        "command": args.cmd,
+        "limits": {key: getattr(budget, field) for field, _, key in _LIMITS} if budget else {},
+        "stages": list(stages),
+        "verdict": verdict,
+        "timings_ms": {"total": round(1000 * (time.monotonic() - args.started), 3)},
     }
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def cmd_abelianize(args) -> int:
-    started = time.monotonic()
-    p = _resolve_input(args)
-    inv = abelianization(p)
-    verdict = {"kind": "Abelianization",
-               "detail": {"invariants": str(inv), "rank": inv.rank,
-                          "torsion": list(inv.torsion)}}
-    report = _report("abelianize", p.name or format_presentation(p), None,
-                     [], verdict, started)
-    _emit(args, report, str(inv))
-    return 0
+def cmd_abelianize(args) -> None:
+    inv = abelianization(p := _resolve_input(args))
+    _emit(args, p, {"kind": "Abelianization",
+                    "detail": {"invariants": str(inv), "rank": inv.rank,
+                               "torsion": list(inv.torsion)}}, str(inv))
 
 
-def cmd_series(args) -> int:
-    started = time.monotonic()
+def cmd_series(args) -> int | None:
     p = _resolve_input(args)
     budget = _budget(args)
     cache_dir = os.environ.get("ADORN_CACHE_DIR")
     cache = FileStepCache(cache_dir) if cache_dir else None
     stages, verdict = derived_series(p, budget, step_cache=cache)
-    report = _report("series", p.name or format_presentation(p),
-                     _limits_dict(budget), [s.to_dict() for s in stages],
-                     verdict.to_dict(), started)
     lines = []
     for s in stages:
         flags = f"  [{', '.join(sorted(s.flags))}]" if s.flags else ""
@@ -208,24 +195,20 @@ def cmd_series(args) -> int:
                      f"relators={s.n_relators} length={s.total_length} "
                      f"quotient={s.invariants}{flags}")
     lines.append(f"verdict: {verdict}")
-    _emit(args, report, "\n".join(lines))
-    if args.strict and verdict.kind == INCONCLUSIVE:
-        return 3
-    return 0
+    _emit(args, p, verdict.to_dict(), "\n".join(lines),
+          [s.to_dict() for s in stages], budget)
+    return 3 if args.strict and verdict.kind == INCONCLUSIVE else None
 
 
-def cmd_alexander(args) -> int:
-    started = time.monotonic()
+def cmd_alexander(args) -> None:
     p = _resolve_input(args)
     try:
         rep = knot_adorability_report(p)
     except AlexanderError as exc:
         raise CliError(f"not a knot-like presentation: {exc}") from exc
     kind = "Adorable" if rep.adorable else "NotAdorable"
-    report = _report("alexander", p.name or format_presentation(p), None, [],
-                     {"kind": kind, "detail": rep.to_dict()}, started)
-    _emit(args, report, f"Δ = {rep.polynomial}, {rep.verdict}")
-    return 0
+    _emit(args, p, {"kind": kind, "detail": rep.to_dict()},
+          f"Δ = {rep.polynomial}, {rep.verdict}")
 
 
 def _seifert_data(genus, cones, boundary) -> SeifertData:
@@ -244,35 +227,23 @@ def _seifert_data(genus, cones, boundary) -> SeifertData:
         raise CliError(str(exc)) from exc
 
 
-def cmd_classify_seifert(args) -> int:
-    started = time.monotonic()
+def cmd_classify_seifert(args) -> None:
     data = _seifert_data(args.genus, args.cones, args.boundary)
     result = classify_seifert(data)
     desc = (f"seifert(genus={data.base_genus}, cones={list(data.cone_indices)}, "
             f"boundary={data.has_boundary})")
-    report = _report("classify-seifert", desc, None, [],
-                     {"kind": result.branch, "detail": {"trace": list(result.trace)}},
-                     started)
-    _emit(args, report, f"{result.branch} ({result.trace[0]})")
-    return 0
+    _emit(args, desc, {"kind": result.branch, "detail": {"trace": list(result.trace)}},
+          f"{result.branch} ({result.trace[0]})")
 
 
-def cmd_zoo(args) -> int:
-    started = time.monotonic()
+def cmd_zoo(args) -> None:
     if not args.family:
-        listing = "\n".join(FAMILIES)
-        report = _report("zoo", "", None, [],
-                         {"kind": "Families", "detail": {"families": list(FAMILIES)}},
-                         started)
-        _emit(args, report, listing)
-        return 0
-    p = _zoo_cli(args.family, args.params or "")
-    report = _report("zoo", p.name, None, [],
-                     {"kind": "Presentation",
-                      "detail": {"presentation": format_presentation(p)}},
-                     started)
-    _emit(args, report, format_presentation(p))
-    return 0
+        _emit(args, "", {"kind": "Families", "detail": {"families": list(FAMILIES)}},
+              "\n".join(FAMILIES))
+        return
+    p = _zoo(args.family, args.params or "")
+    text = format_presentation(p)
+    _emit(args, p, {"kind": "Presentation", "detail": {"presentation": text}}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +257,7 @@ def _corpus_input(entry: dict):
     if isinstance(src, str):
         return parse_presentation(src)
     if isinstance(src, dict) and "zoo" in src:
-        return _zoo_factor(src)
+        return _zoo(src)
     if isinstance(src, dict) and isinstance(src.get("seifert"), dict):
         d = src["seifert"]
         return _seifert_data(d.get("genus", 0), d.get("cones", []),
@@ -373,22 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "finitely presented groups")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_input(sp, with_limits=False):
+    def add_input(sp):
         sp.add_argument("input", nargs="?", help="presentation, e.g. '< a, b | a^2 >'")
         sp.add_argument("--zoo", metavar="NAME", help="zoo family name")
         sp.add_argument("--params", metavar="CSV", help="zoo family parameters")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        if with_limits:
-            add_limits(sp)
 
     def add_limits(sp):
-        b = DEFAULT_BUDGET
-        sp.add_argument("--max-depth", type=int, default=b.max_depth)
-        sp.add_argument("--max-cosets", type=int, default=b.max_cosets)
-        sp.add_argument("--max-gens", type=int, default=b.max_generators)
-        sp.add_argument("--max-length", type=int, default=b.max_total_relator_length)
-        sp.add_argument("--timeout", type=float, default=b.wall_clock_seconds,
-                        metavar="SECS")
+        for field, flag, _ in _LIMITS:
+            default = getattr(DEFAULT_BUDGET, field)
+            sp.add_argument(flag, type=type(default), default=default,
+                            metavar="SECS" if flag == "--timeout" else None)
 
     sp = sub.add_parser("abelianize", help="print the abelianization",
                         description="Print the abelianization.  Runs with no time "
@@ -397,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_abelianize)
 
     sp = sub.add_parser("series", help="run the derived-series engine")
-    add_input(sp, with_limits=True)
+    add_input(sp)
+    add_limits(sp)
     sp.add_argument("--strict", action="store_true",
                     help="exit 3 when the verdict is Inconclusive")
     sp.set_defaults(fn=cmd_series)
@@ -431,11 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.monotonic()  # every --json report is timed from here
     try:
-        return args.fn(args)
+        return args.fn(args) or 0  # a command returns None for success
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -355,7 +355,7 @@ def todd_coxeter(p: GroupPresentation, subgroup_gens: Sequence[Word] = (),
     ``2 * ncols`` a coset, and never more than ``4 * gens * max_cosets``.
     """
     for w in subgroup_gens:
-        if w.max_generator() >= p.n_generators:
+        if w.max_generator() >= p.n_generators or min(w.letters, default=0) < 0:
             raise ValueError("subgroup generator uses an unknown generator")
     return _Enumerator(p.n_generators, p.relators, budget).run(tuple(subgroup_gens))
 

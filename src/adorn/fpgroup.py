@@ -45,6 +45,7 @@ class PresentationSyntaxError(ValueError):
 
 
 Letter = tuple[int, int]
+_SIGN_BIT = {1: 0, -1: 1}  # a letter's sign to the low bit of its code
 
 
 class Word:
@@ -57,7 +58,8 @@ class Word:
     (:meth:`of` wraps a code sequence), and Tietze holds its relators as bare
     letter tuples, making a ``Word`` only for its output.  Construction from
     ``(g, s)`` pairs, iteration and ``repr`` are the public pair interface
-    and the only code that converts between the two forms.  The int order
+    and the only code that converts between the two forms; construction
+    rejects a negative ``g`` and an ``s`` other than +1 or -1.  The int order
     matches the order of the pairs ``(g, 0 if s > 0 else 1)``.
 
     Multiplication concatenates without reducing; use :func:`free_reduce`
@@ -67,7 +69,12 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, pairs: Iterable[Letter] = ()):
-        self.letters = tuple(2 * g + (s < 0) for g, s in pairs)
+        try:
+            self.letters = tuple(2 * g + _SIGN_BIT[s] for g, s in pairs)
+        except KeyError:
+            raise ValueError("sign must be +1 or -1") from None
+        if self.letters and min(self.letters) < 0:
+            raise ValueError("generator index must be >= 0")
 
     @staticmethod
     def of(codes: Iterable[int]) -> "Word":
@@ -78,9 +85,7 @@ class Word:
 
     @staticmethod
     def gen(index: int, sign: int = 1) -> "Word":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return Word.of((2 * index + (sign < 0),))
+        return Word(((index, sign),))
 
     def inverse(self) -> "Word":
         return Word.of(_inverse(self.letters))
@@ -234,14 +239,15 @@ class GroupPresentation:
                 raise ValueError(f"invalid generator name: {nm!r}")
         canonical: dict[tuple[int, ...], Word] = {}
         rels = []
+        codes = 2 * len(names)  # the letters are 0..codes-1
         for r in relators:
-            c = canonical.get(r.letters)
+            c = canonical.get(x := r.letters)
             if c is None:
-                if r.max_generator() >= len(names):
-                    raise ValueError(
-                        f"relator uses generator index {r.max_generator()} "
-                        f"but presentation has {len(names)} generators")
-                c = canonical[r.letters] = canonical_relator(r)
+                if x and (min(x) < 0 or max(x) >= codes):  # Word.of takes any int
+                    bad = min(x) if min(x) < 0 else max(x)
+                    raise ValueError(f"relator uses generator index {bad >> 1} "
+                                     f"but presentation has {len(names)} generators")
+                c = canonical[x] = canonical_relator(r)
             if len(c):
                 rels.append(c)
         object.__setattr__(self, "generator_names", names)

@@ -123,26 +123,17 @@ def _triangle(p: int, q: int, r: int) -> GroupPresentation:
                              name=f"triangle({p},{q},{r})")
 
 
-def _surface(g: int) -> GroupPresentation:
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    names = tuple(x for i in range(1, g + 1) for x in (f"a{i}", f"b{i}"))
-    rel = Word()
-    for i in range(g):
-        rel = rel * _comm(Word.gen(2 * i), Word.gen(2 * i + 1))
-    return GroupPresentation(names, (rel,) if g else (), name=f"surface({g})")
-
-
 def _klein_bottle() -> GroupPresentation:
     a, b = Word.gen(0), Word.gen(1)
     return GroupPresentation(("a", "b"), (a * b * a * b.inverse(),),
                              name="klein_bottle")
 
 
-def _fuchsian(g: int, cones: Sequence[int]) -> GroupPresentation:
+def _fuchsian(g: int, cones: Sequence[int], *, name: str = "") -> GroupPresentation:
     """Orbifold group of a closed orientable genus-g surface with cone
     points: hyperbolic generators a_i, b_i and one x_j of order p_j per
-    cone, with long relator (prod [a_i, b_i]) x_1 ... x_n."""
+    cone, with long relator (prod [a_i, b_i]) x_1 ... x_n.  ``name``
+    replaces the default ``fuchsian(g,[p_1, ...])``."""
     cones = tuple(cones)
     if any(p < 2 for p in cones):
         raise ValueError("cone indices must be >= 2")
@@ -161,7 +152,7 @@ def _fuchsian(g: int, cones: Sequence[int]) -> GroupPresentation:
     if len(long):
         rels.append(long)
     return GroupPresentation(names, rels,
-                             name=f"fuchsian({g},{list(cones)})")
+                             name=name or f"fuchsian({g},{list(cones)})")
 
 
 def _baumslag_solitar(m: int, n: int) -> GroupPresentation:
@@ -210,36 +201,61 @@ def _sl3z() -> GroupPresentation:
     return GroupPresentation(names, rels, name="sl3z")
 
 
-_FAMILY_TABLE = {
-    "free": lambda a: _free(int(a[0])),
-    "cyclic": lambda a: _cyclic(int(a[0])),
-    "dihedral_inf": lambda a: _dihedral_inf(),
-    "free_product": lambda a: _free_product(a[0], a[1]),
-    "direct_product": lambda a: _direct_product(a[0], a[1]),
-    "braid": lambda a: _braid(int(a[0])),
-    "torus_knot": lambda a: _torus_knot(int(a[0]), int(a[1])),
-    "sl2z": lambda a: _sl2z(),
-    "triangle": lambda a: _triangle(int(a[0]), int(a[1]), int(a[2])),
-    "surface": lambda a: _surface(int(a[0])),
-    "klein_bottle": lambda a: _klein_bottle(),
-    "fuchsian": lambda a: _fuchsian(int(a[0]), tuple(int(x) for x in a[1])),
-    "baumslag_solitar": lambda a: _baumslag_solitar(int(a[0]), int(a[1])),
-    "trefoil": lambda a: _trefoil(),
-    "figure_eight": lambda a: _figure_eight(),
-    "sl3z": lambda a: _sl3z(),
+# the kind of each family parameter, as make's errors name it
+_INT, _INTS, _GROUP = "an int", "a list of ints", "a presentation"
+
+_FAMILY_TABLE = {  # family: (constructor, the kinds of its parameters)
+    "free": (_free, (_INT,)),
+    "cyclic": (_cyclic, (_INT,)),
+    "dihedral_inf": (_dihedral_inf, ()),
+    "free_product": (_free_product, (_GROUP, _GROUP)),
+    "direct_product": (_direct_product, (_GROUP, _GROUP)),
+    "braid": (_braid, (_INT,)),
+    "torus_knot": (_torus_knot, (_INT, _INT)),
+    "sl2z": (_sl2z, ()),
+    "triangle": (_triangle, (_INT, _INT, _INT)),
+    "surface": (lambda g: _fuchsian(g, (), name=f"surface({g})"), (_INT,)),
+    "klein_bottle": (_klein_bottle, ()),
+    "fuchsian": (_fuchsian, (_INT, _INTS)),
+    "baumslag_solitar": (_baumslag_solitar, (_INT, _INT)),
+    "trefoil": (_trefoil, ()),
+    "figure_eight": (_figure_eight, ()),
+    "sl3z": (_sl3z, ()),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
+def _is_a(kind: str, x) -> bool:
+    if kind == _GROUP:
+        return isinstance(x, GroupPresentation)
+    if kind == _INTS:
+        return isinstance(x, (list, tuple)) and all(type(c) is int for c in x)
+    return type(x) is int  # not a bool, a float or a string
+
+
 def make(family: str, params: Sequence = ()) -> GroupPresentation:
-    """Standard presentation of a named family; see :data:`FAMILIES`."""
-    build = _FAMILY_TABLE.get(family)
-    if build is None:
+    """Standard presentation of a named family; see :data:`FAMILIES`.
+
+    ``params`` holds exactly the family's parameters, in order: an integer
+    parameter is an ``int`` (a ``bool``, a float or a string is not),
+    fuchsian's cones are a list or tuple of them, and a product's two
+    factors are presentations.  A wrong count or kind raises ``ValueError``,
+    as does a value out of the family's range.
+    """
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
-    try:
-        return build(tuple(params))
-    except IndexError as exc:
-        raise ValueError(f"family {family!r}: missing parameters") from exc
+    build, kinds = _FAMILY_TABLE[family]
+    params = tuple(params)
+    if len(params) < len(kinds):
+        raise ValueError(f"family {family!r}: missing parameters")
+    if len(params) > len(kinds):
+        raise ValueError(f"family {family!r}: too many parameters "
+                         f"({len(params)} given, {len(kinds)} taken)")
+    for i, (kind, x) in enumerate(zip(kinds, params), start=1):
+        if not _is_a(kind, x):
+            raise ValueError(f"family {family!r}: parameter {i} must be {kind}, "
+                             f"got {x!r}")
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------

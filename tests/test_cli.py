@@ -1,12 +1,15 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
 from adorn.cli import _budget, build_parser, main
 from adorn.fpgroup import DEFAULT_BUDGET, Budget
+from adorn.zoo import FAMILIES
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "paper.json")
 
@@ -378,3 +381,84 @@ def test_cache_entry_shared_across_enumeration_and_clock_limits(tmp_path, capsys
     code, _, _ = run(capsys, ["series", "--zoo", "sl2z", "--max-length", "1000"])
     assert code == 0
     assert len(list(cache.glob("*.json"))) == 2
+
+
+def _corpus_zoo(family, params):
+    return {"zoo": family, "params": params}
+
+
+# family: (--params CSV, the same parameters in a corpus object)
+ZOO_INPUTS = {
+    "free": ("2", [2]),
+    "cyclic": ("6", [6]),
+    "dihedral_inf": ("", []),
+    "free_product": ("cyclic(2), triangle(2,3,7)",
+                     [_corpus_zoo("cyclic", [2]), "triangle(2,3,7)"]),
+    "direct_product": ("cyclic(4),free_product(cyclic(2),cyclic(3))",
+                       [_corpus_zoo("cyclic", [4]),
+                        _corpus_zoo("free_product", [_corpus_zoo("cyclic", [2]),
+                                                     _corpus_zoo("cyclic", [3])])]),
+    "braid": ("4", [4]),
+    "torus_knot": ("2,5", [2, 5]),
+    "sl2z": ("", []),
+    "triangle": ("2,4,6", [2, 4, 6]),
+    "surface": ("2", [2]),
+    "klein_bottle": ("", []),
+    "fuchsian": ("1,2,4", [1, [2, 4]]),
+    "baumslag_solitar": ("2,4", [2, 4]),
+    "trefoil": ("", []),
+    "figure_eight": ("", []),
+    "sl3z": ("", []),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_decodes_alike_on_cli_and_corpus(tmp_path, capsys, family):
+    csv, params = ZOO_INPUTS[family]
+    code, out, _ = run(capsys, ["abelianize", "--zoo", family, "--params", csv, "--json"])
+    assert code == 0
+    invariants = json.loads(out)["verdict"]["detail"]["invariants"]
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps([{"name": family, "input": _corpus_zoo(family, params),
+                                   "expect": {"abelianization": invariants}}]))
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus)])
+    assert (code, out.count("pass"), out.count("FAIL")) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("family,csv", [("cyclic", "2,3"), ("triangle", "2,3,7,9"),
+                                        ("sl2z", "7")])
+def test_zoo_params_reject_extra_values(capsys, family, csv):
+    for argv in (["zoo", family, "--params", csv],
+                 ["abelianize", "--zoo", family, "--params", csv]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "too many parameters" in err
+
+
+@pytest.mark.parametrize("params", [[2.7], [True], ["5"], "12"])
+def test_verify_corpus_rejects_a_zoo_parameter_that_is_not_an_int(tmp_path, capsys,
+                                                                 params):
+    # each used to be accepted: as Z/2, as the trivial group, as Z/5, and as
+    # cyclic(1) read from the characters of "12"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"name": "c", "input": _corpus_zoo("cyclic", params),
+                                "expect": {"abelianization": "Z/2"}}]))
+    code, out, err = run(capsys, ["verify-corpus", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_python_m_adorn_runs_the_cli(capsys):
+    # the way a user runs the package, through adorn/__main__.py
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "adorn", "zoo", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, out, _ = run(capsys, ["zoo", "--json"])
+    assert code == 0
+    reports = [json.loads(done.stdout), json.loads(out)]
+    for report in reports:
+        report.pop("timings_ms")
+    assert reports[0] == reports[1]

@@ -338,3 +338,11 @@ def test_step_cache_entry_under_the_old_tag_is_not_read():
     assert warm.stages[1:] == cold.stages[1:] and warm.verdict == cold.verdict
     assert warm.verdict.kind == NON_ADORABLE
     assert read == [step_cache_key(p, budget)] != [old]
+
+
+@pytest.mark.parametrize("word", [Word.gen(2), Word.of((-2,)), A * Word.of((-1,))])
+def test_filtration_rejects_a_word_outside_the_generators(word):
+    # an undeclared generator, or a negative code, which Word.of accepts;
+    # a negative code used to be read as the last generator
+    with pytest.raises(ValueError, match="unknown generator"):
+        verify_filtration(S3, [[word], []])

@@ -487,3 +487,22 @@ def test_tietze_matches_reference_on_raw_rewrite(group, caps):
     raw = rewrite_presentation(group, commutator_coset_table(group))
     assert (_simplified_bytes(tietze_simplify(raw, caps))
             == _simplified_bytes(tietze_simplify_reference(raw, caps)))
+
+
+@pytest.mark.parametrize("pairs", [[(0, 0)], [(0, 2)], [(1, -2)], [(-1, 1)],
+                                   [(0, 1), (-3, -1)]])
+def test_word_rejects_a_bad_letter(pairs):
+    # each used to be read as some other letter: (0, 0) as a, (-1, 1) as b
+    # in a two-generator group; (-3, -1) broke printing with an IndexError
+    with pytest.raises(ValueError):
+        Word(pairs)
+    with pytest.raises(ValueError):
+        Word.gen(*pairs[-1])
+
+
+@pytest.mark.parametrize("codes", [(-2,), (0, -5), (-1, 2)])
+def test_presentation_rejects_a_negative_letter_code(codes):
+    with pytest.raises(ValueError, match="generator index -"):
+        GroupPresentation(("a", "b"), [Word.of(codes)])
+    with pytest.raises(ValueError, match="unknown generator"):
+        todd_coxeter(make("triangle", (2, 3, 5)), [Word.of(codes)])

@@ -443,3 +443,27 @@ def test_remark_small_sphere_orbifold_groups_have_order_at_least_3():
         completed += 1
         assert n >= 3, cones
     assert completed >= 10  # spherical triples really did complete
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cyclic", (2, 3)), ("triangle", (2, 3, 7, 9)), ("sl2z", (7,)),
+    ("cyclic", (2.7,)), ("cyclic", (True,)), ("cyclic", ("5",)), ("cyclic", "12"),
+    ("fuchsian", (0, (2, "3"))), ("fuchsian", (0, 2)),
+    ("free_product", (2, 3)), ("free_product", (make("sl2z"),) * 3),
+])
+def test_make_rejects_a_wrong_count_or_kind_of_parameters(family, params):
+    with pytest.raises(ValueError, match=f"family '{family}': "):
+        make(family, params)
+
+
+@pytest.mark.parametrize("g", range(6))
+def test_surface_is_the_fuchsian_group_without_cones(g):
+    p = make("surface", (g,))
+    assert p == make("fuchsian", (g, ()))
+    assert p.generator_names == make("fuchsian", (g, ())).generator_names
+    assert p.name == f"surface({g})"
+
+
+def test_surface_rejects_a_negative_genus():
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        make("surface", (-1,))
