@@ -89,14 +89,19 @@ class AbelianInvariants:
         return " ⊕ ".join(parts) if parts else "trivial"
 
 
-def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
-                      ) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
+                      transform: bool = True,
+                      ) -> tuple[tuple[int, ...], list[dict[int, int]] | None]:
     """Diagonalize ``m`` over Z: returns (d, u) where u * m * v is diagonal
     for some unimodular v, which is not computed.
 
     ``d`` holds the min(rows, cols) diagonal entries, non-negative and
     forming a divisor chain; ``u`` is the unimodular row transform, as a
     list of sparse rows (``u[i]`` maps column j to the non-zero u[i][j]).
+    With ``transform=False`` no ``u`` is built and None is returned in its
+    place; the pivots, the operations on ``m`` and ``d`` are the same.  Only
+    readers of the rows of ``u`` need it: the commutator coset table and
+    the Alexander polynomial, through :func:`abelianization_data`.
 
     Representation: the working matrix ``a`` and ``u`` are lists of sparse
     rows like ``IntMatrix.sparse_rows``, with zeros deleted as soon as they
@@ -132,10 +137,24 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
     under the strict comparison; and a pivot of 1 divides everything, so
     its divisor-chain scan is skipped.  The budget's clock is checked once
     per pivot step.
+
+    Both row scans, the pivot search below row t and the divisor-chain
+    scan, skip the rows they have found empty, through ``nxt``, a
+    path-compressed "next row not known to be empty" array.  A row whose
+    index is above t never fills again once empty: row additions write
+    only into rows holding an entry in column t, or into row t; column
+    operations touch only rows holding an entry in the columns they move;
+    and ``swap_rows(t, i)`` can empty row i but fills no row above t.  As
+    t only grows, a row known empty stays skipped; row t itself is always
+    read.  An empty row offers no pivot and no stray entry, so the scans
+    see the same rows in the same order, and the pivots, the operations
+    and (d, u) are unchanged.
     """
     nr, nc = m.rows, m.cols
     a = [dict(row) for row in m.sparse_rows]
-    u = [{i: 1} for i in range(nr)]
+    u = [{i: 1} for i in range(nr)] if transform else None
+    # nxt[i] > i: rows i .. nxt[i] - 1 are known empty; nxt[i] == i: unknown
+    nxt = list(range(nr + 1))
     col: list[set[int]] = [set() for _ in range(nc)]
     for i, row in enumerate(a):
         for j in row:
@@ -152,7 +171,8 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
             rows.remove(k)
             rows.add(i)
         a[i], a[k] = ak, ai
-        u[i], u[k] = u[k], u[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         for i in col[j] | col[k]:
@@ -180,6 +200,8 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
                 else:
                     del row[j]
                     col[j].remove(dst)
+        if u is None:
+            return
         row = u[dst]
         for j, x in u[src].items():
             y = row.get(j, 0) + k * x
@@ -206,20 +228,47 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
 
     def negate_row(i):
         a[i] = {j: -x for j, x in a[i].items()}
-        u[i] = {j: -x for j, x in u[i].items()}
+        if u is not None:
+            u[i] = {j: -x for j, x in u[i].items()}
+
+    def live_rows(start):
+        # the non-empty rows from start on, in order; start > t, so an
+        # empty row met here stays empty and is skipped from then on
+        i = start
+        while i < nr:
+            k = nxt[i]
+            if k != i:
+                while nxt[k] != k:  # path halving
+                    nxt[k] = nxt[nxt[k]]
+                    k = nxt[k]
+                nxt[i] = k
+                i = k
+            elif a[i]:
+                yield i
+                i += 1
+            else:
+                nxt[i] = i + 1
+                i += 1
 
     def find_pivot(t):
+        # row t is read first, and outside live_rows: a row that is empty
+        # at index t can still be refilled by swap_rows(t, i)
         best = None
         best_abs = 0
-        for i in range(t, nr):
+        row = a[t]
+        if row:
+            best_abs = min(map(abs, row.values()))
+            best = (t, min(j for j, x in row.items() if abs(x) == best_abs))
+            if best_abs == 1:
+                return best
+        for i in live_rows(t + 1):
             row = a[i]
-            if row:
-                ax = min(map(abs, row.values()))
-                if best is None or ax < best_abs:
-                    best_abs = ax
-                    best = (i, min(j for j, x in row.items() if abs(x) == ax))
-                    if ax == 1:
-                        break
+            ax = min(map(abs, row.values()))
+            if best is None or ax < best_abs:
+                best_abs = ax
+                best = (i, min(j for j, x in row.items() if abs(x) == ax))
+                if ax == 1:
+                    break
         return best
 
     t = 0
@@ -252,7 +301,7 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET,
         # enforce the divisor chain: pivot must divide the whole submatrix
         stray = None
         if p != 1:
-            for i in range(t + 1, nr):
+            for i in live_rows(t + 1):
                 if any(x % p for x in a[i].values()):
                     stray = i
                     break
@@ -304,32 +353,42 @@ class AbelianizationData:
     coordinate 0.  Torsion coordinates are reduced into [1, d_k), zero
     residues dropped.  Generator g's image is read off by
     ``row.get(g, 0)``; no per-generator table is built, since a wide stage
-    of infinite H1 has as many free rows as generators.
+    of infinite H1 has as many free rows as generators.  Both are None when
+    the data was built without ``u`` (``transform=False``).
     """
 
     invariants: AbelianInvariants
-    free_rows: tuple[dict[int, int], ...]
-    torsion_rows: tuple[dict[int, int], ...]
+    free_rows: tuple[dict[int, int], ...] | None
+    torsion_rows: tuple[dict[int, int], ...] | None
 
 
-def abelianization_data(p: GroupPresentation,
-                        budget: Budget = DEFAULT_BUDGET) -> AbelianizationData:
+def abelianization_data(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET,
+                        *, transform: bool = True) -> AbelianizationData:
     """H1 of ``p`` and the rows of ``u`` from the Smith normal form of
     :func:`relator_matrix`, which has one column per distinct relator.
     The output is that of the relators with every repeat dropped, in
     first-occurrence order, so appending a repeat of a relator changes
-    nothing, and for pairwise distinct relators nothing is dropped."""
-    d, u = smith_normal_form(relator_matrix(p), budget)
+    nothing, and for pairwise distinct relators nothing is dropped.
+
+    ``transform`` is passed to :func:`smith_normal_form`.  When it is off,
+    no ``u`` is built, and ``free_rows`` and ``torsion_rows`` are None; only
+    ``invariants`` is read.  The callers that read the rows,
+    :func:`~adorn.cosets.commutator_coset_table` and
+    :func:`~adorn.alexander.alexander_polynomial`, keep the default."""
+    d, u = smith_normal_form(relator_matrix(p), budget, transform=transform)
     diag = list(d) + [0] * (p.n_generators - len(d))
+    inv = AbelianInvariants(diag.count(0), tuple(x for x in diag if x >= 2))
+    if u is None:
+        return AbelianizationData(inv, None, None)
     free_rows = tuple(row for row, x in zip(u, diag) if x == 0)
-    torsion = tuple(x for x in diag if x >= 2)
     torsion_rows = tuple({g: y for g, c in row.items() if (y := c % x)}
                          for row, x in zip(u, diag) if x >= 2)
-    return AbelianizationData(AbelianInvariants(len(free_rows), torsion),
-                              free_rows, torsion_rows)
+    return AbelianizationData(inv, free_rows, torsion_rows)
 
 
 def abelianization(p: GroupPresentation,
                    budget: Budget = DEFAULT_BUDGET) -> AbelianInvariants:
-    """Invariants of the cokernel of the relator exponent matrix."""
-    return abelianization_data(p, budget).invariants
+    """Invariants of the cokernel of the relator exponent matrix, from
+    :func:`abelianization_data` without the row transform: the same
+    pivots and diagonal, with no ``u`` built or kept."""
+    return abelianization_data(p, budget, transform=False).invariants

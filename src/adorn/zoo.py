@@ -5,7 +5,6 @@ classifier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -43,6 +42,8 @@ def _comm(x: Word, y: Word) -> Word:
 
 
 def _free(n: int) -> GroupPresentation:
+    if n < 0:
+        raise ValueError("free(n) needs n >= 0")
     return GroupPresentation(_letters(n), (), name=f"free({n})")
 
 
@@ -502,13 +503,15 @@ def classify_seifert(s: SeifertData) -> SeifertClassification:
             (f"sphere base with {n} cone point(s): finite (cyclic) orbifold "
              f"group; second derived subgroup of the fiber extension is finite",))
     if n == 3:
-        s3 = Fraction(1, cones[0]) + Fraction(1, cones[1]) + Fraction(1, cones[2])
-        if s3 > 1:
+        # 1/p + 1/q + 1/r against 1, times pqr
+        p, q, r = cones
+        s3, one = q * r + p * r + p * q, p * q * r
+        if s3 > one:
             return SeifertClassification(
                 "FiniteDerived",
                 (f"spherical triple {cones}: 1/{cones[0]}+1/{cones[1]}+1/{cones[2]} > 1, "
                  f"finite orbifold group",))
-        if s3 == 1:
+        if s3 == one:
             return SeifertClassification(
                 "Solvable",
                 (f"Euclidean triple {cones}: plane crystallographic orbifold "

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -152,6 +153,52 @@ def test_sparse_snf_equals_reference(m):
     assert _snf_rows(m) == _reference_rows(m)
 
 
+@st.composite
+def matrices_with_dying_rows(draw):
+    # rows that are integer combinations of earlier rows: elimination
+    # empties them, so the row scans meet dead rows between live ones
+    m = draw(sparse_matrices())
+    rows = m.to_rows()
+    if rows:
+        for _ in range(draw(st.integers(0, 12))):
+            k = draw(st.integers(0, len(rows)))
+            picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.integers(-2, 2)), min_size=1, max_size=3))
+            combo = [sum(c * rows[i][j] for i, c in picks) for j in range(m.cols)]
+            rows.insert(k, combo)
+    return IntMatrix.from_rows(rows) if rows else m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), matrices_with_dying_rows()))
+@example(IntMatrix(0, 4, ()))
+@example(IntMatrix(3, 0, ({}, {}, {})))
+@example(IntMatrix.from_rows([[2, 0], [4, 0], [0, 0], [6, 3], [2, 3], [0, 9]]))
+def test_snf_without_transform_has_the_same_diagonal(m):
+    d, u = smith_normal_form(m, transform=False)
+    assert u is None
+    assert d == smith_normal_form(m)[0] == _reference_rows(m)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_dying_rows())
+def test_snf_with_dying_rows_equals_reference(m):
+    assert _snf_rows(m) == _reference_rows(m)
+
+
+def test_snf_skips_rows_that_died():
+    # one +-1 per row and two rows per column, as in a wide(n) stage:
+    # eliminating column t empties the row below its pivot, so a scan that
+    # reads every row from t on does quadratic work: 27 s on a 2-vCPU VM,
+    # against 0.5 s when it skips the rows that died
+    c = 40000
+    m = IntMatrix(2 * c, c, tuple({i // 2: (-1) ** i} for i in range(2 * c)))
+    start = time.perf_counter()
+    d, u = smith_normal_form(m)
+    assert time.perf_counter() - start < 2.0
+    assert d == (1,) * c and len(u) == 2 * c
+
+
 def _raw_rewrite(p):
     return rewrite_presentation(p, commutator_coset_table(p))
 
@@ -291,6 +338,15 @@ def test_repeated_relators_change_nothing(case):
         assert commutator_coset_table(q).rows == commutator_coset_table(p).rows
     budget = Budget(max_depth=2, max_cosets=200)
     assert derived_series(q, budget).verdict == derived_series(p, budget).verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_relators())
+def test_abelianization_reads_the_invariants_of_abelianization_data(case):
+    for p in case:
+        data = abelianization_data(p, transform=False)
+        assert (data.free_rows, data.torsion_rows) == (None, None)
+        assert abelianization(p) == data.invariants == abelianization_data(p).invariants
 
 
 def test_exterior_square_rank():

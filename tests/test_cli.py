@@ -462,3 +462,22 @@ def test_python_m_adorn_runs_the_cli(capsys):
     for report in reports:
         report.pop("timings_ms")
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [["zoo", "free", "--params", "-1"],
+                                  ["abelianize", "--zoo", "free", "--params", "-30"]])
+def test_zoo_rejects_a_negative_free_rank(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "free(n) needs n >= 0" in err
+
+
+def test_import_loads_no_fractions_module():
+    # the Seifert classifier compares 1/p + 1/q + 1/r with 1 in integers
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys, adorn; "
+                           "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adorn import fpgroup
-from adorn.abelian import abelianization
+from adorn.abelian import abelianization, abelianization_data
 from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            PresentationSyntaxError, Word,
@@ -506,3 +506,10 @@ def test_presentation_rejects_a_negative_letter_code(codes):
         GroupPresentation(("a", "b"), [Word.of(codes)])
     with pytest.raises(ValueError, match="unknown generator"):
         todd_coxeter(make("triangle", (2, 3, 5)), [Word.of(codes)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coded_presentations(), small_presentations(), random_presentations(),
+                 shaped_presentations()))
+def test_abelianization_without_transform_matches_abelianization_data(p):
+    assert abelianization(p) == abelianization_data(p).invariants

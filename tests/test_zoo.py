@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -153,9 +155,9 @@ def test_free_product_abelianizes_each_factor_once(monkeypatch, factors):
     budgets = []
     real = abelian.abelianization_data
 
-    def counting(p, budget):
+    def counting(p, budget, **kwargs):
         budgets.append(budget)
-        return real(p, budget)
+        return real(p, budget, **kwargs)
 
     monkeypatch.setattr(abelian, "abelianization_data", counting)
     free_product_verdict(pa, pb, Budget(wall_clock_seconds=30))
@@ -467,3 +469,33 @@ def test_surface_is_the_fuchsian_group_without_cones(g):
 def test_surface_rejects_a_negative_genus():
     with pytest.raises(ValueError, match="genus must be >= 0"):
         make("surface", (-1,))
+
+
+@pytest.mark.parametrize("n", [-1, -26, -30])
+def test_free_rejects_a_negative_rank(n):
+    with pytest.raises(ValueError, match=r"free\(n\) needs n >= 0"):
+        make("free", (n,))
+
+
+def test_free_of_rank_zero_is_the_trivial_group():
+    p = make("free", (0,))
+    assert (p.n_generators, p.relators) == (0, ())
+    assert abelianization(p).is_trivial()
+
+
+def test_seifert_triples_match_the_fraction_sum():
+    # the branch follows 1/p + 1/q + 1/r against 1, computed here with
+    # exact fractions
+    for cones in itertools.product(range(2, 13), repeat=3):
+        s3 = sum(Fraction(1, c) for c in cones)
+        result = classify_seifert(SeifertData(0, cones))
+        if s3 > 1:
+            assert result.branch == "FiniteDerived", cones
+            assert result.trace[0].startswith(f"spherical triple {cones}: ")
+        elif s3 == 1:
+            assert result.branch == "Solvable", cones
+            assert result.trace[0].startswith(f"Euclidean triple {cones}: ")
+        else:
+            want = "Perfect" if _pairwise_coprime(cones) else "NonAdorable"
+            assert result.branch == want, cones
+            assert result.trace[0].startswith(f"hyperbolic triple {cones}")
