@@ -6,14 +6,18 @@ past machine precision even for small presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _IntMatrix(NamedTuple):
+    rows: int
+    cols: int
+    sparse_rows: tuple[dict[int, int], ...]
+
+
+class IntMatrix(_IntMatrix):
     """Sparse integer matrix: the argument of :func:`smith_normal_form`.
 
     ``sparse_rows[i]`` maps each column j with a non-zero entry in row i to
@@ -24,13 +28,12 @@ class IntMatrix:
     convert from and to dense lists of rows.
     """
 
-    rows: int
-    cols: int
-    sparse_rows: tuple[dict[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.sparse_rows) != self.rows:
+    def __new__(cls, rows: int, cols: int, sparse_rows: tuple[dict[int, int], ...]):
+        if len(sparse_rows) != rows:
             raise ValueError("row count does not match dimensions")
+        return super().__new__(cls, rows, cols, sparse_rows)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -49,23 +52,29 @@ class IntMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Finitely generated abelian group: free rank plus torsion divisor chain.
-
-    ``torsion`` entries are >= 2 and each divides the next; the group is
-    finite exactly when ``rank`` is zero.
-    """
-
+class _AbelianInvariants(NamedTuple):
     rank: int
     torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+
+class AbelianInvariants(_AbelianInvariants):
+    """Finitely generated abelian group: free rank plus torsion divisor chain.
+
+    ``rank`` is >= 0; ``torsion`` entries are >= 2 and each divides the
+    next; the group is finite exactly when ``rank`` is zero.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, torsion: tuple[int, ...]):
+        if rank < 0:
+            raise ValueError("rank must be >= 0")
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion {self.torsion} is not a divisor chain")
-        if any(t < 2 for t in self.torsion):
+                raise ValueError(f"torsion {torsion} is not a divisor chain")
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion entries must be >= 2")
+        return super().__new__(cls, rank, torsion)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -341,8 +350,7 @@ def relator_matrix(p: GroupPresentation) -> IntMatrix:
     return IntMatrix(p.n_generators, len(distinct), tuple(rows))
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
+class AbelianizationData(NamedTuple):
     """Invariants of G/[G,G] together with the rows of ``u`` that map the
     generators onto them.
 

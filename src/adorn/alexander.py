@@ -17,8 +17,8 @@ fraction-free elimination give them back as balanced base-2^k digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .abelian import abelianization_data
 from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation, Word
@@ -259,8 +259,7 @@ def alexander_polynomial(p: GroupPresentation,
     return delta
 
 
-@dataclass(frozen=True)
-class KnotReport:
+class KnotReport(NamedTuple):
     polynomial: LaurentPoly
     degree: int
     adorable: bool

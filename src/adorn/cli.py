@@ -221,7 +221,7 @@ def _seifert_data(genus, cones, boundary) -> SeifertData:
                 and all(type(x) is int for x in (genus, *cones))):
             raise ValueError(f"seifert genus and cones must be integers, got "
                              f"genus {genus!r} and cones {cones!r}")
-        return SeifertData(base_genus=genus, cone_indices=tuple(cones),
+        return SeifertData(base_genus=genus, cone_indices=cones,
                            has_boundary=boundary)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -265,13 +265,18 @@ def _corpus_input(entry: dict):
     raise CliError(f"corpus entry {entry.get('name')!r}: bad input field")
 
 
+def _stopped(limits, layer: str | None) -> str:
+    """The row value of a check that limits stopped, naming them and the
+    layer they stopped, if any: ``Inconclusive(wall_clock@smith_normal_form)``."""
+    return f"{INCONCLUSIVE}({','.join(limits)}{'@' + layer if layer else ''})"
+
+
 def _unless_stopped(check):
-    """The check's result, or ``Inconclusive`` when a limit stopped it, as
-    a stopped series check reports."""
+    """The check's result, or :func:`_stopped` when a limit stopped it."""
     try:
         return check()
-    except CapExceeded:
-        return INCONCLUSIVE
+    except CapExceeded as exc:
+        return _stopped((exc.limit,), exc.layer)
 
 
 def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]]:
@@ -296,7 +301,9 @@ def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]
         got["abelianization"] = _unless_stopped(lambda: str(abelianization(subject, budget)))
     if "verdict" in expect or "doa" in expect:
         _, verdict = derived_series(subject, budget)
-        got["verdict"], got["doa"] = verdict.kind, verdict.doa
+        got["verdict"] = (_stopped(verdict.limits_hit, verdict.reason)
+                          if verdict.kind == INCONCLUSIVE else verdict.kind)
+        got["doa"] = verdict.doa
     if "alexander" in expect:
         got["alexander"] = _unless_stopped(
             lambda: str(knot_adorability_report(subject, budget).polynomial))

@@ -24,7 +24,6 @@ relators / zero generators, which are cap-independent facts, so capped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 from .abelian import AbelianInvariants, abelianization
@@ -44,8 +43,7 @@ FLAG_FREE = "CertifiedFree"
 FLAG_TRIVIAL = "CertifiedTrivial"
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """Statistics for one term of the derived series."""
 
     depth: int
@@ -69,8 +67,7 @@ class StageReport:
         }
 
 
-@dataclass(frozen=True)
-class SeriesVerdict:
+class SeriesVerdict(NamedTuple):
     """Outcome of a derived-series run; ``kind`` is one of the module
     constants ADORABLE, NON_ADORABLE, HALTED, INCONCLUSIVE."""
 
@@ -247,16 +244,14 @@ class TerminalNotPerfect(FiltrationError):
         super().__init__(message, level=None)
 
 
-@dataclass(frozen=True)
-class LevelCertificate:
+class LevelCertificate(NamedTuple):
     level: int
     index_in_group: int
     quotient_order: int
     quotient: AbelianInvariants
 
 
-@dataclass(frozen=True)
-class AdorabilityWitness:
+class AdorabilityWitness(NamedTuple):
     """Certified filtration G = G_0 > G_1 > ... > G_n with every G_{i+1}
     normal in G_i, abelian quotients, and perfect G_n — hence G is adorable."""
 

@@ -214,7 +214,6 @@ def canonical_relator(w: Word) -> Word:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
     """A finite presentation: generator names plus relator words.
 
@@ -222,12 +221,11 @@ class GroupPresentation:
     words that reduce to the identity are dropped at construction.  Each
     distinct input word is range-checked and canonicalised once, however
     often it repeats: the memo is keyed by the letter tuple, so equal words
-    share an entry whatever object carries them.
+    share an entry whatever object carries them.  Immutable; ``name`` is a
+    label that equality and hashing ignore.
     """
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-    name: str = field(default="", compare=False)
+    __slots__ = ("generator_names", "relators", "name")
 
     def __init__(self, generator_names: Iterable[str], relators: Iterable[Word] = (),
                  name: str = ""):
@@ -253,6 +251,24 @@ class GroupPresentation:
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "name", name)
+
+    def __setattr__(self, attr: str, value: object = None) -> None:
+        raise AttributeError(f"GroupPresentation is immutable: cannot set {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generator_names, self.relators) == (other.generator_names,
+                                                         other.relators)
+
+    def __hash__(self) -> int:
+        return hash((self.generator_names, self.relators))
+
+    def __repr__(self) -> str:
+        return (f"GroupPresentation(generator_names={self.generator_names!r}, "
+                f"relators={self.relators!r}, name={self.name!r})")
 
     @property
     def n_generators(self) -> int:
@@ -298,7 +314,14 @@ class Budget:
     is infinite until :meth:`start` returns a copy that expires
     ``wall_clock_seconds`` from now; starting a started budget returns it
     unchanged, so a deadline is never extended.  Every layer calls
-    :meth:`check` at its own steps."""
+    :meth:`check` at its own steps.
+
+    The package's one dataclass: :meth:`start` and
+    :func:`~adorn.cosets.order_exceeds` copy it with ``replace``, and
+    ``__post_init__`` and the CLI's tests walk its limits with ``fields``.
+    Every other record is a NamedTuple or a ``__slots__`` class, because a
+    dataclass generates its methods with ``exec`` when it is created, at
+    about 1 ms of import time a class."""
 
     max_depth: int = 6
     max_cosets: int = 20000

@@ -4,9 +4,8 @@ classifier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abelian import AbelianInvariants, abelianization
 from .cosets import order_exceeds
@@ -326,8 +325,7 @@ def _order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
 RANK_NOTE = "every derived quotient from stage 1 on has rank >= 2"
 
 
-@dataclass(frozen=True)
-class FreeProductVerdict:
+class FreeProductVerdict(NamedTuple):
     kind: str  # PerfectProduct | Dinfty | NonAdorable
     doa: int | None
     note: str
@@ -375,22 +373,25 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
 # amalgam / HNN splittings
 
 
-@dataclass(frozen=True)
-class SplittingDecl:
+class _SplittingDecl(NamedTuple):
+    kind: str  # "amalgam" | "hnn"
+    solvability_step: int | None = None
+
+
+class SplittingDecl(_SplittingDecl):
     """A declared splitting over a subgroup H: an amalgamated free product
     or an HNN extension, with the asserted n for 'H is n-step solvable
     inside G' (G^n meets H trivially, G^{n-1} does not)."""
 
-    kind: str  # "amalgam" | "hnn"
-    solvability_step: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("amalgam", "hnn"):
+    def __new__(cls, kind: str, solvability_step: int | None = None):
+        if kind not in ("amalgam", "hnn"):
             raise ValueError("kind must be 'amalgam' or 'hnn'")
+        return super().__new__(cls, kind, solvability_step)
 
 
-@dataclass(frozen=True)
-class SplittingVerdict:
+class SplittingVerdict(NamedTuple):
     possibilities: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -420,27 +421,34 @@ def splitting_verdict(decl: SplittingDecl) -> SplittingVerdict:
 # Seifert classifier
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Base-orbifold data of a compact Seifert fibered space: orientable
-    base of the given genus, cone singularities only."""
-
+class _SeifertData(NamedTuple):
     base_genus: int
     cone_indices: tuple[int, ...] = ()
     has_boundary: bool = False
     orientable_base: bool = True
 
-    def __post_init__(self):
-        if not self.orientable_base:
+
+class SeifertData(_SeifertData):
+    """Base-orbifold data of a compact Seifert fibered space: orientable
+    base of the given genus, cone singularities only.  The cone indices
+    are stored as a tuple, whatever iterable they are given as."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_genus: int, cone_indices: Iterable[int] = (),
+                has_boundary: bool = False, orientable_base: bool = True):
+        if not orientable_base:
             raise UnsupportedOrbifold("non-orientable bases are not modeled")
-        if self.base_genus < 0:
+        if base_genus < 0:
             raise ValueError("genus must be >= 0")
-        if any(p < 2 for p in self.cone_indices):
+        cone_indices = tuple(cone_indices)
+        if any(p < 2 for p in cone_indices):
             raise UnsupportedOrbifold("cone indices must be >= 2")
+        return super().__new__(cls, base_genus, cone_indices, has_boundary,
+                               orientable_base)
 
 
-@dataclass(frozen=True)
-class SeifertClassification:
+class SeifertClassification(NamedTuple):
     branch: str  # FiniteDerived | Solvable | NonAdorable | Perfect | ReaderCase
     trace: tuple[str, ...]
 
@@ -482,7 +490,7 @@ def classify_seifert(s: SeifertData) -> SeifertClassification:
     for the torus without cones.  Closed genus 0 splits on the number of
     cone points and the Euclidean/spherical/hyperbolic trichotomy.
     """
-    g, cones = s.base_genus, tuple(s.cone_indices)
+    g, cones = s.base_genus, s.cone_indices
     if s.has_boundary:
         return _classify_boundary(g, cones)
 

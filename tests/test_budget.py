@@ -373,7 +373,8 @@ def test_verify_corpus_bounds_every_check_of_an_entry(tmp_path, capsys, monkeypa
                                                       expect):
     # the entry's budget starts before its first check, so the first SNF
     # pivot step, of the abelianization or of the Alexander polynomial,
-    # reads a clock past the deadline and the check's row is Inconclusive
+    # reads a clock past the deadline and the check's row is Inconclusive,
+    # naming the limit and the layer
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([{"name": "trefoil", "input": {"zoo": "trefoil"},
                                    "expect": expect}]))
@@ -381,4 +382,5 @@ def test_verify_corpus_bounds_every_check_of_an_entry(tmp_path, capsys, monkeypa
     assert main(["verify-corpus", str(corpus)]) == 1
     (key, want), = expect.items()
     assert capsys.readouterr().out == (
-        f"FAIL trefoil: {key} expected {want!r} got 'Inconclusive'\n")
+        f"FAIL trefoil: {key} expected {want!r} got "
+        f"'Inconclusive(wall_clock@smith_normal_form)'\n")

@@ -244,11 +244,26 @@ def test_verify_corpus_prints_one_row_per_stopped_check(tmp_path, capsys):
     assert (code, out.count("pass")) == (0, 4)
     code, out, _ = run(capsys, ["verify-corpus", str(corpus), "--timeout", "1e-9"])
     assert code == 1
+    stopped = "'Inconclusive(wall_clock@smith_normal_form)'"
     assert out.splitlines() == [
-        "FAIL sl2z: abelianization expected 'Z/12' got 'Inconclusive'",
-        "FAIL sl2z: verdict expected 'NonAdorableCertified' got 'Inconclusive'",
-        "FAIL trefoil: abelianization expected 'Z' got 'Inconclusive'",
-        "FAIL trefoil: alexander expected 't^2 - t + 1' got 'Inconclusive'"]
+        f"FAIL sl2z: abelianization expected 'Z/12' got {stopped}",
+        f"FAIL sl2z: verdict expected 'NonAdorableCertified' got {stopped}",
+        f"FAIL trefoil: abelianization expected 'Z' got {stopped}",
+        f"FAIL trefoil: alexander expected 't^2 - t + 1' got {stopped}"]
+
+
+def test_verify_corpus_names_a_limit_that_stopped_no_layer(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    corpus.write_text(json.dumps([
+        {"name": "s4", "input": "< a, b | a^2, b^3, (a b)^4 >",
+         "expect": {"verdict": "AdorableCertified", "doa": 3}}]))
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus)])
+    assert (code, out.count("pass")) == (0, 2)
+    code, out, _ = run(capsys, ["verify-corpus", str(corpus), "--max-depth", "1"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL s4: verdict expected 'AdorableCertified' got 'Inconclusive(max_depth)'",
+        "FAIL s4: doa expected '3' got 'None'"]
 
 
 def test_verify_corpus_rejects_unknown_keys(tmp_path, capsys):
