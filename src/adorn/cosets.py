@@ -5,7 +5,8 @@ coincidence handling; a deduction scans each distinct relator rotation that
 starts with its column once (``(s t)^3`` has two, a repeated relator adds
 none), and on a self-inverse column also each such rotation's reflection.
 ``commutator_coset_table`` builds the table of the commutator subgroup
-directly from a finite abelianization, without enumeration.
+directly from a finite abelianization, without enumeration: each column is
+a translation of the abelian quotient, built a coordinate at a time.
 ``order_exceeds`` is the one order proof by enumeration: a subgroup's
 index first, then the whole group.
 
@@ -42,7 +43,6 @@ permutation of the cosets.  Nothing downstream handles a missing entry.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
 from typing import Sequence
 
 from .abelian import abelianization_data
@@ -400,11 +400,18 @@ def commutator_coset_table(p: GroupPresentation,
     relator matrix with one column per distinct relator, so a repeated
     relator leaves the numbering as it is without the repeat; it differs
     from a one-column-per-occurrence numbering only for a presentation
-    with a repeated relator.  Only the forward column is
-    computed: ``rows[c][2g] = f`` is filled from c's coordinates, and the
-    inverse column as its mirror edge, ``rows[f][2g+1] = c``; adding an
-    image is a bijection, so every inverse entry is set exactly once.  The
-    budget's clock is read once per block of 1,024 cosets after the first.
+    with a repeated relator.
+
+    Each column is built whole, as the translation by g's image (column
+    ``2g``) or by its negation (column ``2g+1``).  A translation acts on
+    each coordinate separately, so the column is built a coordinate at a
+    time, last coordinate first: the column over the later coordinates is
+    repeated once per value ``a`` of the next coordinate (modulus ``m``,
+    place value ``w``), shifted by ``((a + x) % m) * w``.  Every entry is
+    read through one list of the coset numbers, so the table holds one int
+    object per coset, and the rows are the columns zipped.  The budget's
+    clock is read once before each generator's pair of columns, so at most
+    ``2 * max_cosets`` entries are built between two reads.
 
     Raises :class:`CapExceeded` before building anything when the quotient
     has more than ``max_cosets`` elements.
@@ -417,20 +424,21 @@ def commutator_coset_table(p: GroupPresentation,
     if inv.order() > budget.max_cosets:
         raise CapExceeded(f"coset limit {budget.max_cosets} reached",
                           "commutator_coset_table", "max_cosets")
-    moduli = inv.torsion
-    weights = [1] * len(moduli)
-    for i in range(len(moduli) - 2, -1, -1):
-        weights[i] = weights[i + 1] * moduli[i + 1]
-    images = [tuple(row.get(g, 0) for row in data.torsion_rows)
-              for g in range(p.n_generators)]
-
-    rows: list[list[int]] = [[0] * (2 * p.n_generators) for _ in range(inv.order())]
-    for c, coords in enumerate(product(*(range(m) for m in moduli))):
-        if c and not c % 1024:
-            budget.check("commutator_coset_table")
-        row = rows[c]
-        for g, img in enumerate(images):
-            f = sum(((a + x) % m) * w for a, x, m, w in zip(coords, img, moduli, weights))
-            row[2 * g] = f
-            rows[f][2 * g + 1] = c
+    coordinates = []  # (modulus, place value), last coordinate first
+    place = 1
+    for m in reversed(inv.torsion):
+        coordinates.append((m, place))
+        place *= m
+    ids = list(range(inv.order()))
+    columns = []
+    for g in range(p.n_generators):
+        budget.check("commutator_coset_table")
+        image = [row.get(g, 0) for row in data.torsion_rows][::-1]
+        for sign in (1, -1):
+            column = [0]
+            for (m, w), x in zip(coordinates, image):
+                steps = [((a + sign * x) % m) * w for a in range(m)]
+                column = [s + c for s in steps for c in column]
+            columns.append([ids[f] for f in column])
+    rows = zip(*columns) if columns else [()]  # no generators: one coset
     return CosetTable(p.n_generators, rows)

@@ -180,14 +180,15 @@ def test_rewrite_checks_each_block_of_orbits(monkeypatch):
     assert info.traceback[-2].locals["walks"] == INDEX_BLOCK
 
 
-def test_commutator_table_checks_each_block_after_the_first(monkeypatch):
-    expire_after(monkeypatch, 11)  # start, ten SNF pivots; 1,024 cosets, one block
+def test_commutator_table_checks_before_each_generator(monkeypatch):
+    expire_after(monkeypatch, 21)  # start, ten SNF pivots, one read per generator
     assert commutator_coset_table(wide(10), Budget().start()).n_cosets == 1024
-    expire_after(monkeypatch, 12)  # start, eleven SNF pivots, then coset 1,024
+    expire_after(monkeypatch, 20)  # the last generator's read passes the deadline
     with pytest.raises(CapExceeded) as info:
-        commutator_coset_table(wide(11), Budget().start())
+        commutator_coset_table(wide(10), Budget().start())
     assert info.value.layer == "commutator_coset_table"
     assert info.value.limit == "wall_clock"
+    assert info.traceback[-2].locals["g"] == 9
 
 
 def test_tietze_checks_each_elimination(monkeypatch):

@@ -13,7 +13,7 @@ from adorn.zoo import make
 
 from oracles import (check_model, closure, commutator_coset_table_reference,
                      open_relator_scans, quaternion_model, scan_entries_reference,
-                     todd_coxeter_reference, verify_table)
+                     todd_coxeter_reference, verify_table, wide)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -504,6 +504,14 @@ def finite_h1_presentations(draw):
 # a repeat ahead of a later relator: one column per occurrence numbers
 # these 4 cosets otherwise
 @example(parse_presentation("< x0, x1 | x0^3 x1^2, x0^3 x1^2, x0^3 x1^-2, x0^2 >"))
+# no generators: one coset and an empty row
+@example(GroupPresentation([], []))
+# a perfect group: one coset, every column fixes it
+@example(make("triangle", (2, 3, 5)))
+# b's image is zero in every coordinate: its columns fix every coset
+@example(parse_presentation("< a, b | a^4, b >"))
+# 1,024 cosets over ten coordinates
+@example(wide(10))
 def test_commutator_table_from_torsion_rows(p):
     data = abelianization_data(p)
     for row, d in zip(data.torsion_rows, data.invariants.torsion):
@@ -516,3 +524,8 @@ def test_commutator_table_from_torsion_rows(p):
     # the relators with repeats dropped, p's own when they are distinct
     distinct = GroupPresentation(p.generator_names, dict.fromkeys(p.relators))
     assert t.rows == commutator_coset_table_reference(distinct)
+
+
+def test_commutator_table_holds_one_int_per_coset():
+    t = commutator_coset_table(wide(10))
+    assert len({id(x) for row in t.rows for x in row}) == t.n_cosets
