@@ -17,12 +17,12 @@ from .cosets import (CosetTable, InfiniteIndex, commutator_coset_table,
 from .derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                       AdorabilityWitness, ChainNotNested, FiltrationError,
                       NormalityFails, QuotientNotAbelian, SeriesVerdict,
-                      StageReport, TerminalNotPerfect, derived_series, doa,
+                      StageReport, TerminalNotPerfect, derived_series,
                       verify_filtration)
 from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
-                      PresentationSyntaxError, Word, cyclically_reduce,
-                      free_reduce, format_presentation, format_word,
-                      parse_presentation, tietze_simplify)
+                      PresentationSyntaxError, Word, format_presentation,
+                      format_word, free_reduce, parse_presentation,
+                      tietze_simplify)
 from .rewriting import (reidemeister_schreier, rewrite_presentation,
                         subgroup_words)
 from .zoo import (FAMILIES, CannotCertifyFactorTriviality, SeifertData,

@@ -108,9 +108,11 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     forming a divisor chain; ``u`` is the unimodular row transform, as a
     list of sparse rows (``u[i]`` maps column j to the non-zero u[i][j]).
     With ``transform=False`` no ``u`` is built and None is returned in its
-    place; the pivots, the operations on ``m`` and ``d`` are the same.  Only
-    readers of the rows of ``u`` need it: the commutator coset table and
-    the Alexander polynomial, through :func:`abelianization_data`.
+    place, and only ``d`` is the contract: the divisor-chain diagonal is
+    unique, so any unimodular elimination may reach it, and the unit
+    pre-phase below does.  Only readers of the rows of ``u`` need the exact
+    pivot order: the commutator coset table and the Alexander polynomial,
+    through :func:`abelianization_data`.
 
     Representation: the working matrix ``a`` and ``u`` are lists of sparse
     rows like ``IntMatrix.sparse_rows``, with zeros deleted as soon as they
@@ -158,6 +160,20 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     read.  An empty row offers no pivot and no stray entry, so the scans
     see the same rows in the same order, and the pivots, the operations
     and (d, u) are unchanged.
+
+    Unit pre-phase, ``transform=False`` only (Havas, Holt and Rees, *Linear
+    Algebra Appl.* 192 (1993)): before the pivot loop, the columns are swept
+    in order, and in each column holding an entry of absolute value 1 that
+    entry is taken from the shortest row, ties to the lowest row index.
+    Row additions clear the rest of its column; the pivot's row and column
+    are then emptied in place, with no column operation, as clearing its
+    row by column additions would change no other row.  Each such step
+    splits off a summand 1, ``m = 1 ⊕ m'`` up to unimodular row and column
+    operations, and reads the budget's clock once.  A row addition can make
+    a unit in a column the sweep has passed, so the sweep is repeated until
+    one takes no pivot.  The pivot loop then runs on the rest for
+    ``min(rows, cols) - units`` steps, and ``d`` is ``units`` ones followed
+    by its diagonal.
     """
     nr, nc = m.rows, m.cols
     a = [dict(row) for row in m.sparse_rows]
@@ -280,8 +296,32 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
                     break
         return best
 
+    units = 0
+    found = u is None
+    while found:  # unit pre-phase, for invariants only
+        found = False
+        for j, rows in enumerate(col):
+            i = -1
+            for k in rows:
+                x = a[k][j]
+                if x == 1 or x == -1:
+                    n = len(a[k])
+                    if i < 0 or n < best or (n == best and k < i):
+                        i, best = k, n
+            if i < 0:
+                continue
+            budget.check("smith_normal_form")
+            found = True
+            units += 1
+            s = a[i][j]
+            for k in [k for k in rows if k != i]:
+                add_row(i, k, -a[k][j] * s)
+            for c in a[i]:
+                col[c].remove(i)
+            a[i] = {}
+
     t = 0
-    while t < min(nr, nc):
+    while t < min(nr, nc) - units:
         budget.check("smith_normal_form")
         pos = find_pivot(t)
         if pos is None:
@@ -319,7 +359,7 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
             continue
         t += 1
 
-    return tuple(a[i].get(i, 0) for i in range(min(nr, nc))), u
+    return (1,) * units + tuple(a[i].get(i, 0) for i in range(min(nr, nc) - units)), u
 
 
 def relator_matrix(p: GroupPresentation) -> IntMatrix:
@@ -380,7 +420,9 @@ def abelianization_data(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET,
 
     ``transform`` is passed to :func:`smith_normal_form`.  When it is off,
     no ``u`` is built, and ``free_rows`` and ``torsion_rows`` are None; only
-    ``invariants`` is read.  The callers that read the rows,
+    ``invariants`` is read, and they come from the faster unit pre-phase
+    elimination, which reaches the same unique diagonal by other pivots.
+    The callers that read the rows, which must follow the exact pivot order,
     :func:`~adorn.cosets.commutator_coset_table` and
     :func:`~adorn.alexander.alexander_polynomial`, keep the default."""
     d, u = smith_normal_form(relator_matrix(p), budget, transform=transform)
@@ -398,5 +440,6 @@ def abelianization(p: GroupPresentation,
                    budget: Budget = DEFAULT_BUDGET) -> AbelianInvariants:
     """Invariants of the cokernel of the relator exponent matrix, from
     :func:`abelianization_data` without the row transform: the same
-    pivots and diagonal, with no ``u`` built or kept."""
+    diagonal, reached through the unit pre-phase of
+    :func:`smith_normal_form`, with no ``u`` built or kept."""
     return abelianization_data(p, budget, transform=False).invariants

@@ -10,14 +10,18 @@ fundamental formula lets one minor stand for all of them: deleting the
 column j of least non-zero |e_j|, the minor is the polynomial times
 (t^|e_j| - 1)/(t - 1), which is divided out exactly.  That minor is one
 integer determinant: with each row shifted to honest polynomials, its
-coefficients are at most B = prod_i sum_j ||a_ij||_1 in absolute value,
-so Kronecker substitution t = 2^k, 2^(k-1) > 2B, and Bareiss's
-fraction-free elimination give them back as balanced base-2^k digits.
+coefficients are at most B = ceil(sqrt(prod_i sum_j ||a_ij||_1^2)) in
+absolute value, so Kronecker substitution t = 2^k, 2^(k-1) > 2B, and
+Bareiss's fraction-free elimination give them back as balanced base-2^k
+digits.  B holds because a coefficient of a polynomial is at most its
+largest absolute value on the unit circle |t| = 1, and there Hadamard's
+inequality bounds the determinant by the product of the rows' Euclidean
+norms, with |a_ij(t)| <= ||a_ij||_1.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 from typing import NamedTuple
 
 from .abelian import abelianization_data
@@ -55,22 +59,8 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -180,9 +170,11 @@ def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     balanced base-2^k digits (von zur Gathen and Gerhard, Modern Computer
     Algebra, section 8.4)."""
     lows = [min((e.min_exp() for e in row if e.coeffs), default=0) for row in matrix]
-    bound = prod(sum(abs(c) for e in row for c in e.coeffs.values()) for row in matrix)
-    if not bound:
+    square = prod(sum(sum(map(abs, e.coeffs.values())) ** 2 for e in row)
+                  for row in matrix)
+    if not square:
         return LaurentPoly.zero()
+    bound = isqrt(square - 1) + 1  # ceil(sqrt(square))
     k = (2 * bound).bit_length() + 1
     d = _bareiss_det([[sum(c << k * (x - lo) for x, c in e.coeffs.items()) for e in row]
                       for row, lo in zip(matrix, lows)])
@@ -233,8 +225,9 @@ def alexander_polynomial(p: GroupPresentation,
     (D_k = 0 where e_k = 0), and these cofactors are primitive with gcd
     (t^g - 1)/(t - 1) = 1, since g = gcd(e) = 1 when H1 is Z.  D_j is one
     Bareiss integer determinant after the Kronecker substitution t = 2^k,
-    with k set by the coefficient bound B = prod_i sum_k ||a_ik||_1.  A
-    division that leaves a remainder raises AlexanderError.
+    with k set by Hadamard's coefficient bound
+    B = ceil(sqrt(prod_i sum_k ||a_ik||_1^2)).  A division that leaves a
+    remainder raises AlexanderError.
     """
     data = abelianization_data(p, budget)
     inv = data.invariants

@@ -210,13 +210,6 @@ def derived_series(p: GroupPresentation,
             INCONCLUSIVE, stage=depth, reason=exc.layer, limits_hit=(exc.limit,)))
 
 
-def doa(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> int | None:
-    """Degree of adorability, or None when the verdict is not a
-    certification of adorability."""
-    verdict = derived_series(p, budget).verdict
-    return verdict.doa if verdict.kind == ADORABLE else None
-
-
 # ---------------------------------------------------------------------------
 # filtration witnesses
 

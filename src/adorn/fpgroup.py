@@ -142,15 +142,6 @@ def free_reduce(w: Word) -> Word:
     return Word.of(_freely_reduced(w.letters))
 
 
-def cyclically_reduce(w: Word) -> Word:
-    """Freely reduce, then strip cancelling first/last letters.
-
-    The result is conjugate to the input and both freely and cyclically
-    reduced.
-    """
-    return Word.of(_cyclically_reduced(w.letters))
-
-
 def period(letters: Sequence[int]) -> int:
     """Length of the primitive root ``s`` of a non-empty word ``s^k``: the
     rotations of ``s^k`` are exactly the first ``period`` ones.  Each letter

@@ -22,6 +22,7 @@ one table row and one label row per letter.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from .cosets import CosetTable
@@ -29,29 +30,40 @@ from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
                       Simplified, Word, free_reduce, period, tietze_simplify)
 
 
-def _schreier_labels(t: CosetTable) -> tuple[list[list[int]], int]:
+def _schreier_labels(t: CosetTable, budget: Budget = DEFAULT_BUDGET,
+                     ) -> tuple[list[list[int]], int]:
     """The edge labelling and the number of Schreier generators: generator
     k is the k-th non-tree edge (coset a, column 2g) in (a, g) order, and
-    crossing it backwards reads its inverse."""
+    crossing it backwards reads its inverse.  The budget is checked once
+    per block of ``INDEX_BLOCK`` cosets after the first, in the
+    breadth-first search and in the numbering."""
     rows = t.rows
     ncols = 2 * t.n_generators
     labels = [[None] * ncols for _ in range(t.n_cosets)]
     seen = [False] * t.n_cosets
     seen[0] = True
     queue = [0]
-    for a in queue:  # grows while it is read: breadth-first order
-        for x, b in enumerate(rows[a]):
-            if not seen[b]:
-                seen[b] = True
-                labels[a][x] = labels[b][x ^ 1] = -1
-                queue.append(b)
+    unread = iter(queue)  # sees what is appended while it is read: BFS order
+    for start in range(0, t.n_cosets, INDEX_BLOCK):
+        if start:
+            budget.check("rewrite_presentation")
+        for a in islice(unread, INDEX_BLOCK):
+            for x, b in enumerate(rows[a]):
+                if not seen[b]:
+                    seen[b] = True
+                    labels[a][x] = labels[b][x ^ 1] = -1
+                    queue.append(b)
     k = 0
-    for a, row in enumerate(labels):
-        for x in range(0, ncols, 2):
-            if row[x] is None:
-                row[x] = 2 * k
-                labels[rows[a][x]][x ^ 1] = 2 * k + 1
-                k += 1
+    unnumbered = enumerate(labels)
+    for start in range(0, t.n_cosets, INDEX_BLOCK):
+        if start:
+            budget.check("rewrite_presentation")
+        for a, row in islice(unnumbered, INDEX_BLOCK):
+            for x in range(0, ncols, 2):
+                if row[x] is None:
+                    row[x] = 2 * k
+                    labels[rows[a][x]][x ^ 1] = 2 * k + 1
+                    k += 1
     return labels, k
 
 
@@ -74,9 +86,10 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
     simplification: relator by relator, the rewrite from each coset in
     coset order.  Each relator is walked from the least coset of every
     orbit of its primitive root, and that rewrite stands for the whole
-    orbit.  The budget is checked once per ambient relator and once per
-    block of ``INDEX_BLOCK`` orbits within it."""
-    labels, n_schreier = _schreier_labels(t)
+    orbit.  The budget is checked while the edges are labelled, once per
+    ambient relator, and once per block of ``INDEX_BLOCK`` orbits within
+    it."""
+    labels, n_schreier = _schreier_labels(t, budget)
     rows = t.rows
     relators = []
     for r in p.relators:
@@ -113,7 +126,7 @@ def subgroup_words(t: CosetTable, words: Iterable[Word]) -> list[Word]:
     """Express words lying in the subgroup of coset 0 in terms of its
     Schreier generators (matching :func:`rewrite_presentation` numbering),
     freely reduced; one labelling serves every word."""
-    labels, _ = _schreier_labels(t)
+    labels, _ = _schreier_labels(t, DEFAULT_BUDGET)
     out = []
     for w in words:
         if t.word_act(0, w) != 0:

@@ -43,6 +43,10 @@ relator, deduplicated.
 The reference canonical relator is the library's as it was before it took
 only the rotations within the first period of a power: every rotation of
 the word and of its inverse that starts at the least letter.
+
+The last section holds helpers that only the tests use, moved out of the
+package: ``doa``, ``cyclically_reduce``, and ``laurent_add`` and
+``laurent_mul`` for the sum and product of Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ from adorn.abelian import IntMatrix, abelianization, abelianization_data
 from adorn.alexander import (AlexanderError, DeficiencyMismatch, LaurentPoly,
                              NotKnotLike, fox_derivative)
 from adorn.cosets import CapExceeded
+from adorn.derived import ADORABLE, derived_series
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
-                           Simplified, Word, cyclically_reduce, free_reduce)
+                           Simplified, Word, _cyclically_reduced, free_reduce)
 from adorn.rewriting import _rewrite, _schreier_labels
 
 Perm = tuple[int, ...]
@@ -1023,8 +1028,8 @@ def _laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
             if entry.is_zero():
                 continue
             sub = minor(row + 1, cols[:k] + cols[k + 1:])
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
+            term = laurent_mul(entry, sub)
+            total = laurent_add(total, term if k % 2 == 0 else -term)
         memo[cols] = total
         return total
 
@@ -1052,7 +1057,8 @@ def _pseudo_rem(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         lf, lg = f.max_exp(), g.max_exp()
         cf, cg = f.coeffs[lf], g.coeffs[lg]
         d = gcd(cf, cg)
-        f = f * LaurentPoly({0: cg // d}) + g * LaurentPoly({lf - lg: -(cf // d)})
+        f = laurent_add(laurent_mul(f, LaurentPoly({0: cg // d})),
+                        laurent_mul(g, LaurentPoly({lf - lg: -(cf // d)})))
     return f
 
 
@@ -1071,7 +1077,7 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     f, g = _primitive(f), _primitive(g)
     while not g.is_zero():
         f, g = g, _primitive(_pseudo_rem(f, g).normalized())
-    return (f * LaurentPoly({0: content})).normalized()
+    return laurent_mul(f, LaurentPoly({0: content})).normalized()
 
 
 def alexander_polynomial_reference(p: GroupPresentation) -> LaurentPoly:
@@ -1183,3 +1189,39 @@ def quaternion_model() -> tuple[list[Perm], "object"]:
     gi = tuple(table[(idx["i"], x)] for x in range(8))
     gj = tuple(table[(idx["j"], x)] for x in range(8))
     return [gi, gj], table
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers, moved out of the package
+
+
+def doa(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> int | None:
+    """Degree of adorability, or None when the verdict is not a
+    certification of adorability."""
+    verdict = derived_series(p, budget).verdict
+    return verdict.doa if verdict.kind == ADORABLE else None
+
+
+def cyclically_reduce(w: Word) -> Word:
+    """Freely reduce, then strip cancelling first/last letters.
+
+    The result is conjugate to the input and both freely and cyclically
+    reduced.
+    """
+    return Word.of(_cyclically_reduced(w.letters))
+
+
+def laurent_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    out = dict(f.coeffs)
+    for e, c in g.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)
+
+
+def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    out: dict[int, int] = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return LaurentPoly(out)

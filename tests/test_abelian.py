@@ -199,8 +199,46 @@ def test_snf_skips_rows_that_died():
     assert d == (1,) * c and len(u) == 2 * c
 
 
+@st.composite
+def unit_rich_matrices(draw):
+    # entries in {-1, 0, 1, 2, 3}: most columns hold a unit, so the unit
+    # pre-phase takes most pivots, and its row additions make new units,
+    # some in columns its sweep has passed
+    r = draw(st.integers(0, 9))
+    c = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.lists(st.sampled_from((-1, 0, 1, 2, 3)), min_size=c,
+                                  max_size=c), min_size=r, max_size=r))
+    return IntMatrix.from_rows(rows) if r else IntMatrix(0, c, ())
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_rich_matrices())
+@example(IntMatrix.from_rows([[2, 1], [3, 1]]))  # the second unit needs a re-sweep
+@example(IntMatrix.from_rows([[1, 1, 1], [1, 1, 1]]))  # the second row dies
+@example(IntMatrix.from_rows([[3, 2], [2, 3], [1, 1]]))
+def test_unit_prephase_diagonal_equals_reference(m):
+    assert smith_normal_form(m, transform=False)[0] == _reference_rows(m)[0]
+
+
 def _raw_rewrite(p):
     return rewrite_presentation(p, commutator_coset_table(p))
+
+
+SMALL_FINITE = [
+    parse_presentation("< a, b | a^2, b^2, (a b)^3 >"),  # S3
+    parse_presentation("< a, b | a^4, b^2 a^-2, b^-1 a b a >"),  # Q8
+    parse_presentation("< a, b | a^4, b^6, a b a^-1 b^-1 >"),  # Z/4 x Z/6
+    make("triangle", (2, 2, 5)),  # D5
+    make("triangle", (2, 3, 3)),  # A4
+    make("triangle", (2, 3, 4)),  # S4
+]
+
+
+@pytest.mark.parametrize("p", SMALL_FINITE, ids=["S3", "Q8", "Z4xZ6", "D5", "A4", "S4"])
+def test_unit_prephase_on_raw_rewrites_of_finite_groups(p):
+    raw = _raw_rewrite(p)
+    for m in (relator_matrix(raw), relator_matrix_reference(raw)):
+        assert smith_normal_form(m, transform=False)[0] == _reference_rows(m)[0]
 
 
 RAW_REWRITES = [

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from adorn.fpgroup import (GroupPresentation, Word, free_reduce, parse_presentat
 from adorn.zoo import make
 
 from oracles import (GroupRingElement, _laurent_det, alexander_polynomial_reference,
-                     fox_derivative_reference, laurent_gcd)
+                     fox_derivative_reference, laurent_add, laurent_gcd, laurent_mul)
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -76,8 +77,9 @@ def test_fox_fundamental_formula(w, e):
     # sum_g dw/dg (g - 1) = w - 1 in Z[F], pushed through g -> t^e(g)
     total = LaurentPoly.zero()
     for g in range(3):
-        total = total + fox_derivative(w, g, e) * (poly({e[g]: 1}) + poly({0: -1}))
-    assert total == poly({sum(s * e[g] for g, s in w): 1}) + poly({0: -1})
+        g_minus_one = laurent_add(poly({e[g]: 1}), poly({0: -1}))
+        total = laurent_add(total, laurent_mul(fox_derivative(w, g, e), g_minus_one))
+    assert total == laurent_add(poly({sum(s * e[g] for g, s in w): 1}), poly({0: -1}))
 
 
 def test_laurent_normalization_and_format():
@@ -159,6 +161,19 @@ def test_division_by_geometric_sum():
         _divide_by_geometric_sum(poly({2: 1, 0: 1}), 3)
 
 
+HADAMARD_4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+HADAMARD_8 = [row + row for row in HADAMARD_4] + [row + [-x for x in row]
+                                                  for row in HADAMARD_4]
+
+
+def test_hadamard_examples_meet_the_bound():
+    # the constant +-1 Hadamard matrix of order n has |det| = n^(n/2), which
+    # is B = sqrt(prod_i sum_j 1): the Kronecker width leaves no slack
+    for h, d in ((HADAMARD_4, 16), (HADAMARD_8, 4096)):
+        assert abs(_laurent_det([[poly({0: x}) for x in row] for row in h])
+                   .coeffs[0]) == d == math.isqrt(len(h) ** len(h))
+
+
 laurent_entries = st.dictionaries(st.integers(-6, 6), st.integers(-10**6, 10**6),
                                   max_size=3).map(LaurentPoly)
 
@@ -179,6 +194,13 @@ def laurent_matrices(draw):
 @example([[poly({-2: 10**6, 3: -10**6})]])
 @example([[poly({0: 1}), poly({1: 1})], [poly({-1: 1}), poly({0: 1})]])  # det 0
 @example([[poly({}), poly({1: -3})], [poly({-4: 5}), poly({})]])  # zero pivot
+# Hadamard's bound is tight on these: |det| = B exactly
+@example([[poly({0: x}) for x in row] for row in HADAMARD_4])  # det 16
+@example([[poly({0: -x}) for x in row] if i == 2 else [poly({0: x}) for x in row]
+          for i, row in enumerate(HADAMARD_4)])  # det -16
+@example([[poly({0: x}) for x in row] for row in HADAMARD_8])  # det 4096
+@example([[poly({-3: 1}), poly({-3: 1})], [poly({2: 1}), poly({2: -1})]])  # -2t^-1
+@example([[poly({5: -10**6})]])
 def test_kronecker_determinant_equals_cofactor_expansion(m):
     assert _kronecker_det(m) == _laurent_det(m)
 

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from adorn import cosets, fpgroup
+from adorn import cosets, fpgroup, rewriting
 from adorn.abelian import IntMatrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
@@ -153,6 +153,56 @@ def test_smith_normal_form_checks_each_pivot(monkeypatch):
     assert info.value.limit == "wall_clock"
 
 
+def test_unit_prephase_checks_each_unit_pivot(monkeypatch):
+    # the matrix of test_snf_skips_rows_that_died: each column's first unit
+    # clears the other, so the pre-phase takes all c pivots and the pivot
+    # loop runs no step
+    c = 50
+    m = IntMatrix(2 * c, c, tuple({i // 2: (-1) ** i} for i in range(2 * c)))
+    expire_after(monkeypatch, 1 + c)  # start, then one read per unit pivot
+    assert smith_normal_form(m, Budget().start(), transform=False) == ((1,) * c, None)
+    expire_after(monkeypatch, c)  # the last unit pivot's read is late
+    with pytest.raises(CapExceeded) as info:
+        smith_normal_form(m, Budget().start(), transform=False)
+    assert info.value.layer == "smith_normal_form"
+    assert info.value.limit == "wall_clock"
+    stopped = info.traceback[-2].locals
+    assert stopped["units"] == c - 1 and "t" not in stopped  # in the pre-phase
+
+
+def test_unit_prephase_sweeps_again_for_a_unit_it_passed(monkeypatch):
+    # column 0 has no unit; the pivot in column 1 makes row 1 (1, 0)
+    m = IntMatrix.from_rows([[2, 1], [3, 1]])
+    expire_after(monkeypatch, 3)  # start, then both unit pivots
+    assert smith_normal_form(m, Budget().start(), transform=False) == ((1, 1), None)
+    expire_after(monkeypatch, 2)
+    with pytest.raises(CapExceeded) as info:
+        smith_normal_form(m, Budget().start(), transform=False)
+    assert info.value.layer == "smith_normal_form"
+    stopped = info.traceback[-2].locals
+    assert stopped["units"] == 1 and "t" not in stopped
+
+
+def test_schreier_labels_check_each_block_of_cosets(monkeypatch):
+    # wide(10)'s commutator table has 1,024 cosets: with blocks of 256, the
+    # search and the numbering each read the clock at cosets 256, 512, 768
+    table = commutator_coset_table(wide(10))
+    want = rewriting._schreier_labels(table)
+    monkeypatch.setattr(rewriting, "INDEX_BLOCK", 256)
+    expire_after(monkeypatch, 7)  # start, then three reads in each loop
+    assert rewriting._schreier_labels(table, Budget().start()) == want
+    for reads, numbering, coset in [(1, False, 256), (3, False, 768),
+                                    (4, True, 256), (6, True, 768)]:
+        expire_after(monkeypatch, reads)
+        with pytest.raises(CapExceeded) as info:
+            rewriting._schreier_labels(table, Budget().start())
+        assert info.value.layer == "rewrite_presentation"
+        assert info.value.limit == "wall_clock"
+        stopped = info.traceback[-2].locals
+        assert ("k" in stopped) == numbering
+        assert stopped["start"] == coset
+
+
 def test_rewrite_checks_each_relator(monkeypatch):
     p = make("triangle", (2, 3, 4))
     table = commutator_coset_table(p)
@@ -170,9 +220,11 @@ def test_rewrite_checks_each_block_of_orbits(monkeypatch):
     p = parse_presentation("< a, b | a^5000, b = a >")
     n = 5000
     table = CosetTable(2, [[(c + 1) % n, (c - 1) % n] * 2 for c in range(n)])
-    expire_after(monkeypatch, 4)  # start, both relators, then orbit 4,097
+    # start, coset 4,097 of the labelling's search and of its numbering,
+    # both relators, then orbit 4,097
+    expire_after(monkeypatch, 6)
     assert rewrite_presentation(p, table, Budget().start()).n_relators == 2 * n
-    expire_after(monkeypatch, 3)
+    expire_after(monkeypatch, 5)
     with pytest.raises(CapExceeded) as info:
         rewrite_presentation(p, table, Budget().start())
     assert info.value.layer == "rewrite_presentation"

@@ -6,11 +6,11 @@ from adorn.derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
                            ChainNotNested, FLAG_FREE, FLAG_PARTIAL,
                            FLAG_TRIVIAL, NormalityFails, QuotientNotAbelian,
                            TerminalNotPerfect, derived_series,
-                           doa, step_cache_key, verify_filtration)
+                           step_cache_key, verify_filtration)
 from adorn.fpgroup import Budget, Word, format_presentation, parse_presentation
 from adorn.zoo import make
 
-from oracles import derived_series_quotients, perm_doa, quaternion_model
+from oracles import derived_series_quotients, doa, perm_doa, quaternion_model
 
 A = Word.gen(0)
 B = Word.gen(1)

@@ -10,14 +10,14 @@ from adorn.abelian import abelianization, abelianization_data
 from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            PresentationSyntaxError, Word,
-                           _subword_replacement, canonical_relator, cyclically_reduce,
+                           _subword_replacement, canonical_relator,
                            format_presentation, free_reduce,
                            parse_presentation, period, tietze_simplify)
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
 
 from oracles import (canonical_relator_pairs, canonical_relator_reference,
-                     tietze_simplify_reference, wide)
+                     cyclically_reduce, tietze_simplify_reference, wide)
 
 
 def W(*letters):
