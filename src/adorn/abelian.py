@@ -6,9 +6,11 @@ past machine precision even for small presentations.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation
+from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation, _in_blocks
 
 
 class _IntMatrix(NamedTuple):
@@ -174,10 +176,16 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     one takes no pivot.  The pivot loop then runs on the rest for
     ``min(rows, cols) - units`` steps, and ``d`` is ``units`` ones followed
     by its diagonal.
+
+    A matrix with no non-zero entry, such as that of a stage with no
+    relator, returns at once: ``d`` is all zeros and ``u`` the identity,
+    as the pivot loop would leave them, with no working state built.
     """
     nr, nc = m.rows, m.cols
-    a = [dict(row) for row in m.sparse_rows]
     u = [{i: 1} for i in range(nr)] if transform else None
+    if not any(m.sparse_rows):
+        return (0,) * min(nr, nc), u
+    a = [dict(row) for row in m.sparse_rows]
     # nxt[i] > i: rows i .. nxt[i] - 1 are known empty; nxt[i] == i: unknown
     nxt = list(range(nr + 1))
     col: list[set[int]] = [set() for _ in range(nc)]
@@ -362,11 +370,15 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     return (1,) * units + tuple(a[i].get(i, 0) for i in range(min(nr, nc) - units)), u
 
 
-def relator_matrix(p: GroupPresentation) -> IntMatrix:
+def relator_matrix(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> IntMatrix:
     """Exponent-sum matrix, one row per generator and one column per
     distinct relator, in first-occurrence order: entry (g, r) is the
     exponent sum of generator g in the r-th distinct relator.  Built from
-    the relator words' letters, without a dense pass.
+    the relator words' letters, without a dense pass; relators are told
+    apart by their letter tuples, with no ``Word.__hash__`` call.  The
+    budget's clock is read once per block of ``INDEX_BLOCK`` distinct
+    relators after the first, as layer ``relator_matrix``;
+    :func:`abelianization_data` passes its budget on.
 
     A repeated relator is a repeated column, which spans no new relation,
     so dropping it leaves the relation lattice, and with it every
@@ -377,10 +389,11 @@ def relator_matrix(p: GroupPresentation) -> IntMatrix:
     leader's word, so most of its relators are repeats.  For a presentation
     whose relators are pairwise distinct the matrix is the one-column-per-
     relator matrix, column for column."""
-    distinct = dict.fromkeys(p.relators)
+    distinct = list(dict.fromkeys(map(attrgetter("letters"), p.relators)))
     rows: list[dict[int, int]] = [{} for _ in range(p.n_generators)]
-    for r, rel in enumerate(distinct):
-        for x in rel.letters:
+    blocks = _in_blocks(distinct, budget, "relator_matrix")
+    for r, letters in enumerate(chain.from_iterable(blocks)):
+        for x in letters:
             row = rows[x >> 1]
             e = row.get(r, 0) + (-1 if x & 1 else 1)
             if e:
@@ -425,7 +438,7 @@ def abelianization_data(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET,
     The callers that read the rows, which must follow the exact pivot order,
     :func:`~adorn.cosets.commutator_coset_table` and
     :func:`~adorn.alexander.alexander_polynomial`, keep the default."""
-    d, u = smith_normal_form(relator_matrix(p), budget, transform=transform)
+    d, u = smith_normal_form(relator_matrix(p, budget), budget, transform=transform)
     diag = list(d) + [0] * (p.n_generators - len(d))
     inv = AbelianInvariants(diag.count(0), tuple(x for x in diag if x >= 2))
     if u is None:

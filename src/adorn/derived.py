@@ -14,8 +14,9 @@ producing one report per stage and a verdict:
   continue by coset enumeration.
 * ``Inconclusive`` — a resource limit was hit first.  When a layer raised
   :class:`CapExceeded`, ``limits_hit`` names the limit the exception carries
-  and ``reason`` the layer that stopped (``smith_normal_form``,
-  ``commutator_coset_table``, ``rewrite_presentation``, ``tietze_simplify``).
+  and ``reason`` the layer that stopped (``relator_matrix``,
+  ``smith_normal_form``, ``commutator_coset_table``, ``rewrite_presentation``,
+  ``tietze_simplify``).
 
 Soundness rule: "manifestly free" and "manifestly trivial" mean zero
 relators / zero generators, which are cap-independent facts, so capped

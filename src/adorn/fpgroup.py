@@ -166,6 +166,13 @@ def _canonical(letters: Iterable[int]) -> tuple[int, ...]:
     freely reduced, cyclically reduced and rotated to the least rotation of
     the word or its inverse, in one pass over the letters and with no
     intermediate :class:`Word`.
+    """
+    return _least_rotation(_cyclically_reduced(letters))
+
+
+def _least_rotation(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of ``a`` or its inverse, for letter codes ``a``
+    already cyclically reduced: the last step of :func:`_canonical`.
 
     The least rotation begins with ``m``, the least letter code of the word
     and its inverse: a code ``x`` and its inverse ``x ^ 1`` are both at
@@ -175,7 +182,6 @@ def _canonical(letters: Iterable[int]) -> tuple[int, ...]:
     ``m`` only then), and of a power ``s^k`` (or its inverse, of the same
     period) only those within the first period.
     """
-    a = _cyclically_reduced(letters)
     if not a:
         return a
     m = min(a) & -2
@@ -214,6 +220,15 @@ class GroupPresentation:
     often it repeats: the memo is keyed by the letter tuple, so equal words
     share an entry whatever object carries them.  Immutable; ``name`` is a
     label that equality and hashing ignore.
+
+    The constructor, and so the parser and :meth:`with_relators`, checks
+    everything.  :meth:`_trusted` checks nothing and sets the fields as
+    given.  Only the package's two producers of canonical relators call it,
+    the raw rewrite (:func:`adorn.rewriting.rewrite_presentation`) and
+    :func:`tietze_simplify`, and each promises what the constructor would
+    establish: valid, pairwise distinct names, and a tuple of relators that
+    are canonical (as :func:`canonical_relator` leaves them), non-empty and
+    on those generators.  So the result equals the constructor's.
     """
 
     __slots__ = ("generator_names", "relators", "name")
@@ -242,6 +257,17 @@ class GroupPresentation:
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "name", name)
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], relators: tuple[Word, ...],
+                 name: str = "") -> "GroupPresentation":
+        """The presentation with exactly these fields, unchecked: see the
+        class docstring for who may call this and what they promise."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "generator_names", names)
+        object.__setattr__(p, "relators", relators)
+        object.__setattr__(p, "name", name)
+        return p
 
     def __setattr__(self, attr: str, value: object = None) -> None:
         raise AttributeError(f"GroupPresentation is immutable: cannot set {attr!r}")
@@ -482,6 +508,15 @@ def format_presentation(p: GroupPresentation) -> str:
 INDEX_BLOCK = 4096
 
 
+def _in_blocks(items: Sequence, budget: Budget, layer: str) -> Iterator[Sequence]:
+    """``items`` in slices of ``INDEX_BLOCK``, the budget's clock read
+    before each slice after the first."""
+    for start in range(0, len(items), INDEX_BLOCK):
+        if start:
+            budget.check(layer)
+        yield items[start:start + INDEX_BLOCK]
+
+
 def _subword_sources(s: tuple[int, ...], length: int
                      ) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
     """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
@@ -563,6 +598,19 @@ def tietze_simplify(p: GroupPresentation,
     relator's length and its generator's total count, so a change pushes the
     keys of the generators whose count moved and of the relators added, then
     pushes back the keys the cap blocked.
+
+    The output renumbers the generators left in order, ``g -> remap[g]``,
+    sorts the relators by ``(len, letters)`` and is built through
+    :meth:`GroupPresentation._trusted`, with no second canonicalisation.
+    The live relators are canonical and pairwise distinct, and the
+    renumbering keeps both.  On letter codes it is ``2g + e -> 2 remap[g]
+    + e``, which is injective, commutes with inversion (``x ^ 1``) and is
+    increasing because ``remap`` is.  So it keeps reduction, and it maps
+    the rotations of a word and of its inverse onto those of the image in
+    the same lexicographic order: the least rotation stays least.  The
+    clock is read once per block of ``INDEX_BLOCK`` relators after the
+    first while the letters are renumbered, and again while the words are
+    built.
     """
     n_gens = p.n_generators
     rels: list[tuple[int, ...] | None] = [r.letters for r in p.relators]
@@ -707,11 +755,18 @@ def tietze_simplify(p: GroupPresentation,
     del size, counts, occ, where, ids, heap  # free the index before the output
     gone = set(removed)
     alive = [g for g in range(n_gens) if g not in gone]
-    remap = {g: i for i, g in enumerate(alive)}
-    final = [tuple([2 * remap[x >> 1] + (x & 1) for x in r]) for r in rels if r is not None]
+    code = [0] * (2 * n_gens)  # old letter code -> new, increasing on alive
+    for i, g in enumerate(alive):
+        code[2 * g], code[2 * g + 1] = 2 * i, 2 * i + 1
+    live = [r for r in rels if r is not None]
+    final = [tuple(map(code.__getitem__, r))
+             for block in _in_blocks(live, budget, "tietze_simplify") for r in block]
     final.sort(key=lambda r: (len(r), r))
-    out = GroupPresentation(tuple(p.generator_names[g] for g in alive),
-                            map(Word.of, final), name=p.name)
+    out = GroupPresentation._trusted(
+        tuple(p.generator_names[g] for g in alive),
+        tuple([Word.of(r) for block in _in_blocks(final, budget, "tietze_simplify")
+               for r in block]),
+        p.name)
     if out.n_generators > budget.max_generators:
         hit = True
     if out.total_relator_length > budget.max_total_relator_length:

@@ -10,7 +10,10 @@ but a relator ``r = s^k`` with primitive root ``s`` is walked only once per
 ⟨s⟩-orbit of cosets: the walk of ``r`` from ``a·s^j`` is the walk from
 ``a`` started at letter ``j·len(s)``, so its rewrite is a rotation of the
 rewrite from ``a`` and has the same canonical relator (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, §2.5).  The raw
+O'Brien, *Handbook of Computational Group Theory*, §2.5).  So each orbit's
+word is canonicalised once, inside the walk loop, and every coset of the
+orbit is handed that one canonical word; the presentation is built through
+the trusted constructor, which canonicalises nothing again.  The raw
 presentation has exactly ``n_cosets * n_generators - (n_cosets - 1)``
 generators; it is then passed through Tietze simplification.
 
@@ -27,7 +30,8 @@ from typing import Iterable
 
 from .cosets import CosetTable
 from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
-                      Simplified, Word, free_reduce, period, tietze_simplify)
+                      Simplified, Word, _least_rotation, free_reduce, period,
+                      tietze_simplify)
 
 
 def _schreier_labels(t: CosetTable, budget: Budget = DEFAULT_BUDGET,
@@ -83,12 +87,22 @@ def _rewrite(t: CosetTable, labels: list[list[int]], w: Word, start: int) -> Wor
 def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                          budget: Budget = DEFAULT_BUDGET) -> GroupPresentation:
     """Raw subgroup presentation on Schreier generators, before
-    simplification: relator by relator, the rewrite from each coset in
-    coset order.  Each relator is walked from the least coset of every
-    orbit of its primitive root, and that rewrite stands for the whole
-    orbit.  The budget is checked while the edges are labelled, once per
-    ambient relator, and once per block of ``INDEX_BLOCK`` orbits within
-    it."""
+    simplification: relator by relator, the canonical rewrite from each
+    coset in coset order.  Each relator is walked from the least coset of
+    every orbit of its primitive root, and that rewrite, canonicalised
+    once, stands for the whole orbit: every coset of the orbit holds the
+    same :class:`Word`.
+
+    The letters read need no reduction, only their least rotation.  A
+    relator is cyclically reduced, so its walk is a closed walk in the
+    coset graph that never turns back along the edge it came by.  No such
+    walk lies in the spanning tree, so the walk reads a letter; and an edge
+    read, a path in the tree, then the same edge backwards would turn back,
+    so no two neighbouring letters read cancel, cyclically either.  The
+    relators are thus canonical, non-empty and on the Schreier generators,
+    and the result is built by ``GroupPresentation._trusted``.  The budget
+    is checked while the edges are labelled, once per ambient relator, and
+    once per block of ``INDEX_BLOCK`` orbits within it."""
     labels, n_schreier = _schreier_labels(t, budget)
     rows = t.rows
     relators = []
@@ -114,12 +128,13 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
                     if y >= 0:
                         read.append(y)
                     c = rows[c][x]
-            w = Word.of(read)
+            w = Word.of(_least_rotation(tuple(read)))
             for b in orbit:
                 out[b] = w
         relators.extend(out)
-    return GroupPresentation(tuple(f"x{i}" for i in range(n_schreier)), relators,
-                             name=f"[{p.name or 'G'} : index {t.n_cosets}]")
+    return GroupPresentation._trusted(tuple(f"x{i}" for i in range(n_schreier)),
+                                      tuple(relators),
+                                      f"[{p.name or 'G'} : index {t.n_cosets}]")
 
 
 def subgroup_words(t: CosetTable, words: Iterable[Word]) -> list[Word]:

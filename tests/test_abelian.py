@@ -65,6 +65,16 @@ def test_snf_zero_rows():
     assert det(ref_v) in (1, -1)
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 0), (225, 0), (32, 1), (3, 4), (7, 7), (0, 3)])
+def test_snf_of_a_zero_matrix_equals_reference(rows, cols):
+    # no non-zero entry: the early return must give the loop's (d, u)
+    m = IntMatrix(rows, cols, tuple({} for _ in range(rows)))
+    ref_d, ref_u = _reference_rows(m)
+    assert ref_d == (0,) * min(rows, cols)
+    assert _snf_rows(m) == (ref_d, ref_u)
+    assert smith_normal_form(m, transform=False) == (ref_d, None)
+
+
 def test_snf_single_entry():
     assert snf_checked([[12]]) == [12]
 

@@ -12,14 +12,14 @@ import pathlib
 import pytest
 
 from adorn import cosets, fpgroup, rewriting
-from adorn.abelian import IntMatrix, smith_normal_form
+from adorn.abelian import IntMatrix, relator_matrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
                           todd_coxeter)
 from adorn.derived import (INCONCLUSIVE, QuotientNotAbelian, derived_series,
                            step_cache_key, verify_filtration)
-from adorn.fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, parse_presentation,
-                           tietze_simplify)
+from adorn.fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation, Word,
+                           parse_presentation, tietze_simplify)
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, certify_nontrivial,
                        free_product_verdict, make)
@@ -296,6 +296,70 @@ def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
     assert info.value.limit == "wall_clock"
     indexing = next(e for e in info.traceback if e.name == "tietze_simplify")
     assert "removed" not in indexing.locals  # the pass loop never began
+
+
+def most_built_between_reads(monkeypatch):
+    """Count, in place of wall time, the relators canonicalised (calls of
+    ``_least_rotation``, the step every canonicalisation ends in) and the
+    words built (``Word.of`` calls) since the last clock read; the
+    returned dict holds the most of each seen."""
+    most = {"canonical": 0, "built": 0}
+    since = dict(most)
+
+    def clock():
+        since.update(canonical=0, built=0)
+        return 0.0
+
+    def counted(kind, fn):
+        def call(letters):
+            since[kind] += 1
+            most[kind] = max(most[kind], since[kind])
+            return fn(letters)
+        return call
+
+    canonical = counted("canonical", fpgroup._least_rotation)
+    monkeypatch.setattr(fpgroup, "clock", clock)
+    monkeypatch.setattr(fpgroup, "_least_rotation", canonical)
+    monkeypatch.setattr(rewriting, "_least_rotation", canonical)
+    monkeypatch.setattr(Word, "of", staticmethod(counted("built", Word.of)))
+    return most
+
+
+def test_series_canonicalises_a_block_of_relators_per_clock_read(monkeypatch):
+    # wide(10)'s raw rewrite has 10,240 relators in 5,120 orbits, each
+    # canonicalised and built once; none is canonicalised again on its way
+    # into the presentation, where no clock is read
+    p = wide(10)
+    most = most_built_between_reads(monkeypatch)
+    _, verdict = derived_series(p)
+    assert verdict.kind == "NonAdorableCertified"
+    assert 0 < most["canonical"] <= INDEX_BLOCK
+    assert 0 < most["built"] <= INDEX_BLOCK
+
+
+def test_tietze_builds_its_output_a_block_per_clock_read(monkeypatch):
+    # 300 relators x_i^2 that Tietze cannot shorten: with blocks of 64, the
+    # index, the renumbering and the output words each read the clock at
+    # relators 64, 128, 192 and 256
+    n = 300
+    p = GroupPresentation([f"x{i}" for i in range(n)], [Word.gen(i) ** 2 for i in range(n)])
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most = most_built_between_reads(monkeypatch)
+    assert tietze_simplify(p, Budget().start()).presentation == p
+    assert most["canonical"] == 0 and most["built"] == 64
+
+
+def test_relator_matrix_checks_each_block_of_relators(monkeypatch):
+    # ten distinct relators in blocks of four: reads at relators 4 and 8
+    p = parse_presentation("< a, b | " + ", ".join(f"a^{k} b" for k in range(1, 11)) + " >")
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 4)
+    expire_after(monkeypatch, 3)  # start, then both block reads
+    assert relator_matrix(p, Budget().start()).cols == 10
+    expire_after(monkeypatch, 2)
+    with pytest.raises(CapExceeded) as info:
+        relator_matrix(p, Budget().start())
+    assert info.value.layer == "relator_matrix"
+    assert info.value.limit == "wall_clock"
 
 
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):

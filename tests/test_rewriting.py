@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adorn.abelian import abelianization
-from adorn.cosets import CosetTable, commutator_coset_table, todd_coxeter
-from adorn.fpgroup import GroupPresentation, Word, free_reduce, parse_presentation
+from adorn.cosets import CapExceeded, CosetTable, commutator_coset_table, todd_coxeter
+from adorn.fpgroup import (Budget, GroupPresentation, Word, free_reduce, parse_presentation,
+                           tietze_simplify)
 from adorn.rewriting import (_rewrite, _schreier_labels, reidemeister_schreier,
                              rewrite_presentation, subgroup_words)
 from adorn.zoo import make
@@ -198,6 +199,52 @@ def test_rewrite_matches_every_coset_reference(case):
 def test_rewrite_matches_reference_on_pinned_tables(p, sub):
     t = todd_coxeter(p, sub) if sub else commutator_coset_table(p)
     assert_matches_reference(p, t)
+
+
+@st.composite
+def closing_enumerations(draw):
+    """Todd-Coxeter inputs in the style of the enumeration tests: 1-3
+    generators of finite order, up to three more random relators, some
+    powers or repeated, and up to one subgroup word; kept when the
+    enumeration closes within 1,000 cosets."""
+    n = draw(st.integers(1, 3))
+    letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    rels = [Word.gen(g) ** draw(st.integers(2, 5)) for g in range(n)]
+    for w in draw(st.lists(st.lists(letters, min_size=1, max_size=8).map(Word), max_size=3)):
+        shape = draw(st.sampled_from(("plain", "plain", "power", "repeat")))
+        if shape == "power":
+            w = w ** draw(st.integers(2, 4))
+        rels += [w, w] if shape == "repeat" else [w]
+    p = GroupPresentation([f"x{i}" for i in range(n)], draw(st.permutations(rels)))
+    sub = draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(Word), max_size=1))
+    try:
+        todd_coxeter(p, sub, Budget(max_cosets=1000))
+    except CapExceeded:
+        assume(False)
+    return p, sub
+
+
+def assert_as_constructed(p):
+    """``p`` equals the public constructor's presentation on its fields."""
+    q = GroupPresentation(p.generator_names, p.relators, p.name)
+    assert p.generator_names == q.generator_names
+    assert [r.letters for r in p.relators] == [r.letters for r in q.relators]
+    assert p.name == q.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(closing_enumerations(), power_quotients()))
+@example((wide(6), None))
+@example((make("fuchsian", (0, (4, 4, 4, 4))), None))
+def test_trusted_presentations_equal_the_constructors(case):
+    # the raw rewrite and Tietze build through GroupPresentation._trusted,
+    # which checks nothing: their relators must be what the constructor
+    # would make of them, canonical, non-empty and in range, in order
+    p, sub = case
+    t = commutator_coset_table(p) if sub is None else todd_coxeter(p, sub)
+    raw = rewrite_presentation(p, t)
+    assert_as_constructed(raw)
+    assert_as_constructed(tietze_simplify(raw).presentation)
 
 
 S3_ROT = parse_presentation("< a, b | a^2, b^3, (a b)^2 >")
