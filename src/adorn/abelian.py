@@ -149,7 +149,9 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     holding an entry of absolute value 1, which no later entry can beat
     under the strict comparison; and a pivot of 1 divides everything, so
     its divisor-chain scan is skipped.  The budget's clock is checked once
-    per pivot step.
+    per pivot step, and while the working state is built (``u``, the column
+    index and the row copies), once per block of ``INDEX_BLOCK`` rows or
+    columns after the first.
 
     Both row scans, the pivot search below row t and the divisor-chain
     scan, skip the rows they have found empty, through ``nxt``, a
@@ -182,16 +184,20 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     as the pivot loop would leave them, with no working state built.
     """
     nr, nc = m.rows, m.cols
-    u = [{i: 1} for i in range(nr)] if transform else None
+    u = ([{i: 1} for block in _in_blocks(range(nr), budget, "smith_normal_form")
+          for i in block] if transform else None)
     if not any(m.sparse_rows):
         return (0,) * min(nr, nc), u
-    a = [dict(row) for row in m.sparse_rows]
+    col: list[set[int]] = [set() for block in _in_blocks(range(nc), budget, "smith_normal_form")
+                           for _ in block]
+    a: list[dict[int, int]] = []
+    for block in _in_blocks(m.sparse_rows, budget, "smith_normal_form"):
+        for i, row in enumerate(block, len(a)):
+            for j in row:
+                col[j].add(i)
+        a += map(dict, block)
     # nxt[i] > i: rows i .. nxt[i] - 1 are known empty; nxt[i] == i: unknown
     nxt = list(range(nr + 1))
-    col: list[set[int]] = [set() for _ in range(nc)]
-    for i, row in enumerate(a):
-        for j in row:
-            col[j].add(i)
 
     def swap_rows(i, k):
         ai, ak = a[i], a[k]

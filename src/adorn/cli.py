@@ -19,6 +19,10 @@ only limits that shape a step: runs that differ only in
 ``--max-depth``, ``--max-cosets`` or ``--timeout`` share entries.  A
 malformed entry, or one whose index is not the stage's quotient order, is
 treated as a miss and overwritten.
+
+Each command imports the engine modules it runs when it runs, so a call
+compiles only those: ``classify-seifert`` and ``zoo`` load no engine
+module, and ``series`` loads no :mod:`adorn.alexander`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ import sys
 import tempfile
 import time
 
-from .abelian import abelianization
-from .alexander import AlexanderError, knot_adorability_report
-from .derived import INCONCLUSIVE, derived_series
 from .fpgroup import (DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation,
                       PresentationSyntaxError, format_presentation,
                       parse_presentation)
@@ -176,6 +177,8 @@ def _emit(args, subject, verdict: dict, human: str, stages: list = (),
 
 
 def cmd_abelianize(args) -> None:
+    from .abelian import abelianization
+
     inv = abelianization(p := _resolve_input(args))
     _emit(args, p, {"kind": "Abelianization",
                     "detail": {"invariants": str(inv), "rank": inv.rank,
@@ -183,6 +186,8 @@ def cmd_abelianize(args) -> None:
 
 
 def cmd_series(args) -> int | None:
+    from .derived import INCONCLUSIVE, derived_series
+
     p = _resolve_input(args)
     budget = _budget(args)
     cache_dir = os.environ.get("ADORN_CACHE_DIR")
@@ -201,6 +206,8 @@ def cmd_series(args) -> int | None:
 
 
 def cmd_alexander(args) -> None:
+    from .alexander import AlexanderError, knot_adorability_report
+
     p = _resolve_input(args)
     try:
         rep = knot_adorability_report(p)
@@ -268,6 +275,8 @@ def _corpus_input(entry: dict):
 def _stopped(limits, layer: str | None) -> str:
     """The row value of a check that limits stopped, naming them and the
     layer they stopped, if any: ``Inconclusive(wall_clock@smith_normal_form)``."""
+    from .derived import INCONCLUSIVE
+
     return f"{INCONCLUSIVE}({','.join(limits)}{'@' + layer if layer else ''})"
 
 
@@ -280,6 +289,10 @@ def _unless_stopped(check):
 
 
 def _check_entry(entry: dict, budget: Budget) -> list[tuple[str, str, str, bool]]:
+    from .abelian import abelianization
+    from .alexander import knot_adorability_report
+    from .derived import INCONCLUSIVE, derived_series
+
     expect = entry.get("expect", {})
     unknown = set(expect) - _EXPECT_KEYS
     if unknown:

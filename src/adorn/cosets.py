@@ -42,7 +42,6 @@ permutation of the cosets.  Nothing downstream handles a missing entry.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from .abelian import abelianization_data
@@ -366,8 +365,10 @@ _PROBE_COSETS = 1000  # coset cap of the subgroup probe in order_exceeds
 def order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
     """Whether ``|p| > k``, proved by enumeration.  A subgroup's index is a
     lower bound on the order, so the subgroup on all but the last generator
-    is enumerated first, under at most ``_PROBE_COSETS`` cosets and the
-    caller's deadline; only a closed enumeration of index over k is proof.
+    is enumerated first, under a budget that :meth:`Budget.with_max_cosets`
+    copies from the caller's: at most ``_PROBE_COSETS`` cosets, every other
+    limit and the deadline kept.  Only a closed enumeration of index over k
+    is proof.
     Otherwise, or when the probe fills its cap, the whole group is
     enumerated over the trivial subgroup.
 
@@ -376,8 +377,7 @@ def order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
     is no answer either way.
     """
     if p.n_generators >= 2:
-        probe = replace(budget, max_cosets=min(budget.max_cosets, _PROBE_COSETS))
-        object.__setattr__(probe, "deadline", budget.deadline)  # replace resets it
+        probe = budget.with_max_cosets(min(budget.max_cosets, _PROBE_COSETS))
         keep = [Word.gen(i) for i in range(p.n_generators - 1)]
         try:
             if todd_coxeter(p, keep, probe).n_cosets > k:

@@ -32,7 +32,6 @@ import heapq
 import math
 import re
 import time
-from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -325,7 +324,11 @@ class CapExceeded(RuntimeError):
 clock = time.monotonic  # every deadline is read from this clock
 
 
-@dataclass(frozen=True, kw_only=True)
+# the five limits of a Budget, in the order of its constructor's keywords
+BUDGET_LIMITS = ("max_depth", "max_cosets", "max_generators", "max_total_relator_length",
+                 "wall_clock_seconds")
+
+
 class Budget:
     """Every resource limit of a run, each strictly positive.  ``deadline``
     is infinite until :meth:`start` returns a copy that expires
@@ -333,31 +336,57 @@ class Budget:
     unchanged, so a deadline is never extended.  Every layer calls
     :meth:`check` at its own steps.
 
-    The package's one dataclass: :meth:`start` and
-    :func:`~adorn.cosets.order_exceeds` copy it with ``replace``, and
-    ``__post_init__`` and the CLI's tests walk its limits with ``fields``.
-    Every other record is a NamedTuple or a ``__slots__`` class, because a
-    dataclass generates its methods with ``exec`` when it is created, at
-    about 1 ms of import time a class."""
+    Immutable, with keyword-only construction.  Equality and hashing read
+    the five limits of :data:`BUDGET_LIMITS` and not the deadline, which is
+    a moment, not a setting.  :meth:`with_max_cosets` is the one copy that
+    changes a limit: it keeps the deadline, so a probe under a lower coset
+    cap runs on the caller's clock.  A ``__slots__`` class, not a
+    dataclass, so that importing the package imports no ``dataclasses``."""
 
-    max_depth: int = 6
-    max_cosets: int = 20000
-    max_generators: int = 64
-    max_total_relator_length: int = 65536
-    wall_clock_seconds: float = 60.0
-    deadline: float = field(default=math.inf, init=False, compare=False)
+    __slots__ = (*BUDGET_LIMITS, "deadline")
 
-    def __post_init__(self):
-        for f in fields(self):
-            if f.init and not getattr(self, f.name) > 0:  # rejects NaN too
-                raise ValueError(f"{f.name} must be strictly positive")
+    def __init__(self, *, max_depth: int = 6, max_cosets: int = 20000,
+                 max_generators: int = 64, max_total_relator_length: int = 65536,
+                 wall_clock_seconds: float = 60.0):
+        for name, value in zip(BUDGET_LIMITS, (max_depth, max_cosets, max_generators,
+                                               max_total_relator_length, wall_clock_seconds)):
+            if not value > 0:  # rejects NaN too
+                raise ValueError(f"{name} must be strictly positive")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "deadline", math.inf)
+
+    def __setattr__(self, attr: str, value: object = None) -> None:
+        raise AttributeError(f"Budget is immutable: cannot set {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def _limits(self) -> dict[str, int | float]:
+        return {name: getattr(self, name) for name in BUDGET_LIMITS}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._limits() == other._limits()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._limits().values()))
+
+    def __repr__(self) -> str:
+        return f"Budget({', '.join(f'{k}={v!r}' for k, v in self._limits().items())})"
+
+    def _copy(self, deadline: float, **limits) -> "Budget":
+        copy = Budget(**{**self._limits(), **limits})
+        object.__setattr__(copy, "deadline", deadline)
+        return copy
 
     def start(self) -> "Budget":
         if self.deadline < math.inf:
             return self
-        started = replace(self)
-        object.__setattr__(started, "deadline", clock() + self.wall_clock_seconds)
-        return started
+        return self._copy(clock() + self.wall_clock_seconds)
+
+    def with_max_cosets(self, max_cosets: int) -> "Budget":
+        """This budget with another coset cap and the same deadline."""
+        return self._copy(self.deadline, max_cosets=max_cosets)
 
     def check(self, layer: str) -> None:
         if clock() > self.deadline:
@@ -539,11 +568,15 @@ def _subword_replacement(rels: list[tuple[int, ...] | None],
     letter tuples.  Returns ``ri`` and its new canonical letters, possibly
     empty, or ``None``.  Each (source, length) table is built once, alone in
     memory, and matched only against the relators before the best found so
-    far; the complement is built only on a match, and the clock is read once
-    per relator matched against a table."""
+    far; the complement is built only on a match.  The clock is read once
+    per relator matched against a table, and once per block of
+    ``INDEX_BLOCK`` sources after the first, as most sources are too short
+    for any table."""
     live = [i for i, r in enumerate(rels) if r is not None]
     best: tuple[int, tuple[int, ...]] | None = None
-    for sj in live:
+    for k, sj in enumerate(live):
+        if k and not k % INDEX_BLOCK:
+            budget.check("tietze_simplify")
         s = rels[sj]
         n = len(s)
         for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
@@ -576,8 +609,9 @@ def tietze_simplify(p: GroupPresentation,
     finds none is a fixed point and ends the loop.  The result is flagged
     ``hit_caps`` when the cap blocked an elimination, or when it is over the
     generator or length cap.  The clock is checked once per block of the
-    occurrence index build, once per pass, once per elimination tried and
-    once per relator the subword scan matches against a table.  The loop
+    occurrence sets' and the occurrence index's build, once per pass, once
+    per elimination tried, and in the subword scan once per block of
+    sources and once per relator matched against a table.  The loop
     ends with no pass cap: a subword replacement puts n - L < L letters for
     L, so it shortens the total length, and each of the at most one
     elimination per generator leaves it at or below ``max(start, cap)``.
@@ -613,11 +647,12 @@ def tietze_simplify(p: GroupPresentation,
     built.
     """
     n_gens = p.n_generators
-    rels: list[tuple[int, ...] | None] = [r.letters for r in p.relators]
+    rels: list[tuple[int, ...] | None] = [None] * p.n_relators  # set by add
     size = [0] * len(rels)
     counts: list[dict[int, int] | None] = [None] * len(rels)
     occ = [0] * n_gens
-    where: list[set[int]] = [set() for _ in range(n_gens)]
+    where: list[set[int]] = [
+        set() for block in _in_blocks(range(n_gens), budget, "tietze_simplify") for _ in block]
     ids: dict[tuple[int, ...], int] = {}
     total = 0
     moved: dict[int, int] = {}  # the change of each total count in one replace
@@ -714,12 +749,10 @@ def tietze_simplify(p: GroupPresentation,
         tried.clear()
         last = None
 
-    for i, r in enumerate(rels):
+    for i, w in enumerate(p.relators):
         if i and not i % INDEX_BLOCK:
             budget.check("tietze_simplify")
-        if r in ids:
-            rels[i] = None
-        else:
+        if (r := w.letters) not in ids:
             add(i, r)
     for g in range(n_gens):
         if g and not g % INDEX_BLOCK:

@@ -1,16 +1,22 @@
 """Constructors for the standard group families, plus structural verdicts:
 free products, amalgam/HNN splittings, and the Seifert base-orbifold
-classifier."""
+classifier.
+
+The families, :func:`make` and the Seifert classifier need only
+:mod:`adorn.fpgroup`.  The verdicts that run the engine
+(:func:`certify_nontrivial`, :func:`free_product_verdict`) import it when
+they are called, so building a group imports no engine module."""
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .abelian import AbelianInvariants, abelianization
-from .cosets import order_exceeds
-from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
 from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Word
+
+if TYPE_CHECKING:  # the engine is imported by the verdicts that run it
+    from .abelian import AbelianInvariants
+    from .derived import SeriesVerdict
 
 
 class UnsupportedOrbifold(ValueError):
@@ -296,6 +302,8 @@ def certify_nontrivial(p: GroupPresentation,
     with >= 3 cone points; a subgroup on all but the last generator whose
     enumeration closes at index >= 2; the enumeration of the whole group.
     The budget's clock starts here unless it has started already."""
+    from .abelian import abelianization
+
     budget = budget.start()
     return _certified_nontrivial(p, abelianization(p, budget), budget)
 
@@ -315,6 +323,8 @@ def _certified_nontrivial(p: GroupPresentation, inv: AbelianInvariants,
 def _order_exceeds(p: GroupPresentation, k: int, budget: Budget) -> bool:
     """:func:`adorn.cosets.order_exceeds`, with the limit that stops it
     raised as CannotCertifyFactorTriviality."""
+    from .cosets import order_exceeds
+
     try:
         return order_exceeds(p, k, budget)
     except CapExceeded as exc:
@@ -340,6 +350,9 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
     """Adorability of A * B for non-trivial factors: perfect when both
     factors are perfect; the infinite dihedral group when both factors are
     Z2; otherwise not adorable.  The budget's clock starts here."""
+    from .abelian import abelianization
+    from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
+
     budget = budget.start()
     factors = []
     for q in (pa, pb):

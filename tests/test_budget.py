@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from adorn import cosets, fpgroup, rewriting
+from adorn import abelian, cosets, fpgroup, rewriting
 from adorn.abelian import IntMatrix, relator_matrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
@@ -284,9 +284,10 @@ def test_tietze_checks_each_pass(monkeypatch):
 @pytest.mark.parametrize("reads", [1, 2, 3, 4])
 def test_tietze_checks_while_indexing_a_large_rewrite(monkeypatch, reads):
     # the raw rewrite of wide(10) has 10,240 relators, half of them
-    # duplicates, on 9,217 generators: after the start, the index reads the
-    # clock at relators 4,096 and 8,192, then at generators 4,096 and 8,192,
-    # all before the first pass
+    # duplicates, on 9,217 generators: after the start, the occurrence sets
+    # read the clock at generators 4,096 and 8,192, the index at relators
+    # 4,096 and 8,192, then at generators 4,096 and 8,192, all before the
+    # first pass
     p = wide(10)
     raw = rewrite_presentation(p, commutator_coset_table(p))
     expire_after(monkeypatch, reads)
@@ -360,6 +361,100 @@ def test_relator_matrix_checks_each_block_of_relators(monkeypatch):
         relator_matrix(p, Budget().start())
     assert info.value.layer == "relator_matrix"
     assert info.value.limit == "wall_clock"
+
+
+def most_between_reads(monkeypatch):
+    """Count work in place of wall time: ``count(kind, item)`` adds one
+    item of ``kind`` done since the last clock read, unless that item was
+    counted since then, and the returned dict holds the most of each kind
+    seen between two reads."""
+    most: dict[str, int] = {}
+    since: dict[str, set] = {}
+
+    def clock():
+        since.clear()
+        return 0.0
+
+    def count(kind, item):
+        done = since.setdefault(kind, set())
+        done.add(item)
+        most[kind] = max(most.get(kind, 0), len(done))
+
+    monkeypatch.setattr(fpgroup, "clock", clock)
+    return most, count
+
+
+@pytest.mark.parametrize("transform", [True, False])
+def test_snf_builds_its_working_state_a_block_per_clock_read(monkeypatch, transform):
+    # 300 rows and 300 columns, two entries a row: the column index and
+    # the row copies, counted here, are built 64 columns or rows a read, as
+    # is the identity u
+    n = 300
+    dense = [[2 * (j == i) + (j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    want = smith_normal_form(IntMatrix.from_rows(dense), transform=transform)
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most, count = most_between_reads(monkeypatch)
+
+    class Row(dict):  # dict(row) calls keys() when a subclass overrides __iter__
+        def __iter__(self):
+            count("rows", id(self))
+            return super().__iter__()
+
+        def keys(self):
+            count("rows", id(self))
+            return super().keys()
+
+    class Set(set):
+        def __init__(self, *args):
+            count("sets", id(self))
+            super().__init__(*args)
+
+    rows = tuple(Row(row) for row in IntMatrix.from_rows(dense).sparse_rows)
+    monkeypatch.setattr(abelian, "set", Set, raising=False)
+    assert smith_normal_form(IntMatrix(n, n, rows), Budget().start(),
+                             transform=transform) == want
+    assert most == {"rows": 64, "sets": 64}
+
+
+def test_tietze_sets_up_its_index_a_block_per_clock_read(monkeypatch):
+    # 300 relators x_i^2 on 300 generators: the relators are read and the
+    # generators' occurrence sets built 64 a read
+    n = 300
+    want = GroupPresentation([f"x{i}" for i in range(n)], [Word.gen(i) ** 2 for i in range(n)])
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most, count = most_between_reads(monkeypatch)
+
+    class Relators(tuple):
+        def __iter__(self):
+            for w in super().__iter__():
+                yield w
+                count("relators", id(w))  # once the loop asks for the next
+
+    class Set(set):
+        def __init__(self, *args):
+            count("sets", id(self))
+            super().__init__(*args)
+
+    p = GroupPresentation._trusted(want.generator_names, Relators(want.relators))
+    monkeypatch.setattr(fpgroup, "set", Set, raising=False)
+    assert tietze_simplify(p, Budget().start()).presentation == want
+    assert most == {"relators": 64, "sets": 64}
+
+
+def test_subword_scan_reads_the_clock_per_block_of_sources(monkeypatch):
+    # 300 two-letter relators, each too short for any subword table: the
+    # scan takes 64 sources a read
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most, count = most_between_reads(monkeypatch)
+
+    class Relators(list):
+        def __getitem__(self, i):
+            count("sources", i)
+            return super().__getitem__(i)
+
+    rels = Relators((2 * i, 2 * i) for i in range(300))
+    assert fpgroup._subword_replacement(rels, Budget().start()) is None
+    assert most == {"sources": 64}
 
 
 def test_todd_coxeter_checks_every_4096_deductions(monkeypatch):

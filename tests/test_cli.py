@@ -1,14 +1,14 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 from adorn.cli import _budget, build_parser, main
-from adorn.fpgroup import DEFAULT_BUDGET, Budget
+from adorn.fpgroup import BUDGET_LIMITS, DEFAULT_BUDGET, Budget
 from adorn.zoo import FAMILIES
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "paper.json")
@@ -34,19 +34,27 @@ def test_every_budget_setting_has_a_flag(argv):
     for action in sub.choices[argv[0]]._actions:
         if action.type in (int, float):
             budget = _budget(parser.parse_args([*argv, action.option_strings[0], "7"]))
-            changed = [f.name for f in fields(Budget) if f.init
-                       and getattr(budget, f.name) != getattr(default, f.name)]
+            changed = [name for name in BUDGET_LIMITS
+                       if getattr(budget, name) != getattr(default, name)]
             assert len(changed) == 1 and getattr(budget, changed[0]) == 7, action
             flagged.update(changed)
-    assert flagged == {f.name for f in fields(Budget) if f.init}
+    assert flagged == set(BUDGET_LIMITS)
+
+
+def test_budget_limits_are_the_constructors_keywords():
+    # the flag and report tests walk BUDGET_LIMITS: a limit the constructor
+    # takes and the tuple misses would go untested
+    params = inspect.signature(Budget).parameters
+    assert tuple(params) == BUDGET_LIMITS
+    assert all(p.kind is p.KEYWORD_ONLY for p in params.values())
 
 
 def test_every_budget_setting_is_a_json_limits_key(capsys):
     code, out, _ = run(capsys, ["series", "< a | a^2 >", "--json"])
     assert code == 0
     assert json.loads(out)["limits"] == {
-        "timeout_seconds" if f.name == "wall_clock_seconds" else f.name:
-        getattr(DEFAULT_BUDGET, f.name) for f in fields(Budget) if f.init}
+        "timeout_seconds" if name == "wall_clock_seconds" else name:
+        getattr(DEFAULT_BUDGET, name) for name in BUDGET_LIMITS}
 
 
 def _outcome(capsys, argv):
