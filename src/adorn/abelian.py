@@ -6,8 +6,6 @@ past machine precision even for small presentations.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation, _in_blocks
@@ -382,8 +380,10 @@ def relator_matrix(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> Int
     exponent sum of generator g in the r-th distinct relator.  Built from
     the relator words' letters, without a dense pass; relators are told
     apart by their letter tuples, with no ``Word.__hash__`` call.  The
-    budget's clock is read once per block of ``INDEX_BLOCK`` distinct
-    relators after the first, as layer ``relator_matrix``;
+    budget's clock is read once per block of ``INDEX_BLOCK`` generators
+    after the first while the empty rows are made, and once per block of
+    ``INDEX_BLOCK`` relators after the first while they are deduped and
+    their columns filled in, as layer ``relator_matrix``;
     :func:`abelianization_data` passes its budget on.
 
     A repeated relator is a repeated column, which spans no new relation,
@@ -395,18 +395,23 @@ def relator_matrix(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> Int
     leader's word, so most of its relators are repeats.  For a presentation
     whose relators are pairwise distinct the matrix is the one-column-per-
     relator matrix, column for column."""
-    distinct = list(dict.fromkeys(map(attrgetter("letters"), p.relators)))
-    rows: list[dict[int, int]] = [{} for _ in range(p.n_generators)]
-    blocks = _in_blocks(distinct, budget, "relator_matrix")
-    for r, letters in enumerate(chain.from_iterable(blocks)):
-        for x in letters:
-            row = rows[x >> 1]
-            e = row.get(r, 0) + (-1 if x & 1 else 1)
-            if e:
-                row[r] = e
-            else:
-                del row[r]
-    return IntMatrix(p.n_generators, len(distinct), tuple(rows))
+    rows: list[dict[int, int]] = [
+        {} for block in _in_blocks(range(p.n_generators), budget, "relator_matrix")
+        for _ in block]
+    cols: dict[tuple[int, ...], int] = {}  # each distinct relator's column
+    for block in _in_blocks(p.relators, budget, "relator_matrix"):
+        for w in block:
+            if (letters := w.letters) in cols:
+                continue
+            r = cols[letters] = len(cols)
+            for x in letters:
+                row = rows[x >> 1]
+                e = row.get(r, 0) + (-1 if x & 1 else 1)
+                if e:
+                    row[r] = e
+                else:
+                    del row[r]
+    return IntMatrix(p.n_generators, len(cols), tuple(rows))
 
 
 class AbelianizationData(NamedTuple):

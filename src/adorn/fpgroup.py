@@ -597,6 +597,14 @@ def _subword_replacement(rels: list[tuple[int, ...] | None],
     return best
 
 
+def _letter_counts(r: tuple[int, ...]) -> dict[int, int]:
+    """Each generator's number of letters in ``r``."""
+    c: dict[int, int] = {}
+    for x in r:
+        c[x >> 1] = c.get(x >> 1, 0) + 1
+    return c
+
+
 def tietze_simplify(p: GroupPresentation,
                     budget: Budget = DEFAULT_BUDGET) -> Simplified:
     """Deterministic presentation simplification within a budget.
@@ -610,154 +618,147 @@ def tietze_simplify(p: GroupPresentation,
     ``hit_caps`` when the cap blocked an elimination, or when it is over the
     generator or length cap.  The clock is checked once per block of the
     occurrence sets' and the occurrence index's build, once per pass, once
-    per elimination tried, and in the subword scan once per block of
-    sources and once per relator matched against a table.  The loop
-    ends with no pass cap: a subword replacement puts n - L < L letters for
-    L, so it shortens the total length, and each of the at most one
-    elimination per generator leaves it at or below ``max(start, cap)``.
+    per elimination tried, and in the subword scan.  The loop ends with no
+    pass cap: a subword replacement puts n - L < L letters for L, so it
+    shortens the total length, and each of the at most one elimination per
+    generator leaves it at or below ``max(start, cap)``.
 
-    Relators are held as letter tuples from input to output: the dedupe
-    dict ``ids`` is keyed by them, a substitution builds them, and
-    :func:`_canonical` canonicalises them; a :class:`Word` is made only for
-    the output presentation.  The occurrence index is built once: per
-    relator, its letter counts, and per generator, its total count and the
-    relators it occurs in.  Relator ids are input positions; a rewritten
-    relator keeps its id, and one equal to another keeps the lower id, so
-    the first occurrence wins.
+    Relators are letter tuples, with input positions as ids: a rewritten
+    relator keeps its id, and one equal to another keeps the lower id.  The
+    index holds each relator's letter counts and each generator's total
+    count and relators; a rewrite updates only the generators whose count
+    in the relator changed.
+
+    Eliminating ``g`` through ``ri = x rest`` (``x`` is g's one letter)
+    puts ``rest^-1`` for ``x`` and ``rest`` for ``x^-1`` in each other
+    relator ``w``, one occurrence at a time: ``w`` is rotated to end just
+    before it, it is dropped and the piece appended (a cyclic word's
+    canonical form ignores the rotation).  While ``w`` is cyclically
+    reduced, the rotation and the piece, a cyclic subword of ``ri`` or its
+    inverse, are freely reduced, so letters can cancel only at the left
+    join (the word's last letter against the piece's first) or the right
+    join (the piece's last against the word's first: the wrap).  If no join
+    cancels, only :func:`_least_rotation` is taken, else :func:`_canonical`.
+
     Eliminations are applied in the order of the key ``(cost, len, gen,
     id)``, ``cost = (occurrences elsewhere) * (len - 2) - len``, popped least
     first from one heap: a key is skipped when its relator is gone, its
-    generator no longer occurs once there, the key changed since it was
-    pushed, or it repeats the key just tried.  A key depends only on its
-    relator's length and its generator's total count, so a change pushes the
-    keys of the generators whose count moved and of the relators added, then
-    pushes back the keys the cap blocked.
+    generator no longer occurs once there, its length or cost changed since
+    it was pushed, or it repeats the key just tried.  A change pushes the
+    keys of the generators whose total count moved and of the relators
+    added, then pushes back the keys the cap blocked.  The keys tried depend
+    only on the multiset of keys on the heap, which holds every valid key,
+    so heapifying the first keys, the push order and duplicate pushes
+    (equal tuples pop together) change nothing.
 
     The output renumbers the generators left in order, ``g -> remap[g]``,
     sorts the relators by ``(len, letters)`` and is built through
-    :meth:`GroupPresentation._trusted`, with no second canonicalisation.
-    The live relators are canonical and pairwise distinct, and the
-    renumbering keeps both.  On letter codes it is ``2g + e -> 2 remap[g]
-    + e``, which is injective, commutes with inversion (``x ^ 1``) and is
-    increasing because ``remap`` is.  So it keeps reduction, and it maps
-    the rotations of a word and of its inverse onto those of the image in
-    the same lexicographic order: the least rotation stays least.  The
-    clock is read once per block of ``INDEX_BLOCK`` relators after the
-    first while the letters are renumbered, and again while the words are
-    built.
+    :meth:`GroupPresentation._trusted`, with no second canonicalisation:
+    on letter codes the renumbering is ``2g + e -> 2 remap[g] + e``, which
+    is injective, commutes with inversion (``x ^ 1``) and is increasing, so
+    it keeps the live relators reduced, distinct and least in rotation.  The
+    clock is read once per block of ``INDEX_BLOCK`` after the first of the
+    generators renumbered, of the relators' letters and of the words built.
     """
     n_gens = p.n_generators
-    rels: list[tuple[int, ...] | None] = [None] * p.n_relators  # set by add
+    rels: list[tuple[int, ...] | None] = [None] * p.n_relators
     size = [0] * len(rels)
     counts: list[dict[int, int] | None] = [None] * len(rels)
     occ = [0] * n_gens
     where: list[set[int]] = [
         set() for block in _in_blocks(range(n_gens), budget, "tietze_simplify") for _ in block]
     ids: dict[tuple[int, ...], int] = {}
-    total = 0
-    moved: dict[int, int] = {}  # the change of each total count in one replace
-
-    def add(i: int, r: tuple[int, ...]) -> None:
-        nonlocal total
-        c: dict[int, int] = {}
-        for x in r:
-            c[x >> 1] = c.get(x >> 1, 0) + 1
-        for g, k in c.items():
-            occ[g] += k
-            where[g].add(i)
-        rels[i], size[i], counts[i], ids[r] = r, len(r), c, i
-        total += size[i]
-
-    def drop(i: int) -> None:
-        nonlocal total
-        for g, k in counts[i].items():
-            occ[g] -= k
-            moved[g] = moved.get(g, 0) - k
-            where[g].discard(i)
-        del ids[rels[i]]
-        total -= size[i]
-        rels[i] = counts[i] = None
-
-    def key(g: int, i: int) -> tuple[int, int, int, int]:
-        return (occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i
-
-    heap: list[tuple[int, int, int, int]] = []
-    tried: list[tuple[int, int, int, int]] = []
-    last = None
-
-    def push(g: int, among: Iterable[int]) -> None:
-        for i in among:
-            if counts[i][g] == 1:
-                heapq.heappush(heap, key(g, i))
-
-    def rewrite(g: int, ri: int) -> tuple[dict[int, tuple[int, ...]], int]:
-        """Relators other than ``ri`` that contain ``g``, with ``g`` solved
-        from relator ``ri`` and substituted; and the total length after."""
-        r = rels[ri]
-        k = next(i for i, x in enumerate(r) if x >> 1 == g)
-        x = r[k]
-        # x * rest = 1, so x = rest^-1 and x^-1 = rest
-        rest = r[k + 1:] + r[:k]
-        fwd = _inverse(rest)
-        new = {}
-        for i in sorted(where[g]):
-            if i != ri:
-                out: list[int] = []
-                for y in rels[i]:
-                    if y == x:
-                        out += fwd
-                    elif y == x ^ 1:
-                        out += rest
-                    else:
-                        out.append(y)
-                new[i] = _canonical(out)
-        return new, total - size[ri] + sum(len(s) - size[i] for i, s in new.items())
-
-    def replace(new: dict[int, tuple[int, ...]]) -> None:
-        """Drop the relators with the ids of ``new``, then add its non-empty
-        words in id order; a word equal to a live relator keeps the lower
-        id.  Push every key of a generator whose total count moved (one a
-        subword complement brings in too) and of a relator added, push back
-        the keys the cap blocked, and forget the last key tried."""
-        nonlocal last
-        moved.clear()
-        for i in new:
-            drop(i)
-        added = []
-        for i in sorted(new):
-            s = new[i]
-            if not s:
-                continue
-            j = ids.get(s)
-            if j is not None:
-                if j < i:
-                    continue
-                drop(j)
-            add(i, s)
-            added.append(i)
-            for g, k in counts[i].items():
-                moved[g] = moved.get(g, 0) + k
-        for g, d in moved.items():
-            if d:
-                push(g, where[g])
-        for i in added:
-            for g in counts[i]:
-                if not moved[g]:
-                    push(g, (i,))
-        for t in tried:
-            heapq.heappush(heap, t)
-        tried.clear()
-        last = None
-
     for i, w in enumerate(p.relators):
         if i and not i % INDEX_BLOCK:
             budget.check("tietze_simplify")
         if (r := w.letters) not in ids:
-            add(i, r)
+            rels[i], size[i], counts[i], ids[r] = r, len(r), _letter_counts(r), i
+            for g, k in counts[i].items():
+                occ[g] += k
+                where[g].add(i)
+    total = sum(size)
+    heap: list[tuple[int, int, int, int]] = []
     for g in range(n_gens):
         if g and not g % INDEX_BLOCK:
             budget.check("tietze_simplify")
-        push(g, where[g])
+        heap += [((occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i)
+                 for i in where[g] if counts[i][g] == 1]
+    heapq.heapify(heap)
+    tried: list[tuple[int, int, int, int]] = []
+    last = None
+
+    def rewrite(g: int, ri: int) -> tuple[dict[int, tuple[int, ...]], int]:
+        """Relators other than ``ri`` that contain ``g``, with ``g`` solved
+        from relator ``ri`` and spliced in; and the total length after."""
+        r = rels[ri]
+        k = r.index(x) if (x := 2 * g) in r else r.index(x := x + 1)
+        rest = r[k + 1:] + r[:k]  # x rest = 1, so x = rest^-1 and x^-1 = rest
+        fwd = _inverse(rest)
+        new = {}
+        length = total - size[ri]
+        for i in sorted(where[g] - {ri}):
+            w, cut = rels[i], False  # cut: a join cancels
+            for _ in range(counts[i][g]):
+                k = w.index(x) if x in w else w.index(x ^ 1)
+                piece = fwd if w[k] == x else rest
+                w = w[k + 1:] + w[:k]  # the rotation that ends just before x
+                if w and piece and w[-1] == piece[0] ^ 1:
+                    cut = True  # at the left join
+                w += piece
+                if w and w[-1] == w[0] ^ 1:
+                    cut = True  # at the right join, now the wrap
+            new[i] = w = _canonical(w) if cut else _least_rotation(w)
+            length += len(w) - size[i]
+        return new, length
+
+    def replace(new: dict[int, tuple[int, ...]]) -> None:
+        """Give the relators with the ids of ``new`` their new words in id
+        order, update the index and push the keys that changed (see above),
+        push back the keys the cap blocked, and forget the last key tried."""
+        nonlocal last, total
+        moved: dict[int, int] = {}  # the change of each total count
+        for i in new:
+            del ids[rels[i]]
+        words = []  # (id, its new word), () for a relator that goes
+        for i in sorted(new):
+            j = ids.get(s := new[i], i)
+            if j > i:
+                words.append((j, ()))  # an equal relator of a higher id goes
+            elif j < i:
+                s = ()
+            if s:
+                ids[s] = i
+            words.append((i, s))
+        for i, s in words:
+            old, c = counts[i], _letter_counts(s) if s else {}
+            for g, k in c.items():
+                if d := k - old.pop(g, 0):
+                    occ[g] += d
+                    moved[g] = moved.get(g, 0) + d
+                    if d == k:
+                        where[g].add(i)
+            for g, k in old.items():  # the generators s lacks
+                occ[g] -= k
+                moved[g] = moved.get(g, 0) - k
+                where[g].discard(i)
+            total += len(s) - size[i]
+            rels[i], size[i], counts[i] = s or None, len(s), c or None
+        for g, d in moved.items():
+            if d:
+                o = occ[g] - 1
+                for i in where[g]:
+                    if counts[i][g] == 1:
+                        heapq.heappush(heap, (o * (size[i] - 2) - size[i], size[i], g, i))
+        for i, s in words:
+            if s:
+                n = len(s)
+                for g, k in counts[i].items():
+                    if k == 1 and not moved.get(g):
+                        heapq.heappush(heap, ((occ[g] - 1) * (n - 2) - n, n, g, i))
+        for t in tried:
+            heapq.heappush(heap, t)
+        tried.clear()
+        last = None
 
     cap = budget.max_total_relator_length
     removed: list[int] = []
@@ -765,11 +766,10 @@ def tietze_simplify(p: GroupPresentation,
     while True:
         budget.check("tietze_simplify")
         while heap:
-            k = heapq.heappop(heap)
-            _, _, g, ri = k
-            stale = counts[ri] is None or counts[ri].get(g) != 1 or k != key(g, ri)
-            if stale or k == last:  # a key can be pushed again unchanged
-                continue
+            cost, s, g, ri = k = heapq.heappop(heap)
+            if (s != size[ri] or counts[ri].get(g) != 1  # size 0: relator gone
+                    or cost != (occ[g] - 1) * (s - 2) - s or k == last):
+                continue  # stale, or the key just tried pushed again unchanged
             last = k
             budget.check("tietze_simplify")
             new, length = rewrite(g, ri)
@@ -787,21 +787,21 @@ def tietze_simplify(p: GroupPresentation,
 
     del size, counts, occ, where, ids, heap  # free the index before the output
     gone = set(removed)
-    alive = [g for g in range(n_gens) if g not in gone]
-    code = [0] * (2 * n_gens)  # old letter code -> new, increasing on alive
-    for i, g in enumerate(alive):
-        code[2 * g], code[2 * g + 1] = 2 * i, 2 * i + 1
+    names: list[str] = []  # of the generators left, in order
+    code = [0] * (2 * n_gens)  # old letter code -> new, increasing on those left
+    for block in _in_blocks(range(n_gens), budget, "tietze_simplify"):
+        for g in block:
+            if g not in gone:
+                code[2 * g], code[2 * g + 1] = 2 * len(names), 2 * len(names) + 1
+                names.append(p.generator_names[g])
     live = [r for r in rels if r is not None]
     final = [tuple(map(code.__getitem__, r))
              for block in _in_blocks(live, budget, "tietze_simplify") for r in block]
     final.sort(key=lambda r: (len(r), r))
     out = GroupPresentation._trusted(
-        tuple(p.generator_names[g] for g in alive),
+        tuple(names),
         tuple([Word.of(r) for block in _in_blocks(final, budget, "tietze_simplify")
                for r in block]),
         p.name)
-    if out.n_generators > budget.max_generators:
-        hit = True
-    if out.total_relator_length > budget.max_total_relator_length:
-        hit = True
-    return Simplified(out, hit)
+    return Simplified(out, hit or out.n_generators > budget.max_generators
+                      or out.total_relator_length > cap)

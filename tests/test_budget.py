@@ -363,6 +363,32 @@ def test_relator_matrix_checks_each_block_of_relators(monkeypatch):
     assert info.value.limit == "wall_clock"
 
 
+def test_relator_matrix_dedupes_a_block_of_relators_per_clock_read(monkeypatch):
+    # 600 relators, each x_i^2 twice, on 300 generators: with blocks of 64,
+    # the relators are deduped and their columns filled in 64 a read
+    n = 300
+    p = GroupPresentation._trusted(tuple(f"x{i}" for i in range(n)),
+                                   tuple(Word.gen(i) ** 2 for i in range(n)) * 2)
+    want = relator_matrix(p)
+    assert want.cols == n
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most, count = most_between_reads(monkeypatch)
+    serial = iter(range(10**6))
+
+    class Relators(tuple):
+        def __iter__(self):
+            for w in super().__iter__():
+                count("relators", next(serial))
+                yield w
+
+        def __getitem__(self, key):
+            return Relators(super().__getitem__(key))
+
+    counted = GroupPresentation._trusted(p.generator_names, Relators(p.relators))
+    assert relator_matrix(counted, Budget().start()) == want
+    assert most == {"relators": 64}
+
+
 def most_between_reads(monkeypatch):
     """Count work in place of wall time: ``count(kind, item)`` adds one
     item of ``kind`` done since the last clock read, unless that item was
@@ -439,6 +465,24 @@ def test_tietze_sets_up_its_index_a_block_per_clock_read(monkeypatch):
     monkeypatch.setattr(fpgroup, "set", Set, raising=False)
     assert tietze_simplify(p, Budget().start()).presentation == want
     assert most == {"relators": 64, "sets": 64}
+
+
+def test_tietze_renumbers_a_block_of_generators_per_clock_read(monkeypatch):
+    # 300 relators x_i^2 on 300 generators, none eliminated: the output
+    # renumbers the generators 64 a read, taking each one's name once
+    n = 300
+    want = GroupPresentation([f"x{i}" for i in range(n)], [Word.gen(i) ** 2 for i in range(n)])
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 64)
+    most, count = most_between_reads(monkeypatch)
+
+    class Names(tuple):
+        def __getitem__(self, g):
+            count("renumbered", g)
+            return super().__getitem__(g)
+
+    p = GroupPresentation._trusted(Names(want.generator_names), want.relators)
+    assert tietze_simplify(p, Budget().start()).presentation == want
+    assert most == {"renumbered": 64}
 
 
 def test_subword_scan_reads_the_clock_per_block_of_sources(monkeypatch):

@@ -453,6 +453,23 @@ def shaped_presentations(draw):
 @example(parse_presentation("< a, b | a^4 b^-1, a^3 b a^-1 b^2, b^2 >"))
 # 49 subword replacements in a row reach the fixed point < a, b | a^4 >
 @example(parse_presentation("< a, b | a^4, a^100 b a^100 b^-1 >"))
+# the substitution's branches, each reached by its example: b = 1 leaves
+# a a^-1 side by side
+@example(parse_presentation("< a, b, c | b, a b a^-1 c^3 >"))
+# a cancellation at the left join
+@example(parse_presentation("< a, b, c | a c b a, c b c >"))
+# ... at the right join
+@example(parse_presentation("< a, b, c | a b c^-1, c a b >"))
+# ... across the wrap of the relator substituted into
+@example(parse_presentation("< a, b, c | a c b^-1, c^-1 b a^-1 b^2 >"))
+# a = b empties the commutator
+@example(parse_presentation("< a, b, c | a b^-1, a b a^-1 b^-1, c^3 >"))
+# the eliminated generator occurs twice in the relator substituted into
+@example(parse_presentation("< a, b, c | a b c^-1, c^2 a^2 b^-3 >"))
+# the elimination through c a^-1 rewrites one b^2 relator into a copy of
+# the other: of a later one, which goes, and of an earlier one, which stays
+@example(parse_presentation("< a, b, c | c a^-1, b^2 a, b^2 c >"))
+@example(parse_presentation("< a, b, c | c a^-1, b^2 c, b^2 a >"))
 def test_tietze_matches_full_rescan_reference(p):
     # caps from a quarter of the input's length up to all of it, where
     # eliminations are blocked and then fit again after a replacement, and
