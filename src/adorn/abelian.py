@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation, _in_blocks
+from .fpgroup import DEFAULT_BUDGET, Budget, GroupPresentation
 
 
 class _IntMatrix(NamedTuple):
@@ -182,14 +182,14 @@ def smith_normal_form(m: IntMatrix, budget: Budget = DEFAULT_BUDGET, *,
     as the pivot loop would leave them, with no working state built.
     """
     nr, nc = m.rows, m.cols
-    u = ([{i: 1} for block in _in_blocks(range(nr), budget, "smith_normal_form")
+    u = ([{i: 1} for block in budget.blocks(range(nr), "smith_normal_form")
           for i in block] if transform else None)
     if not any(m.sparse_rows):
         return (0,) * min(nr, nc), u
-    col: list[set[int]] = [set() for block in _in_blocks(range(nc), budget, "smith_normal_form")
+    col: list[set[int]] = [set() for block in budget.blocks(range(nc), "smith_normal_form")
                            for _ in block]
     a: list[dict[int, int]] = []
-    for block in _in_blocks(m.sparse_rows, budget, "smith_normal_form"):
+    for block in budget.blocks(m.sparse_rows, "smith_normal_form"):
         for i, row in enumerate(block, len(a)):
             for j in row:
                 col[j].add(i)
@@ -396,10 +396,10 @@ def relator_matrix(p: GroupPresentation, budget: Budget = DEFAULT_BUDGET) -> Int
     whose relators are pairwise distinct the matrix is the one-column-per-
     relator matrix, column for column."""
     rows: list[dict[int, int]] = [
-        {} for block in _in_blocks(range(p.n_generators), budget, "relator_matrix")
+        {} for block in budget.blocks(range(p.n_generators), "relator_matrix")
         for _ in block]
     cols: dict[tuple[int, ...], int] = {}  # each distinct relator's column
-    for block in _in_blocks(p.relators, budget, "relator_matrix"):
+    for block in budget.blocks(p.relators, "relator_matrix"):
         for w in block:
             if (letters := w.letters) in cols:
                 continue

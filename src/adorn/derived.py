@@ -328,7 +328,7 @@ def verify_filtration(p: GroupPresentation,
 
         # nested, so [G : H_k] = [G : H_{k-1}] [H_{k-1} : H_k] (Lagrange)
         ratio = table.n_cosets // prev_table.n_cosets
-        quotient = prev_pres.with_relators(subgroup_words(prev_table, words))
+        quotient = prev_pres.with_relators(subgroup_words(prev_table, words, budget))
         inv = abelianization(quotient, budget)
         if inv.order() != ratio:
             raise QuotientNotAbelian(

@@ -323,6 +323,10 @@ class CapExceeded(RuntimeError):
 
 clock = time.monotonic  # every deadline is read from this clock
 
+# work between two reads of the clock: the items of one Budget.blocks slice,
+# or deductions made by adorn.cosets
+INDEX_BLOCK = 4096
+
 
 # the five limits of a Budget, in the order of its constructor's keywords
 BUDGET_LIMITS = ("max_depth", "max_cosets", "max_generators", "max_total_relator_length",
@@ -334,7 +338,8 @@ class Budget:
     is infinite until :meth:`start` returns a copy that expires
     ``wall_clock_seconds`` from now; starting a started budget returns it
     unchanged, so a deadline is never extended.  Every layer calls
-    :meth:`check` at its own steps.
+    :meth:`check` at its own steps, and walks a sequence through
+    :meth:`blocks`.
 
     Immutable, with keyword-only construction.  Equality and hashing read
     the five limits of :data:`BUDGET_LIMITS` and not the deadline, which is
@@ -392,6 +397,16 @@ class Budget:
         if clock() > self.deadline:
             raise CapExceeded(f"wall clock limit {self.wall_clock_seconds}s reached",
                               layer, "wall_clock")
+
+    def blocks(self, items: Sequence, layer: str) -> Iterator[Sequence]:
+        """``items`` in slices of ``INDEX_BLOCK``, :meth:`check` called
+        before each slice after the first.  Callers loop over each slice
+        in place, ``for block in ...: for x in block:``, so the generator
+        resumes once per slice, not once per item."""
+        for start in range(0, len(items), INDEX_BLOCK):
+            if start:
+                self.check(layer)
+            yield items[start:start + INDEX_BLOCK]
 
 
 DEFAULT_BUDGET = Budget()
@@ -532,20 +547,6 @@ def format_presentation(p: GroupPresentation) -> str:
 # Tietze simplification
 
 
-# work between two reads of the clock: relators or generators indexed here,
-# orbits walked by adorn.rewriting, deductions made by adorn.cosets
-INDEX_BLOCK = 4096
-
-
-def _in_blocks(items: Sequence, budget: Budget, layer: str) -> Iterator[Sequence]:
-    """``items`` in slices of ``INDEX_BLOCK``, the budget's clock read
-    before each slice after the first."""
-    for start in range(0, len(items), INDEX_BLOCK):
-        if start:
-            budget.check(layer)
-        yield items[start:start + INDEX_BLOCK]
-
-
 def _subword_sources(s: tuple[int, ...], length: int
                      ) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
     """Subwords of the given length of the cyclic words ``s`` and ``s^-1``,
@@ -574,26 +575,26 @@ def _subword_replacement(rels: list[tuple[int, ...] | None],
     for any table."""
     live = [i for i, r in enumerate(rels) if r is not None]
     best: tuple[int, tuple[int, ...]] | None = None
-    for k, sj in enumerate(live):
-        if k and not k % INDEX_BLOCK:
-            budget.check("tietze_simplify")
-        s = rels[sj]
-        n = len(s)
-        for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
-            subs = None
-            for ri in live:
-                r = rels[ri]
-                if best and ri >= best[0]:
-                    break
-                if n > len(r) or sj == ri:
-                    continue
-                budget.check("tietze_simplify")
-                subs = subs or _subword_sources(s, length)
-                i = next((i for i in range(len(r) - length + 1) if r[i:i + length] in subs), -1)
-                if i >= 0:
-                    base, j = subs[r[i:i + length]]
-                    complement = _inverse(base[j + length:j + n])
-                    best = ri, _canonical(r[:i] + complement + r[i + length:])
+    for block in budget.blocks(live, "tietze_simplify"):
+        for sj in block:
+            s = rels[sj]
+            n = len(s)
+            for length in range(n - 1, max(3, n // 2 + 1) - 1, -1):
+                subs = None
+                for ri in live:
+                    r = rels[ri]
+                    if best and ri >= best[0]:
+                        break
+                    if n > len(r) or sj == ri:
+                        continue
+                    budget.check("tietze_simplify")
+                    subs = subs or _subword_sources(s, length)
+                    i = next((i for i in range(len(r) - length + 1)
+                              if r[i:i + length] in subs), -1)
+                    if i >= 0:
+                        base, j = subs[r[i:i + length]]
+                        complement = _inverse(base[j + length:j + n])
+                        best = ri, _canonical(r[:i] + complement + r[i + length:])
     return best
 
 
@@ -612,11 +613,13 @@ def tietze_simplify(p: GroupPresentation,
     Duplicate relators (up to rotation and inversion) are dropped, the first
     occurrence kept.  Each pass eliminates generators occurring exactly once
     in some relator (cheapest substitution first, skipped if it would push
-    the total relator length over the cap) until none is left, then makes
-    the first replacement :func:`_subword_replacement` finds.  A pass that
-    finds none is a fixed point and ends the loop.  The result is flagged
-    ``hit_caps`` when the cap blocked an elimination, or when it is over the
-    generator or length cap.  The clock is checked once per block of the
+    the total relator length over both the cap and its current value, so an
+    elimination that shortens a presentation over the cap goes ahead) until
+    none is left, then makes the first replacement
+    :func:`_subword_replacement` finds.  A pass that finds none is a fixed
+    point and ends the loop.  The result is flagged ``hit_caps`` when the
+    cap blocked an elimination, or when it is over the generator or length
+    cap.  The clock is checked once per block of the
     occurrence sets' and the occurrence index's build, once per pass, once
     per elimination tried, and in the subword scan.  The loop ends with no
     pass cap: a subword replacement puts n - L < L letters for L, so it
@@ -651,14 +654,14 @@ def tietze_simplify(p: GroupPresentation,
     so heapifying the first keys, the push order and duplicate pushes
     (equal tuples pop together) change nothing.
 
-    The output renumbers the generators left in order, ``g -> remap[g]``,
-    sorts the relators by ``(len, letters)`` and is built through
+    The output sorts the live relators by ``(len, letters)``, renumbers
+    the generators left in order, ``g -> remap[g]``, and is built through
     :meth:`GroupPresentation._trusted`, with no second canonicalisation:
     on letter codes the renumbering is ``2g + e -> 2 remap[g] + e``, which
     is injective, commutes with inversion (``x ^ 1``) and is increasing, so
-    it keeps the live relators reduced, distinct and least in rotation.  The
-    clock is read once per block of ``INDEX_BLOCK`` after the first of the
-    generators renumbered, of the relators' letters and of the words built.
+    it keeps the live relators reduced, distinct, least in rotation and in
+    the sorted order.  The clock is read once per block of ``INDEX_BLOCK``
+    after the first of the generators renumbered and of the words built.
     """
     n_gens = p.n_generators
     rels: list[tuple[int, ...] | None] = [None] * p.n_relators
@@ -666,23 +669,22 @@ def tietze_simplify(p: GroupPresentation,
     counts: list[dict[int, int] | None] = [None] * len(rels)
     occ = [0] * n_gens
     where: list[set[int]] = [
-        set() for block in _in_blocks(range(n_gens), budget, "tietze_simplify") for _ in block]
+        set() for block in budget.blocks(range(n_gens), "tietze_simplify") for _ in block]
     ids: dict[tuple[int, ...], int] = {}
-    for i, w in enumerate(p.relators):
-        if i and not i % INDEX_BLOCK:
-            budget.check("tietze_simplify")
-        if (r := w.letters) not in ids:
-            rels[i], size[i], counts[i], ids[r] = r, len(r), _letter_counts(r), i
-            for g, k in counts[i].items():
-                occ[g] += k
-                where[g].add(i)
+    relators = p.relators
+    for block in budget.blocks(range(len(rels)), "tietze_simplify"):
+        for i in block:
+            if (r := relators[i].letters) not in ids:
+                rels[i], size[i], counts[i], ids[r] = r, len(r), _letter_counts(r), i
+                for g, k in counts[i].items():
+                    occ[g] += k
+                    where[g].add(i)
     total = sum(size)
     heap: list[tuple[int, int, int, int]] = []
-    for g in range(n_gens):
-        if g and not g % INDEX_BLOCK:
-            budget.check("tietze_simplify")
-        heap += [((occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i)
-                 for i in where[g] if counts[i][g] == 1]
+    for block in budget.blocks(range(n_gens), "tietze_simplify"):
+        for g in block:
+            heap += [((occ[g] - 1) * (size[i] - 2) - size[i], size[i], g, i)
+                     for i in where[g] if counts[i][g] == 1]
     heapq.heapify(heap)
     tried: list[tuple[int, int, int, int]] = []
     last = None
@@ -773,7 +775,7 @@ def tietze_simplify(p: GroupPresentation,
             last = k
             budget.check("tietze_simplify")
             new, length = rewrite(g, ri)
-            if length > cap:
+            if length > max(cap, total):
                 tried.append(k)
                 hit = True  # a legal elimination was blocked by the cap
                 continue
@@ -789,19 +791,16 @@ def tietze_simplify(p: GroupPresentation,
     gone = set(removed)
     names: list[str] = []  # of the generators left, in order
     code = [0] * (2 * n_gens)  # old letter code -> new, increasing on those left
-    for block in _in_blocks(range(n_gens), budget, "tietze_simplify"):
+    for block in budget.blocks(range(n_gens), "tietze_simplify"):
         for g in block:
             if g not in gone:
                 code[2 * g], code[2 * g + 1] = 2 * len(names), 2 * len(names) + 1
                 names.append(p.generator_names[g])
-    live = [r for r in rels if r is not None]
-    final = [tuple(map(code.__getitem__, r))
-             for block in _in_blocks(live, budget, "tietze_simplify") for r in block]
-    final.sort(key=lambda r: (len(r), r))
+    live = sorted((r for r in rels if r is not None), key=lambda r: (len(r), r))
     out = GroupPresentation._trusted(
         tuple(names),
-        tuple([Word.of(r) for block in _in_blocks(final, budget, "tietze_simplify")
-               for r in block]),
+        tuple([Word.of(map(code.__getitem__, r))
+               for block in budget.blocks(live, "tietze_simplify") for r in block]),
         p.name)
     return Simplified(out, hit or out.n_generators > budget.max_generators
                       or out.total_relator_length > cap)

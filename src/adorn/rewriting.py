@@ -25,13 +25,11 @@ one table row and one label row per letter.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable
 
 from .cosets import CosetTable
-from .fpgroup import (DEFAULT_BUDGET, INDEX_BLOCK, Budget, GroupPresentation,
-                      Simplified, Word, _least_rotation, free_reduce, period,
-                      tietze_simplify)
+from .fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation, Simplified, Word,
+                      _least_rotation, free_reduce, period, tietze_simplify)
 
 
 def _schreier_labels(t: CosetTable, budget: Budget = DEFAULT_BUDGET,
@@ -43,26 +41,25 @@ def _schreier_labels(t: CosetTable, budget: Budget = DEFAULT_BUDGET,
     breadth-first search and in the numbering."""
     rows = t.rows
     ncols = 2 * t.n_generators
-    labels = [[None] * ncols for _ in range(t.n_cosets)]
+    cosets = range(t.n_cosets)
+    labels = [[None] * ncols for _ in cosets]
     seen = [False] * t.n_cosets
     seen[0] = True
+    # the cosets in breadth-first order: a coset table is connected, so
+    # every coset joins the queue, and queue[i] is there when it is read
     queue = [0]
-    unread = iter(queue)  # sees what is appended while it is read: BFS order
-    for start in range(0, t.n_cosets, INDEX_BLOCK):
-        if start:
-            budget.check("rewrite_presentation")
-        for a in islice(unread, INDEX_BLOCK):
+    for block in budget.blocks(cosets, "rewrite_presentation"):
+        for i in block:
+            a = queue[i]
             for x, b in enumerate(rows[a]):
                 if not seen[b]:
                     seen[b] = True
                     labels[a][x] = labels[b][x ^ 1] = -1
                     queue.append(b)
     k = 0
-    unnumbered = enumerate(labels)
-    for start in range(0, t.n_cosets, INDEX_BLOCK):
-        if start:
-            budget.check("rewrite_presentation")
-        for a, row in islice(unnumbered, INDEX_BLOCK):
+    for block in budget.blocks(cosets, "rewrite_presentation"):
+        for a in block:
+            row = labels[a]
             for x in range(0, ncols, 2):
                 if row[x] is None:
                     row[x] = 2 * k
@@ -102,7 +99,8 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
     relators are thus canonical, non-empty and on the Schreier generators,
     and the result is built by ``GroupPresentation._trusted``.  The budget
     is checked while the edges are labelled, once per ambient relator, and
-    once per block of ``INDEX_BLOCK`` orbits within it."""
+    once per block of ``INDEX_BLOCK`` cosets after the first within it, so
+    at most ``INDEX_BLOCK`` orbits are walked between two reads."""
     labels, n_schreier = _schreier_labels(t, budget)
     rows = t.rows
     relators = []
@@ -111,37 +109,35 @@ def rewrite_presentation(p: GroupPresentation, t: CosetTable,
         root = r.letters[:period(r.letters)]
         powers = range(len(r) // len(root))
         out = [None] * t.n_cosets
-        walks = 0
-        for a in range(t.n_cosets):
-            if out[a] is not None:
-                continue
-            if walks and not walks % INDEX_BLOCK:
-                budget.check("rewrite_presentation")
-            walks += 1
-            c = a
-            orbit = []
-            read = []
-            for _ in powers:
-                orbit.append(c)
-                for x in root:
-                    y = labels[c][x]
-                    if y >= 0:
-                        read.append(y)
-                    c = rows[c][x]
-            w = Word.of(_least_rotation(tuple(read)))
-            for b in orbit:
-                out[b] = w
+        for block in budget.blocks(range(t.n_cosets), "rewrite_presentation"):
+            for a in block:
+                if out[a] is not None:
+                    continue
+                c = a
+                orbit = []
+                read = []
+                for _ in powers:
+                    orbit.append(c)
+                    for x in root:
+                        y = labels[c][x]
+                        if y >= 0:
+                            read.append(y)
+                        c = rows[c][x]
+                w = Word.of(_least_rotation(tuple(read)))
+                for b in orbit:
+                    out[b] = w
         relators.extend(out)
     return GroupPresentation._trusted(tuple(f"x{i}" for i in range(n_schreier)),
                                       tuple(relators),
                                       f"[{p.name or 'G'} : index {t.n_cosets}]")
 
 
-def subgroup_words(t: CosetTable, words: Iterable[Word]) -> list[Word]:
+def subgroup_words(t: CosetTable, words: Iterable[Word],
+                   budget: Budget = DEFAULT_BUDGET) -> list[Word]:
     """Express words lying in the subgroup of coset 0 in terms of its
     Schreier generators (matching :func:`rewrite_presentation` numbering),
-    freely reduced; one labelling serves every word."""
-    labels, _ = _schreier_labels(t, DEFAULT_BUDGET)
+    freely reduced; one labelling, under the budget, serves every word."""
+    labels, _ = _schreier_labels(t, budget)
     out = []
     for w in words:
         if t.word_act(0, w) != 0:

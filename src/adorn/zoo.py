@@ -16,7 +16,6 @@ from .fpgroup import DEFAULT_BUDGET, Budget, CapExceeded, GroupPresentation, Wor
 
 if TYPE_CHECKING:  # the engine is imported by the verdicts that run it
     from .abelian import AbelianInvariants
-    from .derived import SeriesVerdict
 
 
 class UnsupportedOrbifold(ValueError):
@@ -339,7 +338,6 @@ class FreeProductVerdict(NamedTuple):
     kind: str  # PerfectProduct | Dinfty | NonAdorable
     doa: int | None
     note: str
-    series_verdict: SeriesVerdict
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.note}"
@@ -351,7 +349,6 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
     factors are perfect; the infinite dihedral group when both factors are
     Z2; otherwise not adorable.  The budget's clock starts here."""
     from .abelian import abelianization
-    from .derived import ADORABLE, NON_ADORABLE, SeriesVerdict
 
     budget = budget.start()
     factors = []
@@ -363,8 +360,7 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
     if all(inv.is_trivial() for _, inv in factors):
         return FreeProductVerdict(
             "PerfectProduct", 0,
-            "free product of perfect groups is perfect (doa 0)",
-            SeriesVerdict(ADORABLE, doa=0))
+            "free product of perfect groups is perfect (doa 0)")
     # Z2 abelianizes to Z2: every factor's invariants are tested before
     # any factor is enumerated, so one that rules Z2 out spares the others.
     # A factor that abelianizes to Z2 has order >= 2, so it is Z2 unless its
@@ -374,12 +370,10 @@ def free_product_verdict(pa: GroupPresentation, pb: GroupPresentation,
             and not any(_order_exceeds(q, 2, budget) for q, _ in factors)):
         return FreeProductVerdict(
             "Dinfty", 2,
-            "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)",
-            SeriesVerdict(ADORABLE, doa=2))
+            "Z2 * Z2 is the infinite dihedral group (solvable, doa 2)")
     return FreeProductVerdict(
         "NonAdorable", None,
-        f"free product with a non-perfect factor, not Z2 * Z2; {RANK_NOTE}",
-        SeriesVerdict(NON_ADORABLE, reason="StructuralPredicate:free_product"))
+        f"free product with a non-perfect factor, not Z2 * Z2; {RANK_NOTE}")
 
 
 # ---------------------------------------------------------------------------

@@ -756,7 +756,8 @@ def tietze_simplify_reference(p, caps=DEFAULT_BUDGET):
             applied = False
             for cost, _, g, ri in _elimination_candidates(rels, p.n_generators):
                 new_rels = _eliminate(rels, g, ri)
-                if sum(len(r) for r in new_rels) > caps.max_total_relator_length:
+                if (sum(len(r) for r in new_rels)
+                        > max(caps.max_total_relator_length, sum(len(r) for r in rels))):
                     hit = True  # a legal elimination was blocked by the cap
                     continue
                 rels = list(dict.fromkeys(new_rels))

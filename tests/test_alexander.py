@@ -89,6 +89,7 @@ def test_laurent_normalization_and_format():
     assert n.coeffs[n.max_exp()] > 0
     assert str(poly({2: 1, 1: -1, 0: 1})) == "t^2 - t + 1"
     assert str(poly({0: 1})) == "1"
+    assert str(LaurentPoly()) == "0"
     assert str(poly({2: 1, 1: -3, 0: 1})) == "t^2 - 3t + 1"
 
 
@@ -403,6 +404,18 @@ def test_knot_report_unknot():
 def test_knot_report_torus_knot_not_adorable():
     rep = knot_adorability_report(make("torus_knot", (2, 3)))
     assert rep.verdict == "NotAdorable"
+
+
+def test_knot_report_diagnoses_a_polynomial_no_knot_has():
+    # BS(1, 2) = < a, t | a^2 t a^-1 t^-1 > has deficiency one and H1 = Z,
+    # like a knot group, but its Alexander polynomial t - 2 is neither
+    # symmetric nor of even degree
+    rep = knot_adorability_report(make("baumslag_solitar", (1, 2)))
+    assert str(rep.polynomial) == "t - 2" and rep.degree == 1
+    assert rep.notes == (
+        "diagnostic: polynomial is not symmetric under t -> 1/t",
+        "diagnostic: odd degree; Alexander polynomials of knots have even degree")
+    assert rep.verdict == "NotAdorable" and not rep.adorable
 
 
 def test_knot_report_rank_note_for_degree_three_plus():

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from adorn import abelian, cosets, fpgroup, rewriting
+from adorn import abelian, cosets, derived, fpgroup, rewriting
 from adorn.abelian import IntMatrix, relator_matrix, smith_normal_form
 from adorn.cli import main
 from adorn.cosets import (CapExceeded, CosetTable, _Enumerator, commutator_coset_table,
@@ -188,7 +188,7 @@ def test_schreier_labels_check_each_block_of_cosets(monkeypatch):
     # search and the numbering each read the clock at cosets 256, 512, 768
     table = commutator_coset_table(wide(10))
     want = rewriting._schreier_labels(table)
-    monkeypatch.setattr(rewriting, "INDEX_BLOCK", 256)
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 256)
     expire_after(monkeypatch, 7)  # start, then three reads in each loop
     assert rewriting._schreier_labels(table, Budget().start()) == want
     for reads, numbering, coset in [(1, False, 256), (3, False, 768),
@@ -198,9 +198,9 @@ def test_schreier_labels_check_each_block_of_cosets(monkeypatch):
             rewriting._schreier_labels(table, Budget().start())
         assert info.value.layer == "rewrite_presentation"
         assert info.value.limit == "wall_clock"
-        stopped = info.traceback[-2].locals
+        stopped = next(e for e in info.traceback if e.name == "_schreier_labels").locals
         assert ("k" in stopped) == numbering
-        assert stopped["start"] == coset
+        assert stopped["block"].stop == coset  # the block done before the read
 
 
 def test_rewrite_checks_each_relator(monkeypatch):
@@ -221,15 +221,20 @@ def test_rewrite_checks_each_block_of_orbits(monkeypatch):
     n = 5000
     table = CosetTable(2, [[(c + 1) % n, (c - 1) % n] * 2 for c in range(n)])
     # start, coset 4,097 of the labelling's search and of its numbering,
-    # both relators, then orbit 4,097
-    expire_after(monkeypatch, 6)
+    # then each relator and coset 4,097 of its walks
+    expire_after(monkeypatch, 7)
     assert rewrite_presentation(p, table, Budget().start()).n_relators == 2 * n
-    expire_after(monkeypatch, 5)
+    expire_after(monkeypatch, 6)
     with pytest.raises(CapExceeded) as info:
         rewrite_presentation(p, table, Budget().start())
     assert info.value.layer == "rewrite_presentation"
     assert info.value.limit == "wall_clock"
-    assert info.traceback[-2].locals["walks"] == INDEX_BLOCK
+    stopped = next(e for e in info.traceback if e.name == "rewrite_presentation").locals
+    assert len(stopped["r"]) == 2  # b a^-1, after its first block of one-coset orbits
+    assert sum(w is not None for w in stopped["out"]) == INDEX_BLOCK
+    most = most_built_between_reads(monkeypatch)  # one canonicalisation per walk
+    rewrite_presentation(p, table, Budget().start())
+    assert most["canonical"] == INDEX_BLOCK
 
 
 def test_commutator_table_checks_before_each_generator(monkeypatch):
@@ -254,17 +259,20 @@ def test_tietze_checks_each_elimination(monkeypatch):
 
 
 def test_tietze_checks_each_blocked_candidate(monkeypatch):
-    # the raw rewrite starts at 386 letters after dropping duplicates, and
-    # the cap blocks every one of its 386 candidates
-    p = make("fuchsian", (0, (4, 4, 4, 4)))
-    raw = rewrite_presentation(p, commutator_coset_table(p))
+    # 70 letters, at the cap: eliminating any x_i through x_i y^3 puts y^-3
+    # for its 3 letters in the long relator, 2 letters more, so the cap
+    # blocks all 10 candidates
+    xs = [f"x{i}" for i in range(10)]
+    p = parse_presentation(f"< {', '.join(xs)}, y | {', '.join(x + ' y^3' for x in xs)},"
+                           f" ({' '.join(xs)})^3 >")
     expire_after(monkeypatch, 10)  # start, the first pass, eight candidates
     with pytest.raises(CapExceeded) as info:
-        tietze_simplify(raw, Budget(max_total_relator_length=321).start())
+        tietze_simplify(p, Budget(max_total_relator_length=70).start())
     assert info.value.layer == "tietze_simplify"
     assert info.value.limit == "wall_clock"
     assert info.traceback[-2].name == "tietze_simplify"
-    assert info.traceback[-2].locals["hit"]
+    stopped = info.traceback[-2].locals
+    assert stopped["hit"] and len(stopped["tried"]) == 8 and not stopped["removed"]
 
 
 def test_tietze_checks_each_pass(monkeypatch):
@@ -451,10 +459,9 @@ def test_tietze_sets_up_its_index_a_block_per_clock_read(monkeypatch):
     most, count = most_between_reads(monkeypatch)
 
     class Relators(tuple):
-        def __iter__(self):
-            for w in super().__iter__():
-                yield w
-                count("relators", id(w))  # once the loop asks for the next
+        def __getitem__(self, i):
+            count("relators", i)
+            return super().__getitem__(i)
 
     class Set(set):
         def __init__(self, *args):
@@ -542,6 +549,32 @@ def test_filtration_out_of_time_is_not_a_failed_witness(monkeypatch):
         verify_filtration(p, [[]])
     assert info.value.layer == "todd_coxeter"
     assert info.value.limit == "wall_clock"
+
+
+def test_filtration_labels_a_level_on_the_runs_clock(monkeypatch):
+    # S4 > A4 > V4 > 1: level 2's generators are written in the Schreier
+    # generators of A4 through a labelling of its 2-coset table, which
+    # reads the clock one coset a block here; the clock runs out as that
+    # labelling begins
+    s4 = parse_presentation("< s1, s2, s3 | s1^2, s2^2, s3^2, (s1 s2)^3, (s2 s3)^3,"
+                            " (s1 s3)^2 >")
+    t1, t2, t3 = (Word.gen(i) for i in range(3))
+    chain = [[t1 * t2, t2 * t3], [t1 * t3, t1 * t2 * t1 * t2 * t3 * t2], []]
+    monkeypatch.setattr(fpgroup, "INDEX_BLOCK", 1)
+    real = derived.subgroup_words
+
+    def out_of_time(t, *args):
+        if t.n_cosets > 1:  # level 2's, over the table of A4
+            monkeypatch.setattr(fpgroup, "clock", lambda: math.inf)
+        return real(t, *args)
+
+    monkeypatch.setattr(derived, "subgroup_words", out_of_time)
+    with pytest.raises(CapExceeded) as info:
+        verify_filtration(s4, chain)
+    assert info.value.layer == "rewrite_presentation"
+    assert info.value.limit == "wall_clock"
+    assert [e.name for e in info.traceback][-4:] == [
+        "subgroup_words", "_schreier_labels", "blocks", "check"]
 
 
 def test_filtration_over_the_coset_cap_is_a_failed_witness():

@@ -10,7 +10,7 @@ from adorn.derived import (ADORABLE, HALTED, INCONCLUSIVE, NON_ADORABLE,
 from adorn.fpgroup import Budget, Word, format_presentation, parse_presentation
 from adorn.zoo import make
 
-from oracles import derived_series_quotients, doa, perm_doa, quaternion_model
+from oracles import derived_series_quotients, doa, perm_doa, quaternion_model, wide
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -63,6 +63,15 @@ def test_genus_zero_orbifold_descends_to_large_stage():
         == [(4, 5, 28), (290, 1, 580)]
     assert str(verdict) == "HaltedInfiniteAbelianization(depth=1, rank=290)"
     assert verdict.kind == HALTED and verdict.stage == 1 and verdict.rank == 290
+
+
+def test_tietze_over_the_cap_still_shortens_the_stage():
+    # wide(10)'s raw stage 1 starts at 9,217 letters in 5,120 distinct
+    # relators, over the cap of 8,192: the eliminations, which shorten it,
+    # go ahead, down to the free group it is
+    stages, verdict = derived_series(wide(10), Budget(max_total_relator_length=8192))
+    assert [(s.n_generators, s.n_relators) for s in stages] == [(10, 10), (4097, 0)]
+    assert str(verdict) == "NonAdorableCertified(FreeRankAtLeast2, stage=1)"
 
 
 def test_stage_depths_consecutive():

@@ -11,7 +11,7 @@ from adorn.cosets import CapExceeded, commutator_coset_table, todd_coxeter
 from adorn.fpgroup import (DEFAULT_BUDGET, Budget, GroupPresentation,
                            PresentationSyntaxError, Word,
                            _subword_replacement, canonical_relator,
-                           format_presentation, free_reduce,
+                           format_presentation, format_word, free_reduce,
                            parse_presentation, period, tietze_simplify)
 from adorn.rewriting import rewrite_presentation
 from adorn.zoo import make
@@ -310,6 +310,7 @@ def test_word_str_collapses_runs():
     assert p.word_str(p.relators[0]) in ("a^3 b^-2 a", "a^4 b^-2")
     # canonical rotation may rotate the run together; reparse must agree
     assert parse_presentation(str(p)) == p
+    assert format_word(Word(), p.generator_names) == "1"  # the empty word
 
 
 def pair_words(n_gens=4, min_size=0, max_size=12):

@@ -74,10 +74,10 @@ RECORDS = {
         lambda: GroupPresentation(("a", "b"), (Word.of((0, 0, 0)),)),
         ("generator_names", "relators", "name")),
     "FreeProductVerdict": (
-        lambda: FreeProductVerdict("Dinfty", 2, "note", SeriesVerdict(ADORABLE, doa=2)),
-        lambda: FreeProductVerdict("Dinfty", 2, "note", SeriesVerdict(ADORABLE, 2)),
-        lambda: FreeProductVerdict("Dinfty", 2, "note", SeriesVerdict(ADORABLE, doa=3)),
-        ("kind", "doa", "note", "series_verdict")),
+        lambda: FreeProductVerdict("Dinfty", 2, "note"),
+        lambda: FreeProductVerdict(kind="Dinfty", doa=2, note="note"),
+        lambda: FreeProductVerdict("Dinfty", 3, "note"),
+        ("kind", "doa", "note")),
     "SplittingDecl": (
         lambda: SplittingDecl("amalgam", solvability_step=2),
         lambda: SplittingDecl(kind="amalgam", solvability_step=2),
@@ -234,5 +234,4 @@ def test_strs_are_unchanged():
     assert f"{AbelianInvariants(0, ())}" == "trivial"
     assert str(SplittingVerdict(("a", "b"), ())) == "a | b"
     assert str(SeifertClassification("Perfect", ("x", "y"))) == "Perfect: x; y"
-    assert str(FreeProductVerdict("Dinfty", 2, "note", SeriesVerdict(ADORABLE, doa=2))) == (
-        "Dinfty: note")
+    assert str(FreeProductVerdict("Dinfty", 2, "note")) == "Dinfty: note"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from adorn import abelian, cosets
 from adorn.abelian import AbelianInvariants, abelianization
 from adorn.cosets import CapExceeded, order_exceeds, todd_coxeter
-from adorn.derived import ADORABLE, NON_ADORABLE, derived_series
+from adorn.derived import NON_ADORABLE, derived_series
 from adorn.fpgroup import Budget, GroupPresentation, Word, parse_presentation
 from adorn.zoo import (CannotCertifyFactorTriviality, SeifertData,
                        SplittingDecl, UnknownSolvabilityStep,
@@ -126,14 +126,12 @@ def test_baumslag_solitar_abelianization():
 def test_free_product_verdict_dinfty():
     v = free_product_verdict(make("cyclic", (2,)), make("cyclic", (2,)))
     assert v.kind == "Dinfty" and v.doa == 2
-    assert v.series_verdict.kind == ADORABLE
 
 
 def test_free_product_verdict_nonadorable():
     v = free_product_verdict(make("cyclic", (2,)), make("cyclic", (3,)))
-    assert v.kind == "NonAdorable"
+    assert v.kind == "NonAdorable" and v.doa is None
     assert "rank >= 2" in v.note
-    assert v.series_verdict.kind == NON_ADORABLE
     # cross-check: the engine finds a free stage of rank >= 2
     p = make("free_product", (make("cyclic", (2,)), make("cyclic", (3,))))
     _, verdict = derived_series(p)
@@ -304,6 +302,10 @@ def test_order_exceeds_agrees_with_full_enumeration(case, k, max_cosets):
 def test_free_product_rejects_trivial_factor():
     with pytest.raises(ValueError, match="trivial"):
         free_product_verdict(parse_presentation("< a | a >"), make("cyclic", (2,)))
+    # a = b has order 2 and 3: two generators, but not of triangle shape
+    with pytest.raises(ValueError, match="trivial"):
+        free_product_verdict(parse_presentation("< a, b | a^2, b^3, a b^-1 >"),
+                             make("cyclic", (2,)))
 
 
 def test_free_product_cannot_certify():
@@ -373,6 +375,7 @@ SEIFERT_TABLE = [
     (SeifertData(1, (), has_boundary=True), "NonAdorable"),
     (SeifertData(0, (2, 2, 3, 5, 7)), "ReaderCase"),
     (SeifertData(0, (2, 3, 5, 7, 11, 13)), "Perfect"),
+    (SeifertData(0, (5,), has_boundary=True), "Solvable"),
 ]
 
 

@@ -13,6 +13,7 @@ is not edited: ``Budget.start`` and ``Budget.check`` are wrapped on the
 class from here.  One input per process, so the peak RSS is the input's.
 """
 
+import os
 import resource
 import sys
 import time
@@ -60,4 +61,9 @@ def main(text: str) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    main(sys.argv[1])
+    try:
+        main(sys.argv[1])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head -2` does
+        # stdout goes to devnull, so the flush at exit meets no closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
