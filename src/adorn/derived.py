@@ -116,10 +116,13 @@ def step_cache_key(p: GroupPresentation, budget: Budget) -> str:
     budget only the Tietze caps shape it.  The tag names the meaning of an
     entry: under ``step-v5`` the commutator cosets of a stage with a
     repeated relator are numbered from the relator matrix without the
-    repeats, so a ``step-v4`` entry for such a stage is not read."""
+    repeats, so a ``step-v4`` entry for such a stage is not read.  Under
+    ``step-v6`` Tietze blocks an elimination only when it grows the total
+    past both the cap and the stage's own length, so a stage that starts
+    over the cap is shortened where a ``step-v5`` entry left it partial."""
     import hashlib
 
-    text = "|".join(["step-v5", format_presentation(p), repr((
+    text = "|".join(["step-v6", format_presentation(p), repr((
         budget.max_generators, budget.max_total_relator_length))])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -349,6 +349,23 @@ def test_step_cache_entry_under_the_old_tag_is_not_read():
     assert read == [step_cache_key(p, budget)] != [old]
 
 
+def test_step_cache_entry_from_before_the_cap_rule_is_not_read():
+    # wide(10)'s raw stage 1 starts over a cap of 8,192 letters; a step-v5
+    # entry left it partial with an infinite abelianization, where this code
+    # shortens it to the free group of rank 4,097
+    p, budget = wide(10), Budget(max_total_relator_length=8192)
+    old = hashlib.sha256("|".join(["step-v5", format_presentation(p), repr((
+        budget.max_generators, budget.max_total_relator_length))]).encode()).hexdigest()
+    cache = DictCache()
+    # well-formed with the right index: read, it would halt the run at Z + Z/2
+    cache.data[old] = {"next": "< x, y | x^2 >", "hit_caps": True, "index": 1024}
+    read = []
+    cache.get = lambda key: read.append(key) or cache.data.get(key)
+    warm = derived_series(p, budget, step_cache=cache)
+    assert str(warm.verdict) == "NonAdorableCertified(FreeRankAtLeast2, stage=1)"
+    assert read == [step_cache_key(p, budget)] != [old]
+
+
 @pytest.mark.parametrize("word", [Word.gen(2), Word.of((-2,)), A * Word.of((-1,))])
 def test_filtration_rejects_a_word_outside_the_generators(word):
     # an undeclared generator, or a negative code, which Word.of accepts;
